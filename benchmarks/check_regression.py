@@ -13,8 +13,10 @@ The committed file records per-mode references under
 tree, so their ratios are not comparable to full-mode ones).
 
 With ``--fresh-startup`` the same ratio gate also covers the
-bench_startup.py scenarios (recursive-instantiation speedup and
-shm-vs-loopback link throughput) against ``BENCH_startup.json``.
+bench_startup.py ratio scenarios (shm-vs-loopback link throughput,
+colocated thread census) against ``BENCH_startup.json``, and the
+absolute start-up time of the depth-3 process tree must stay under
+1.5 × the committed ``reference_startup_s`` for the same mode.
 
 With ``--fresh-multistream`` the many-stream scaling gates run
 against a fresh ``bench_multistream.py`` output (falling back to the
@@ -57,10 +59,10 @@ GUARDED_SCENARIOS = (
     "allreduce_tree",
 )
 STARTUP_SCENARIOS = (
-    "startup_64leaf_depth3",
     "shm_relay_hop",
     "colocated_1000node",
 )
+STARTUP_CEILING = 1.5  # x the committed recursive_s of the same mode
 
 
 def reference_speedups(committed: dict, mode: str) -> dict:
@@ -293,6 +295,27 @@ def check_gateway(doc: dict) -> bool:
     return failed
 
 
+def check_startup_time(fresh: dict, committed: dict) -> bool:
+    """Absolute ceiling on the depth-3 process tree's start-up time.
+
+    Returns True when the fresh ``recursive_s`` exceeds
+    ``STARTUP_CEILING`` x the committed value for the same mode.
+    """
+    mode = fresh.get("mode", "full")
+    ref = committed.get("reference_startup_s", {}).get(mode)
+    row = fresh.get("results", {}).get("startup_64leaf_depth3")
+    if ref is None or row is None:
+        print(f"{'startup_64leaf_depth3':<22} {'-':>10} {'-':>10} {'-':>10}  skipped")
+        return False
+    got, ceiling = row["recursive_s"], STARTUP_CEILING * ref
+    status = "ok" if got <= ceiling else "REGRESSED"
+    print(
+        f"{'startup_64leaf_depth3':<22} {ref:>9.3f}s {got:>9.3f}s "
+        f"{ceiling:>9.3f}s  {status}"
+    )
+    return got > ceiling
+
+
 def check_speedups(
     fresh: dict, committed: dict, scenarios, tolerance: float
 ) -> bool:
@@ -381,12 +404,13 @@ def main(argv=None) -> int:
 
     if args.fresh_startup is not None:
         if args.committed_startup.exists():
+            fresh_startup = json.loads(args.fresh_startup.read_text())
+            committed_startup = json.loads(args.committed_startup.read_text())
             failed |= check_speedups(
-                json.loads(args.fresh_startup.read_text()),
-                json.loads(args.committed_startup.read_text()),
-                STARTUP_SCENARIOS,
+                fresh_startup, committed_startup, STARTUP_SCENARIOS,
                 args.tolerance,
             )
+            failed |= check_startup_time(fresh_startup, committed_startup)
         else:
             print("startup baseline absent; skipping startup gates")
 

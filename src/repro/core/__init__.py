@@ -2,7 +2,7 @@
 
 from .backend import BackEnd, BackEndStream, NetworkShutdown
 from .batching import PacketBuffer, decode_batch, encode_batch
-from .commnode import CommNode, NodeCore
+from .commnode import CommNode, NodeCore, NodeHost
 from .communicator import Communicator
 from .failure import (
     DEGRADE,
@@ -58,6 +58,7 @@ __all__ = [
     "BackEndStream",
     "NetworkShutdown",
     "CommNode",
+    "NodeHost",
     "NodeCore",
     "StreamManager",
     "RoutingTable",

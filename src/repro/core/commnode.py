@@ -23,15 +23,14 @@ without ever decoding or re-validating field values.  The
 ``packets_relayed_zero_copy`` stat counts packets that left this node
 on that fast path.
 
-:class:`CommNode` wraps a :class:`NodeCore` in a daemon thread running
-one :class:`~repro.transport.eventloop.EventLoop`: a ``selectors``
-loop multiplexing every socket the node owns plus a wakeup for
-in-process channel deliveries — one I/O thread per node, however many
-links.  (The legacy ``io_mode="threads"`` inbox-polling driver, which
-needed a reader thread per TCP link, was deprecated when the event
-loop landed and has been removed.)  The tool front-end reuses
-:class:`NodeCore` directly (see :mod:`repro.core.network`) and pumps
-it from API calls instead of a thread.
+:class:`NodeHost` is a daemon thread running one
+:class:`~repro.transport.eventloop.EventLoop` — a ``selectors`` loop
+multiplexing every socket its nodes own plus a wakeup for in-process
+channel deliveries — and :class:`CommNode` is the handle of one
+:class:`NodeCore` on it: one I/O thread per host, however many links
+or nodes.  The tool front-end reuses :class:`NodeCore` directly (see
+:mod:`repro.core.network`) and pumps it from API calls instead of a
+thread.
 
 Many-stream scaling: stream announcements arriving in a batched
 ``TAG_NEW_STREAMS`` packet are registered as lightweight *specs* and
@@ -78,6 +77,7 @@ from .batching import (
 )
 from ..obs.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry, StatsView
 from ..obs.snapshot import dumps_snapshot
+from ..topology.placement import LINK_KINDS
 from ..transport.channel import ChannelEnd, Inbox
 from ..transport.eventloop import SendQueueFull
 from .failure import DEGRADE, REPAIR, HeartbeatConfig
@@ -120,7 +120,7 @@ from .protocol import (
 from .routing import RoutingTable
 from .stream_manager import StreamManager
 
-__all__ = ["NodeCore", "CommNode", "NodeHost", "ColocatedCommNode"]
+__all__ = ["NodeCore", "CommNode", "NodeHost"]
 
 log = logging.getLogger(__name__)
 
@@ -279,7 +279,7 @@ class NodeCore:
         # "tcp", "shm" or "inproc"); snapshots then show which links
         # negotiated the shared-memory upgrade, fell back to TCP, or
         # collapsed to a same-loop in-process hand-off.
-        for _kind in ("channel", "tcp", "shm", "inproc"):
+        for _kind in LINK_KINDS:
             self.metrics.gauge(
                 "links",
                 "Attached links (parent + children) by transport kind",
@@ -1509,91 +1509,47 @@ class NodeCore:
         return deadline
 
 
-class CommNode(threading.Thread):
-    """An internal process: a :class:`NodeCore` driven by its own thread.
+class NodeHost(threading.Thread):
+    """One thread, one event loop, one or more comm-node cores.
 
-    The driver is one selector-based
-    :class:`~repro.transport.eventloop.EventLoop` owning every socket
-    handed over via ``parent_socket``/:meth:`add_child_socket` plus
-    the in-process inbox; the node runs with exactly one I/O thread.
-    (The legacy ``io_mode="threads"`` inbox-polling driver — one
-    reader thread per TCP link — was deprecated when the event loop
-    landed and has been removed.)
+    The host group of :func:`repro.topology.plan_placement` made
+    concrete for thread-hosted trees: every core added before
+    :meth:`start` is driven by the same selector
+    :class:`~repro.transport.eventloop.EventLoop`, which owns the
+    sockets and inproc ends handed to it plus each core's in-process
+    inbox.  A solo node is a host with one core; ``colocate=True`` is
+    one host with all of them (plus the optional filter workers).
     """
-
-    io_mode = "eventloop"
 
     def __init__(
         self,
         name: str,
-        registry: FilterRegistry,
-        expected_ranks: int,
-        parent: Optional[ChannelEnd] = None,
         clock: Callable[[], float] = time.monotonic,
-        inbox: Optional[Inbox] = None,
-        parent_socket=None,
+        workers: int = 0,
     ):
-        super().__init__(name=f"commnode-{name}", daemon=True)
-        if parent is None and parent_socket is None:
-            raise ValueError("CommNode needs a parent end or parent_socket")
-        from ..transport.eventloop import EventLoop
-
-        self.loop = EventLoop(clock=clock)
-        if parent_socket is not None:
-            parent = self.loop.add_socket(parent_socket)
-        self.core = NodeCore(name, registry, expected_ranks, parent, clock, inbox)
-        self.loop.bind(self.core)
-
-    @property
-    def inbox(self) -> Inbox:
-        return self.core.inbox
-
-    def add_child_socket(self, sock, **link_kwargs) -> ChannelEnd:
-        """Register a connected child socket with this node's event loop.
-
-        Must be called before :meth:`start`.  Returns the loop-managed
-        link (usable wherever a ``ChannelEnd`` is expected).
-        """
-        end = self.loop.add_socket(sock, **link_kwargs)
-        self.core.add_child(end)
-        return end
-
-    def run(self) -> None:  # pragma: no branch - loop structure
-        self.loop.run()
-
-    def kill(self) -> None:
-        """Crash this node abruptly (fault injection).
-
-        Unlike shutdown there is no goodbye broadcast: the loop exits
-        and closes its channel ends, so peers see EOF (or, for a
-        wedged node, heartbeat silence) exactly as they would for a
-        killed OS process.
-        """
-        self.core.crashed = True
-        self.loop.wake()
-
-
-class NodeHost(threading.Thread):
-    """One thread, one event loop, many colocated comm nodes.
-
-    The colocated runtime: every :class:`NodeCore` added before
-    :meth:`start` is driven by the same selector loop, so an entire
-    internal tree costs exactly one steady-state thread (plus the
-    optional filter workers), however many nodes it hosts.  Links
-    between hosted nodes should be inproc pairs from
-    ``loop.add_inproc_pair``; links to the outside world (channels,
-    sockets, shm) register against the owning core as usual.
-    """
-
-    def __init__(self, clock: Callable[[], float] = time.monotonic, workers: int = 0):
-        super().__init__(name="colocated-host", daemon=True)
+        super().__init__(name=name, daemon=True)
         from ..transport.eventloop import EventLoop
 
         self.loop = EventLoop(clock=clock, workers=workers)
 
-    def add_node(self, core: NodeCore) -> None:
-        """Bind one more core onto the shared loop (before start)."""
+    def add_node(
+        self,
+        name: str,
+        registry: FilterRegistry,
+        expected_ranks: int,
+        parent: ChannelEnd,
+        inbox: Optional[Inbox] = None,
+    ) -> "CommNode":
+        """Create a core under *parent* on this loop (before start)."""
+        core = NodeCore(
+            name, registry, expected_ranks, parent, self.loop.clock, inbox
+        )
+        if getattr(parent, "_loop", None) is self.loop:
+            # A socket or inproc end this loop owns was made before the
+            # core it delivers to existed.
+            parent._core = core
         self.loop.bind(core)
+        return CommNode(self, core)
 
     def run(self) -> None:
         self.loop.run()
@@ -1604,50 +1560,44 @@ class NodeHost(threading.Thread):
             self.loop.close()
 
 
-class ColocatedCommNode:
-    """A :class:`CommNode`-shaped handle for one core on a shared loop.
+class CommNode:
+    """An internal process: one :class:`NodeCore` on a :class:`NodeHost`.
 
-    Duck-types the thread-per-node surface the network, fault
-    injector and recovery coordinator drive — ``core`` / ``loop`` /
-    ``inbox`` / ``start`` / ``is_alive`` / ``join`` / ``kill`` — so a
-    colocated node slots into every existing code path.  ``start``
-    launches the shared host exactly once; ``is_alive``/``join`` track
-    *this* core's lifetime on the loop, not the host thread's.
+    The handle the network, fault injector and recovery coordinator
+    drive.  ``start`` launches the host thread once, however many
+    nodes share it; ``is_alive``/``join`` track *this* core's lifetime
+    on the loop, not the host thread's.
     """
 
-    io_mode = "eventloop"
-
     def __init__(self, host: NodeHost, core: NodeCore):
-        self._host = host
+        self.host = host
         self.core = core
         self.loop = host.loop
 
-    @property
-    def name(self) -> str:
-        return f"commnode-{self.core.name}"
-
-    @property
-    def inbox(self) -> Inbox:
-        return self.core.inbox
-
     def start(self) -> None:
         try:
-            self._host.start()
+            self.host.start()
         except RuntimeError:
-            pass  # a colocated sibling already started the host
+            pass  # a node sharing the host already started it
 
     def is_alive(self) -> bool:
-        return self._host.is_alive() and not self.loop.core_finished(self.core)
+        return self.host.is_alive() and not self.loop.core_finished(self.core)
 
     def join(self, timeout: Optional[float] = None) -> None:
-        """Wait until the shared loop has torn this core down."""
+        """Wait until the loop has torn this core down."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        while not self.loop.core_finished(self.core) and self._host.is_alive():
+        while self.is_alive():
             if deadline is not None and time.monotonic() >= deadline:
                 return
             time.sleep(0.002)
 
     def kill(self) -> None:
-        """Crash this node abruptly (fault injection), siblings live on."""
+        """Crash this node abruptly (fault injection).
+
+        Unlike shutdown there is no goodbye broadcast: the loop tears
+        the core down and closes its ends, so peers see EOF (or, for a
+        wedged node, heartbeat silence) exactly as they would for a
+        killed OS process.  Nodes sharing the host live on.
+        """
         self.core.crashed = True
         self.loop.wake()

@@ -158,7 +158,7 @@ class _Member:
     kind: str  # "frontend" | "commnode" | "backend" | "remote"
     parent_key: Optional[tuple]
     core: object = None  # NodeCore (frontend/commnode)
-    commnode: object = None  # CommNode wrapper (commnode only)
+    commnode: object = None  # CommNode handle (commnode only)
     slot: object = None  # _LeafSlot (backend only)
     addr: object = None  # (host, port) listener address (remote only)
     proc: object = None  # Popen-like handle (remote only)
@@ -275,6 +275,25 @@ class RecoveryCoordinator:
             return proc is None or proc.poll() is None
         backend = getattr(member.slot, "backend", None)
         return backend is not None and not backend.shut_down
+
+    def live_internal(self) -> int:
+        """Internal processes that would answer a request right now.
+
+        The ``STATS_SNAPSHOT`` gather's census, on every transport:
+        members whose thread or OS process is gone, or that are wedged
+        (a wedged node drops input by definition), are not waited for.
+        An out-of-process member whose handle belongs to another
+        process (a forked grandchild) is presumed alive.
+        """
+        with self._lock:
+            return sum(
+                1
+                for m in self._members.values()
+                if m.kind in ("commnode", "remote")
+                and self._alive(m)
+                and not getattr(m.core, "wedged", False)
+                and (m.commnode is None or m.commnode.is_alive())
+            )
 
     def live_ancestor(self, orphan_key: tuple) -> Optional[_Member]:
         """The nearest live proper ancestor of *orphan_key* (grandparent

@@ -10,9 +10,12 @@
     (result,) = stream.recv_values()
 
 Instantiation builds the whole process tree from the topology: one
-:class:`~repro.core.commnode.CommNode` thread per internal slot, one
-:class:`~repro.core.backend.BackEnd` per leaf slot, channels along the
-tree edges.  Back-end ranks are the leaves' left-to-right positions.
+:class:`~repro.core.commnode.CommNode` per internal slot, one
+:class:`~repro.core.backend.BackEnd` per leaf slot, and along every
+edge the link kind :func:`repro.topology.plan_placement` chose for it.
+That plan — node → host group, edge → link kind — is computed once
+per network and walked by both builders.  Back-end ranks are the
+leaves' left-to-right positions.
 
 Two instantiation modes (paper §2.5):
 
@@ -50,10 +53,11 @@ from ..obs.metrics import prometheus_text
 from ..obs.snapshot import STATS_SCHEMA, loads_snapshot
 from ..obs.tracing import TraceRecorder, to_chrome_trace
 from ..topology.parser import parse_config, parse_config_file
+from ..topology.placement import TRANSPORTS, plan_placement
 from ..topology.spec import TopologyNode, TopologySpec
 from ..transport.channel import Channel, ChannelEnd, Inbox
 from .backend import BackEnd
-from .commnode import CommNode, NodeCore
+from .commnode import CommNode, NodeCore, NodeHost
 from .communicator import Communicator
 from .failure import (
     DEGRADE,
@@ -226,44 +230,6 @@ class _FrontEndCore(NodeCore):
         super()._handle_link_closed(link_id)
 
 
-def _read_listening_line(proc, timeout: float, drains=None) -> Optional[str]:
-    """Read a child's ``LISTENING <port>`` announcement with a deadline.
-
-    A child that dies before announcing (bad import, port exhaustion)
-    must not hang instantiation on a pipe read forever — ``None``
-    comes back on timeout, EOF, or child death, and the caller raises
-    with the captured stderr.  Reads are single bytes so nothing past
-    the announcement line is consumed (the selector drain owns the
-    pipe afterwards).  ``drains`` is polled while waiting so a child
-    chatty on stderr cannot wedge against a full pipe mid-bootstrap.
-    """
-    import select
-
-    fd = proc.stdout.fileno()
-    deadline = time.monotonic() + timeout
-    buf = bytearray()
-    while True:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return None
-        try:
-            ready, _, _ = select.select([fd], [], [], min(remaining, 0.1))
-        except (OSError, ValueError):
-            return None
-        if drains is not None:
-            drains.poll()
-        if not ready:
-            if proc.poll() is not None:
-                return None
-            continue
-        chunk = os.read(fd, 1)
-        if not chunk:
-            return None
-        if chunk == b"\n":
-            return buf.decode("ascii", "replace").strip()
-        buf += chunk
-
-
 class _PipeDrains:
     """Selector-registered non-blocking drains for child process pipes.
 
@@ -413,38 +379,53 @@ class Network:
         clock: Callable[[], float] = time.monotonic,
         transport: str = "local",
         filter_specs: Optional[List[tuple]] = None,
-        io_mode: str = "eventloop",
         policy: str = DEGRADE,
         heartbeat_interval: float = 0.0,
         heartbeat_miss_threshold: int = 3,
         checkpoint_interval: float = 0.0,
         trace: bool = False,
-        instantiation: str = "recursive",
-        shm: str = "auto",
-        spawn: str = "fork",
         colocate: bool = False,
         filter_workers: int = 0,
     ):
         """Instantiate the network.
 
-        ``transport`` selects how tree edges move bytes and where
-        internal processes live:
+        ``transport`` and ``colocate`` are the two placement choices;
+        :func:`repro.topology.plan_placement` turns them, with the
+        topology's hosts, into a host group per internal node and a
+        link kind per edge, and the builders walk that plan:
 
-        * ``"local"`` — comm-node threads, in-process mailboxes (default);
-        * ``"tcp"`` — comm-node threads, framed loopback sockets;
+        * ``"local"`` (default) — every internal node is a loop thread
+          of this process, edges are in-process mailboxes;
+        * ``"tcp"`` — the same threads, framed loopback sockets;
         * ``"process"`` — each internal process is a separate
-          ``mrnet_commnode`` OS process (the paper's architecture),
-          connected over TCP.  Custom filters must then be supplied as
-          ``filter_specs=[(path, func_name[, fmt]), ...]`` so every
-          process loads them in the same order (the shared-object
-          shipping model of §2.4); they are also loaded into this
-          front-end's registry, ids assigned in list order.
+          ``mrnet_commnode`` OS process (the paper's architecture).
+          The front-end starts its direct children and hands each its
+          whole subtree; every process then forks its own children, so
+          the tree builds in O(depth) spawn rounds (§2.5, Figure 5)
+          and back-end attach points arrive via ``TAG_ADDR_REPORT``
+          control packets.  Edges are TCP, except that an edge whose
+          two processes share a *topology host* offers the
+          shared-memory ring transport (:mod:`repro.transport.shm`;
+          refusal or failure falls back to TCP) — with the default
+          generators every process gets its own synthetic host, so
+          nothing upgrades unless the topology expresses co-location.
+          Custom filters must be supplied as ``filter_specs=[(path,
+          func_name[, fmt]), ...]`` so every process loads them in the
+          same order (the shared-object shipping model of §2.4); they
+          are also loaded into this front-end's registry, ids assigned
+          in list order.
 
-        ``io_mode`` is ``"eventloop"``: one selector loop per comm
-        node — a TCP comm node owns all its sockets with a single
-        thread.  The front-end and back-ends are passive.  (The legacy
-        ``"threads"`` inbox-polling driver, deprecated in PR 7, has
-        been removed; passing it raises ``NetworkError``.)
+        ``colocate=True`` hosts every internal process of a
+        ``transport="local"`` tree on ONE shared selector loop (a
+        single ``colocated-host`` thread) instead of one thread per
+        comm node; comm-to-comm edges become in-process
+        :class:`~repro.transport.inproc.InprocLink` hand-offs.  For
+        ``transport="process"`` it instead packs each chain of
+        same-host internal nodes into one ``mrnet_commnode`` process.
+        ``filter_workers`` > 0 adds that many ``filter-worker``
+        threads to each colocated loop so large synchronized-wave
+        transformations run off-loop (see
+        :class:`~repro.transport.workers.FilterWorkerPool`).
 
         ``policy`` selects what a process failure means (see
         :mod:`repro.core.failure`): ``"fail_fast"`` poisons the
@@ -468,45 +449,8 @@ class Network:
         thread-hosted process before the tree starts (equivalent to
         calling :meth:`start_trace` immediately); export with
         :meth:`trace_chrome_json`.
-
-        The remaining parameters shape *process-transport* start-up
-        (paper §2.5, Figure 5) and are ignored by thread-hosted
-        transports:
-
-        * ``instantiation="recursive"`` (default) hands each direct
-          child of the front-end its whole subtree spec; every
-          internal process then creates its own children, so the tree
-          builds in O(depth) spawn rounds and back-end attach points
-          arrive via ``TAG_ADDR_REPORT`` control packets.
-          ``"sequential"`` restores the one-process-at-a-time
-          front-end spawn loop (mode 1's serial strawman — the
-          paper's Figure 7a baseline).
-        * ``shm="auto"`` (default) upgrades links whose two endpoints
-          share a *topology host* to the shared-memory ring transport
-          (:mod:`repro.transport.shm`); with the default generators
-          every process gets its own synthetic host, so nothing
-          upgrades unless the topology expresses co-location.
-          ``"off"`` keeps every link on TCP.  Negotiation failure
-          always falls back to TCP transparently.
-        * ``spawn="fork"`` (default) lets recursive instantiation
-          ``os.fork()`` grandchildren from the already-imported
-          interpreter; ``"popen"`` execs each one as a fresh
-          ``mrnet_commnode`` with its subtree spec on the command
-          line.
-
-        ``colocate=True`` hosts every internal process of a
-        ``transport="local"`` tree on ONE shared selector loop (a
-        single ``colocated-host`` thread) instead of one thread per
-        comm node; comm-to-comm edges become in-process
-        :class:`~repro.transport.inproc.InprocLink` hand-offs.  For
-        ``transport="process"`` it instead packs same-host subtree
-        members into one ``mrnet_commnode`` process per topology host
-        (recursive instantiation only).  ``filter_workers`` > 0 adds
-        that many ``filter-worker`` threads to the shared loop so
-        large synchronized-wave transformations run off-loop (see
-        :class:`~repro.transport.workers.FilterWorkerPool`).
         """
-        if transport not in ("local", "tcp", "process"):
+        if transport not in TRANSPORTS:
             raise NetworkError(f"unknown transport {transport!r}")
         if trace and transport == "process":
             raise NetworkError(
@@ -514,42 +458,20 @@ class Network:
                 "'tcp'): process-transport span rings live in other "
                 "address spaces"
             )
-        if io_mode != "eventloop":
-            raise NetworkError(
-                f"unknown io_mode {io_mode!r}: the legacy 'threads' driver "
-                "was removed one release after its PR-7 deprecation"
-            )
         if policy not in POLICIES:
             raise NetworkError(f"unknown failure policy {policy!r}")
-        if instantiation not in ("recursive", "sequential"):
-            raise NetworkError(f"unknown instantiation {instantiation!r}")
-        if shm not in ("auto", "off"):
-            raise NetworkError(f"unknown shm mode {shm!r}")
-        if spawn not in ("fork", "popen"):
-            raise NetworkError(f"unknown spawn mode {spawn!r}")
-        if colocate:
-            if transport == "tcp":
-                raise NetworkError(
-                    "colocate=True requires transport 'local' or 'process': "
-                    "thread-hosted TCP nodes already share the front-end "
-                    "address space via channels"
-                )
-            if transport == "process" and instantiation != "recursive":
-                raise NetworkError(
-                    "colocate=True with transport='process' requires "
-                    "instantiation='recursive' (subtree specs carry the "
-                    "co-location grouping)"
-                )
+        if colocate and transport == "tcp":
+            raise NetworkError(
+                "colocate=True requires transport 'local' or 'process': "
+                "thread-hosted TCP nodes already share the front-end "
+                "address space via channels"
+            )
         if filter_workers < 0:
             raise NetworkError("filter_workers must be >= 0")
         self.colocate = colocate
         self.filter_workers = filter_workers
         self.transport = transport
-        self.io_mode = io_mode
         self.policy = policy
-        self.instantiation = instantiation
-        self.shm = shm
-        self.spawn = spawn
         self._startup_timeout = startup_timeout
         self.heartbeat = HeartbeatConfig(
             interval=heartbeat_interval, miss_threshold=heartbeat_miss_threshold
@@ -558,6 +480,7 @@ class Network:
             raise NetworkError("checkpoint_interval must be >= 0")
         self.checkpoint_interval = checkpoint_interval
         self.topology = self._resolve_topology(topology)
+        self._plan = plan_placement(self.topology, transport, colocate)
         self.registry = registry if registry is not None else default_registry()
         self.filter_specs = [tuple(s) for s in (filter_specs or [])]
         self.filter_ids: List[int] = []
@@ -571,8 +494,8 @@ class Network:
         leaves = self.topology.leaves()
         self._core = _FrontEndCore(self.registry, len(leaves), clock)
         self._commnodes: List[CommNode] = []
+        self._hosts: List[NodeHost] = []  # loop threads, one per host group
         self._procs: List = []  # subprocess.Popen, process transport only
-        self._host = None  # shared NodeHost, colocate=True local transport
         self._drains = _PipeDrains()  # child-pipe tails, process transport
         self._listener = None
         self._slots: Dict[int, _LeafSlot] = {}
@@ -609,15 +532,12 @@ class Network:
         )
         try:
             if transport == "process":
-                if instantiation == "recursive":
-                    self._build_tree_recursive(leaves)
-                else:
-                    self._build_tree_process(leaves)
+                self._build_tree_recursive(leaves)
             else:
                 self._build_tree(leaves)
             # Observability identities: the front-end is rank 0, comm
             # nodes take 1..N in construction order (process transport:
-            # spawn order, passed on the command line).
+            # breadth-first, shipped in the subtree specs).
             self._core.obs_rank = 0
             for i, node in enumerate(self._commnodes, start=1):
                 node.core.obs_rank = i
@@ -626,11 +546,7 @@ class Network:
             for node in self._commnodes:
                 node.start()
             if auto_backends:
-                if (
-                    transport == "process"
-                    and instantiation == "recursive"
-                    and len(self._slots) > 1
-                ):
+                if transport == "process" and len(self._slots) > 1:
                     self._attach_all_backends()
                 else:
                     for rank in sorted(self._slots):
@@ -658,199 +574,115 @@ class Network:
         return parse_config_file(text)
 
     def _build_tree(self, leaves: List[TopologyNode]) -> None:
-        rank_of = {leaf.key: i for i, leaf in enumerate(leaves)}
-        # Pre-create an inbox per process so channels can be wired
-        # before the cores that own them exist.
-        inboxes: Dict[Tuple[str, int], Inbox] = {self.topology.root.key: self._core.inbox}
-        for node in self.topology.nodes():
-            if node is not self.topology.root:
-                inboxes[node.key] = Inbox()
+        """Thread-hosted instantiation: walk the placement plan.
 
-        # With the event loop, comm-node ends of TCP edges are raw
-        # sockets owned by the node's selector — only the passive
-        # processes (front-end, back-ends) keep reader-thread ends.
-        selector_tcp = self.transport == "tcp"
-        cores: Dict[Tuple[str, int], NodeCore] = {self.topology.root.key: self._core}
-        comms: Dict[Tuple[str, int], CommNode] = {}
-        if self.colocate:
-            comms = self._build_tree_colocated(rank_of, inboxes, cores)
-            self._wire_fault_tolerance(comms, rank_of)
-            return
-        for node in self.topology.nodes():
-            for child in node.children:
-                subtree_leaves = sum(
-                    1 for n in _iter_subtree(child) if n.is_leaf
-                )
-                if selector_tcp:
-                    import socket as socket_mod
-
-                    from ..transport.tcp import TcpChannelEnd, _alloc_link_id
-
-                    sock_parent, sock_child = socket_mod.socketpair()
-                    # Parent attach: the front-end stays inbox-driven
-                    # (reader thread); a comm-node parent registers the
-                    # raw socket with its own event loop.
-                    parent_comm = comms.get(node.key)
-                    if parent_comm is None:
-                        cores[node.key].add_child(
-                            TcpChannelEnd(
-                                sock_parent, _alloc_link_id(), inboxes[node.key]
-                            )
-                        )
-                    else:
-                        parent_comm.add_child_socket(sock_parent)
-                    if child.is_leaf:
-                        rank = rank_of[child.key]
-                        child_side = TcpChannelEnd(
-                            sock_child, _alloc_link_id(), inboxes[child.key]
-                        )
-                        self._slots[rank] = _LeafSlot(
-                            rank, child.label, child_side, inboxes[child.key]
-                        )
-                    else:
-                        comm = CommNode(
-                            child.label,
-                            self.registry,
-                            subtree_leaves,
-                            parent_socket=sock_child,
-                            clock=self._clock,
-                            inbox=inboxes[child.key],
-                        )
-                        cores[child.key] = comm.core
-                        comms[child.key] = comm
-                        self._commnodes.append(comm)
-                    continue
-                if self.transport == "tcp":
-                    from ..transport.tcp import tcp_pair
-
-                    # A tcp end *receives* into the inbox it is built
-                    # with: first end is the parent's.
-                    parent_side, child_side = tcp_pair(
-                        inboxes[node.key], inboxes[child.key]
-                    )
-                else:
-                    channel = Channel(inboxes[node.key], inboxes[child.key])
-                    # end_a sends toward the child; it is the parent's end.
-                    parent_side, child_side = channel.end_a, channel.end_b
-                owner = cores[node.key]
-                owner.add_child(parent_side)
-                if child.is_leaf:
-                    rank = rank_of[child.key]
-                    self._slots[rank] = _LeafSlot(
-                        rank, child.label, child_side, inboxes[child.key]
-                    )
-                else:
-                    comm = CommNode(
-                        child.label,
-                        self.registry,
-                        subtree_leaves,
-                        parent=child_side,
-                        clock=self._clock,
-                        inbox=inboxes[child.key],
-                    )
-                    cores[child.key] = comm.core
-                    comms[child.key] = comm
-                    self._commnodes.append(comm)
-
-        self._wire_fault_tolerance(comms, rank_of)
-
-    def _build_tree_colocated(
-        self,
-        rank_of: Dict[Tuple[str, int], int],
-        inboxes: Dict[Tuple[str, int], Inbox],
-        cores: Dict[Tuple[str, int], NodeCore],
-    ) -> Dict[Tuple[str, int], "ColocatedCommNode"]:
-        """Host every internal process on ONE shared selector loop.
-
-        One ``NodeHost`` thread drives all comm-node cores; edges
-        touching the passive front-end or back-ends stay in-process
-        channels (their inboxes are drained by the shared loop /
-        pumped by the attach protocol as usual), while comm-to-comm
-        edges become :class:`~repro.transport.inproc.InprocLink`
-        pairs — a send is a deque append, delivery happens on the
-        next loop iteration, and the steady-state thread census for
-        the whole tree is 1 (+ ``filter_workers``).
+        Every host group becomes one :class:`NodeHost` loop thread (a
+        solo node is a host with one core; ``colocate=True`` is one
+        host with all of them, so the steady-state thread census for
+        the whole tree is 1 + ``filter_workers``), and every edge is
+        made of what the plan says.  The front-end and the back-ends
+        are passive — pumped by API calls, not by a loop — so their
+        ends receive into inboxes.
         """
-        from .commnode import ColocatedCommNode, NodeHost
+        plan = self._plan
+        rank_of = {leaf.key: i for i, leaf in enumerate(leaves)}
+        cores: Dict[Tuple[str, int], NodeCore] = {self.topology.root.key: self._core}
+        hosts: Dict[int, NodeHost] = {}
 
-        host = self._host = NodeHost(
-            clock=self._clock, workers=self.filter_workers
-        )
-        loop = host.loop
-        comms: Dict[Tuple[str, int], ColocatedCommNode] = {}
-        for node in self.topology.nodes():
-            for child in node.children:
-                parent_core = cores[node.key]
-                if child.is_leaf:
-                    channel = Channel(inboxes[node.key], inboxes[child.key])
-                    parent_core.add_child(channel.end_a)
-                    rank = rank_of[child.key]
-                    self._slots[rank] = _LeafSlot(
-                        rank, child.label, channel.end_b, inboxes[child.key]
-                    )
-                    continue
-                subtree_leaves = sum(
-                    1 for n in _iter_subtree(child) if n.is_leaf
+        def host_of(node: TopologyNode) -> Optional[NodeHost]:
+            """The loop thread of *node*'s group (None: a passive process)."""
+            group = plan.group_of.get(node.key)
+            if group is None:
+                return None
+            if group not in hosts:
+                hosts[group] = NodeHost(
+                    "colocated-host" if self.colocate else f"commnode-{node.label}",
+                    clock=self._clock,
+                    workers=self.filter_workers if self.colocate else 0,
                 )
-                if node is self.topology.root:
-                    # The front-end is pumped by API calls, not the
-                    # shared loop — keep its edges on inbox channels.
-                    channel = Channel(inboxes[node.key], inboxes[child.key])
-                    parent_side, child_side = channel.end_a, channel.end_b
-                else:
-                    parent_side, child_side = loop.add_inproc_pair()
+                self._hosts.append(hosts[group])
+            return hosts[group]
+
+        for node in self.topology.nodes():  # preorder: parents first
+            if node.is_leaf:
+                continue
+            parent_core = cores[node.key]
+            parent_host = host_of(node)
+            for child in node.children:
+                host = host_of(child)
+                inbox = Inbox()
+                parent_side, child_side = self._make_edge(
+                    plan.kind_of[child.key], parent_core, parent_host, inbox, host
+                )
                 parent_core.add_child(parent_side)
-                core = NodeCore(
+                if child.is_leaf:
+                    rank = rank_of[child.key]
+                    slot = self._slots[rank] = _LeafSlot(
+                        rank, child.label, child_side, inbox
+                    )
+                    slot.topo_key = child.key
+                    self._recovery.register_backend(child.key, node.key, slot)
+                    continue
+                comm = host.add_node(
                     child.label,
                     self.registry,
-                    subtree_leaves,
-                    parent=child_side,
-                    clock=self._clock,
-                    inbox=inboxes[child.key],
+                    sum(1 for n in _iter_subtree(child) if n.is_leaf),
+                    child_side,
+                    inbox,
                 )
-                if getattr(parent_side, "_inproc", False):
-                    parent_side._core = parent_core
-                    child_side._core = core
-                cores[child.key] = core
-                host.add_node(core)
-                comm = ColocatedCommNode(host, core)
-                comms[child.key] = comm
+                cores[child.key] = comm.core
                 self._commnodes.append(comm)
-        return comms
+                # Orphans repair through the coordinator (grandparent
+                # lookup and edge construction happen there).
+                comm.core.configure_failure(
+                    policy=self.policy,
+                    heartbeat=self.heartbeat,
+                    recovery=self._recovery,
+                    topo_key=child.key,
+                    repair_fn=(
+                        self._make_repair_fn(child.key, inbox)
+                        if self.policy == REPAIR
+                        else None
+                    ),
+                    checkpoint_interval=self.checkpoint_interval,
+                )
+                self._recovery.register_commnode(child.key, node.key, comm)
 
-    def _wire_fault_tolerance(
-        self,
-        comms: Dict[Tuple[str, int], CommNode],
-        rank_of: Dict[Tuple[str, int], int],
-    ) -> None:
-        # Fault-tolerance wiring: register every process slot with the
-        # recovery coordinator and push the network's policy/heartbeat
-        # configuration into each comm node.  Orphans repair through a
-        # closure onto the coordinator (their grandparent lookup and
-        # edge construction happen there).
-        if self._recovery is not None:
-            for node in self.topology.nodes():
-                for child in node.children:
-                    if child.is_leaf:
-                        slot = self._slots[rank_of[child.key]]
-                        slot.topo_key = child.key
-                        self._recovery.register_backend(child.key, node.key, slot)
-                    else:
-                        comm = comms[child.key]
-                        repair_fn = None
-                        if self.policy == REPAIR:
-                            repair_fn = self._make_repair_fn(
-                                child.key, comm.inbox
-                            )
-                        comm.core.configure_failure(
-                            policy=self.policy,
-                            heartbeat=self.heartbeat,
-                            recovery=self._recovery,
-                            topo_key=child.key,
-                            repair_fn=repair_fn,
-                            checkpoint_interval=self.checkpoint_interval,
-                        )
-                        self._recovery.register_commnode(child.key, node.key, comm)
+    @staticmethod
+    def _make_edge(
+        kind: str,
+        parent_core: NodeCore,
+        parent_host: Optional[NodeHost],
+        child_inbox: Inbox,
+        child_host: Optional[NodeHost],
+    ) -> tuple:
+        """One in-process edge of *kind*: ``(parent_side, child_side)``.
+
+        A side whose process runs on a loop (``*_host`` given) is
+        owned by that loop; a passive side receives into its inbox.
+        """
+        if kind == "channel":
+            channel = Channel(parent_core.inbox, child_inbox)
+            # end_a sends toward the child; it is the parent's end.
+            return channel.end_a, channel.end_b
+        if kind == "inproc":
+            return child_host.loop.add_inproc_pair(parent_core)
+        import socket
+
+        from ..transport.tcp import TcpChannelEnd, _alloc_link_id
+
+        sock_parent, sock_child = socket.socketpair()
+        if parent_host is not None:
+            parent_side = parent_host.loop.add_socket(sock_parent, core=parent_core)
+        else:
+            parent_side = TcpChannelEnd(
+                sock_parent, _alloc_link_id(), parent_core.inbox
+            )
+        if child_host is not None:
+            child_side = child_host.loop.add_socket(sock_child)
+        else:
+            child_side = TcpChannelEnd(sock_child, _alloc_link_id(), child_inbox)
+        return parent_side, child_side
 
     def _make_repair_fn(self, key: tuple, inbox: Inbox):
         """An orphan's path back into the tree: adopt via coordinator."""
@@ -861,157 +693,19 @@ class Network:
 
         return repair
 
-    def _build_tree_process(self, leaves: List[TopologyNode]) -> None:
-        """Launch internal processes as real ``mrnet_commnode`` programs.
-
-        Spawn order is breadth-first so every child knows its parent's
-        listener address on the command line; each new process prints
-        ``LISTENING <port>`` which we read before spawning its own
-        children.  Back-end slots record their parent's address and
-        connect at attach time.
-        """
-        import subprocess
-        import sys
-
-        from ..transport.tcp import TcpListener
-
-        rank_of = {leaf.key: i for i, leaf in enumerate(leaves)}
-        self._listener = TcpListener(self._core.inbox)
-        addr_of = {self.topology.root.key: self._listener.address}
-        # Proper-ancestor address chains (root-first, excluding the
-        # node's own parent): under the repair policy each spawned
-        # commnode re-dials the nearest live entry when its parent
-        # dies, so orphan adoption needs no coordinator round-trip.
-        anc_of: Dict[tuple, tuple] = {self.topology.root.key: ()}
-
-        filter_args: List[str] = []
-        for spec in self.filter_specs:
-            text = f"{spec[0]}:{spec[1]}"
-            if len(spec) > 2 and spec[2]:
-                text += f":{spec[2]}"
-            filter_args += ["--filter", text]
-
-        queue_: Deque[TopologyNode] = deque([self.topology.root])
-        while queue_:
-            node = queue_.popleft()
-            for child in node.children:
-                if child.is_leaf:
-                    rank = rank_of[child.key]
-                    slot = self._slots[rank] = _LeafSlot(
-                        rank, child.label, parent_addr=addr_of[node.key]
-                    )
-                    slot.topo_key = child.key
-                    if self._recovery is not None:
-                        self._recovery.register_backend(
-                            child.key, node.key, slot
-                        )
-                    continue
-                subtree_leaves = sum(
-                    1 for n in _iter_subtree(child) if n.is_leaf
-                )
-                host, port = addr_of[node.key]
-                cmd = [
-                    sys.executable,
-                    "-m",
-                    "repro.mrnet_commnode",
-                    "--parent",
-                    f"{host}:{port}",
-                    "--children",
-                    str(len(child.children)),
-                    "--expected-ranks",
-                    str(subtree_leaves),
-                    "--name",
-                    child.label,
-                    "--rank",
-                    str(len(self._procs) + 1),
-                ]
-                if self.heartbeat.enabled:
-                    cmd += [
-                        "--heartbeat-interval",
-                        str(self.heartbeat.interval),
-                        "--heartbeat-miss",
-                        str(self.heartbeat.miss_threshold),
-                    ]
-                if self.checkpoint_interval > 0:
-                    cmd += [
-                        "--checkpoint-interval",
-                        str(self.checkpoint_interval),
-                    ]
-                if self.policy == REPAIR:
-                    cmd += ["--repair"]
-                    if anc_of[node.key]:
-                        cmd += [
-                            "--ancestors",
-                            ",".join(
-                                f"{h}:{p}" for h, p in anc_of[node.key]
-                            ),
-                        ]
-                cmd += filter_args
-                proc = subprocess.Popen(
-                    cmd,
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.PIPE,
-                    bufsize=0,
-                )
-                proc.label = child.label
-                proc.stderr_tail = deque(maxlen=20)
-                self._drains.add(
-                    proc.stderr, proc.stderr_tail, f"stderr-{child.label}"
-                )
-                self._procs.append(proc)
-                line = _read_listening_line(
-                    proc, timeout=30.0, drains=self._drains
-                )
-                if line is None or not line.startswith("LISTENING "):
-                    proc.kill()
-                    try:
-                        proc.wait(timeout=2.0)
-                    except Exception:
-                        pass
-                    time.sleep(0.05)  # let the stderr pipe fill in
-                    raise NetworkError(
-                        f"mrnet_commnode {child.label} failed to start: "
-                        f"{line!r} ({self._proc_diagnostics()})"
-                    )
-                # Bootstrap chatter after the announcement must keep
-                # flowing somewhere or the child eventually blocks on
-                # a full pipe; nobody reads it, so discard via a
-                # bounded drain.
-                self._drains.add(
-                    proc.stdout, deque(maxlen=5), f"stdout-{child.label}"
-                )
-                addr_of[child.key] = ("127.0.0.1", int(line.split()[1]))
-                anc_of[child.key] = anc_of[node.key] + (addr_of[node.key],)
-                if self._recovery is not None:
-                    self._recovery.register_remote(
-                        child.key, node.key, addr_of[child.key], proc=proc
-                    )
-                queue_.append(child)
-
-        # Accept the root's direct children (internal processes connect
-        # immediately; leaf back-ends connect at attach time and are
-        # accepted lazily by _pump... no: the front-end must accept all
-        # of its own connections up front, so count them here).
-        internal_children = sum(
-            1 for c in self.topology.root.children if not c.is_leaf
-        )
-        for _ in range(internal_children):
-            self._core.add_child(self._listener.accept(timeout=30))
-
     def _build_tree_recursive(self, leaves: List[TopologyNode]) -> None:
         """Parallel recursive instantiation (paper §2.5, Figure 5).
 
         The front-end launches only the root's direct internal
-        children, handing each its *entire subtree* as a JSON spec on
-        the command line; every internal process then creates its own
-        children concurrently (``mrnet_commnode --subtree``), so the
-        tree builds in O(depth) sequential spawn rounds instead of the
-        sequential builder's O(internal nodes).
+        children, handing each its *entire subtree* — placement plan
+        included — as a JSON spec on the command line; every internal
+        process then creates its own children concurrently
+        (``mrnet_commnode --subtree``), so the tree builds in O(depth)
+        sequential spawn rounds, not O(internal nodes).
 
-        The front-end cannot read grandchildren's listener ports from
-        their stdout (they are other processes' children), so every
-        internal node announces ``label host port`` up the data plane
-        via ``TAG_ADDR_REPORT``; instantiation completes when all
+        Grandchildren are other processes' children, so every internal
+        node announces ``label host port`` up the data plane via
+        ``TAG_ADDR_REPORT``; instantiation completes when all
         announcements arrived, and back-end slots aim at their
         parent's announced address.
         """
@@ -1025,9 +719,8 @@ class Network:
         self._listener = TcpListener(self._core.inbox)
         root = self.topology.root
 
-        # Breadth-first observability ranks: identical numbering to
-        # the sequential builder's spawn order, so process identities
-        # are stable across instantiation modes.
+        plan = self._plan
+        # Breadth-first observability ranks.
         obs_rank: Dict[tuple, int] = {}
         expected_labels = set()
         bfs: Deque[TopologyNode] = deque([root])
@@ -1042,10 +735,7 @@ class Network:
         opts = RecursiveOpts(
             filter_specs=self.filter_specs,
             heartbeat=self.heartbeat,
-            shm=self.shm,
-            spawn=self.spawn,
-            colocate=self.colocate,
-            workers=self.filter_workers,
+            workers=self.filter_workers if self.colocate else 0,
             repair=self.policy == REPAIR,
             checkpoint_interval=self.checkpoint_interval,
         )
@@ -1057,11 +747,9 @@ class Network:
                 "repro.mrnet_commnode",
                 "--parent",
                 f"127.0.0.1:{self._listener.address[1]}",
-                "--parent-host",
-                root.host,
                 "--subtree",
                 json.dumps(
-                    subtree_spec(child, obs_rank), separators=(",", ":")
+                    subtree_spec(child, obs_rank, plan), separators=(",", ":")
                 ),
             ] + opts.command_line()
             proc = subprocess.Popen(
@@ -1107,30 +795,26 @@ class Network:
                 )
             self._pump(self._pump_quantum())
 
-        # Every internal node that announced an address joins the
-        # coordinator's member registry (a Popen handle exists only
-        # for direct children; deeper nodes are other processes'
-        # children), so orphaned back-ends can walk to a live ancestor
-        # and elastic joins can pick an out-of-process parent.
-        if self._recovery is not None:
-            proc_of = {p.label: p for p in self._procs}
-            bfs = deque([root])
-            while bfs:
-                node = bfs.popleft()
-                for child in node.children:
-                    if child.is_leaf:
-                        continue
-                    addr = self._core.addr_reports.get(child.label)
-                    if addr is not None:
-                        self._recovery.register_remote(
-                            child.key, node.key, addr,
-                            proc=proc_of.get(child.label),
-                        )
-                    bfs.append(child)
+        # Every internal node joins the coordinator's member registry
+        # by its announced address, so orphaned back-ends can walk to
+        # a live ancestor and elastic joins can pick an out-of-process
+        # parent.  A Popen handle exists only for the front-end's own
+        # children (deeper processes are theirs); the nodes a direct
+        # child hosts in its group share its handle.
+        proc_of_group = {
+            plan.group_of[child.key]: proc
+            for child, proc in zip(direct_internal, self._procs)
+        }
+        for node in self.topology.internal_nodes():
+            self._recovery.register_remote(
+                node.key,
+                self.topology.parent_of(node).key,
+                self._core.addr_reports[node.label],
+                proc=proc_of_group.get(plan.group_of[node.key]),
+            )
 
-        # Back-end slots aim at their parent's announced address; links
-        # whose endpoints share a topology host are marked for the
-        # shared-memory upgrade at attach time.
+        # Back-end slots aim at their parent's announced address and
+        # offer the shared-memory upgrade where the plan says so.
         for leaf in leaves:
             parent = self.topology.parent_of(leaf)
             if parent is root:
@@ -1141,7 +825,7 @@ class Network:
                 rank_of[leaf.key],
                 leaf.label,
                 parent_addr=addr,
-                shm=(self.shm == "auto" and leaf.host == parent.host),
+                shm=plan.kind_of[leaf.key] == "shm",
             )
             slot.topo_key = leaf.key
             self._recovery.register_backend(leaf.key, parent.key, slot)
@@ -1713,32 +1397,6 @@ class Network:
             flat["histograms"] = dict(histograms)
         return flat
 
-    def _expected_stats_repliers(self) -> int:
-        """Internal processes a STATS_SNAPSHOT gather should hear from.
-
-        Crashed, shutting-down and wedged nodes are excluded — the two
-        former cannot answer, and a wedged node drops input by
-        definition, so waiting for it would always cost the full
-        gather timeout.
-        """
-        if self.transport == "process":
-            if self.instantiation == "recursive":
-                # Grandchildren are other processes' children — no
-                # Popen handle to poll — but every internal node that
-                # came up announced an address, so that census is the
-                # replier set.
-                return len(self._core.addr_reports)
-            return sum(1 for proc in self._procs if proc.poll() is None)
-        expected = 0
-        for node in self._commnodes:
-            core = node.core
-            if core.crashed or core.shutting_down or core.wedged:
-                continue
-            if not node.is_alive():
-                continue
-            expected += 1
-        return expected
-
     def _gather_snapshots(self, timeout: float, meta: dict) -> Dict[str, dict]:
         """Broadcast a STATS_SNAPSHOT request and pump until all
         expected replies arrive (or *timeout* elapses).
@@ -1748,7 +1406,9 @@ class Network:
         """
         self._stats_seq += 1
         request_id = self._stats_seq
-        expected = self._expected_stats_repliers()
+        # Dead, shutting-down and wedged internal processes cannot
+        # answer; waiting for one would cost the full timeout.
+        expected = self._recovery.live_internal()
         meta.update(gathered=True, expected=expected, request_id=request_id)
         replies = self._core.stats_replies.setdefault(request_id, {})
         try:
@@ -2080,22 +1740,18 @@ class Network:
                 core.flush()
             except Exception:
                 pass  # half-built tree: some links may be dead already
-        for node in getattr(self, "_commnodes", ()):
-            if not node.is_alive():
-                continue
-            node.join(timeout=join_timeout)
-            if node.is_alive():
-                # The goodbye never reached it (wedged node, dead
-                # link): crash it out so shutdown always terminates.
-                node.kill()
-                node.join(timeout=1.0)
-        host = getattr(self, "_host", None)
-        if host is not None:
-            # Colocated tree: every core finishing ends the shared
-            # loop; if the host thread never started (failed startup),
-            # release its selector/wake pipe directly.
+        for host in getattr(self, "_hosts", ()):
+            # A loop ends once every core it hosts has finished.
             if host.is_alive():
                 host.join(timeout=join_timeout)
+            if host.is_alive():
+                # The goodbye never reached a node (wedged, dead
+                # link): crash it out so shutdown always terminates.
+                for core in host.loop.cores:
+                    core.crashed = True
+                host.loop.wake()
+                host.join(timeout=1.0)
+            # Never started (failed startup): release its selector.
             host.close()
         for proc in getattr(self, "_procs", ()):
             try:

@@ -14,42 +14,32 @@ codec, batching, synchronization and filter work all run outside the
 front-end's interpreter.  ``Network(transport="process")`` launches
 these automatically; the program can also be started by hand::
 
-   python -m repro.mrnet_commnode --parent HOST:PORT \
-          --children 4 --expected-ranks 16 \
+   python -m repro.mrnet_commnode --parent HOST:PORT --subtree JSON \
           [--filter /path/to/module.py:func_name] ...
 
-Bootstrap protocol (replacing rsh + the parent's config message of
-§2.5):
-
-1. the process opens a listener and prints ``LISTENING <port>`` on
-   stdout (its launcher reads this to wire the next tree level);
-2. it connects to ``--parent``;
-3. it accepts exactly ``--children`` connections;
-4. it runs the standard NodeCore event loop until shutdown.
-
 **Recursive instantiation** (``--subtree``, paper §2.5 / Figure 5):
-instead of the front-end serially spawning every internal process,
-each process receives its whole *subtree* specification and creates
-its own internal children — the tree builds itself in O(depth) spawn
-rounds instead of O(nodes).  The child's config travels with the
-spawn (as a ``fork()`` argument, or JSON on the command line with
-``--spawn popen``), and every internal process announces its listener
-address to the front-end with a ``TAG_ADDR_REPORT`` control packet
-relayed up the data plane, so back-end leaf slots learn where to
-attach without any stdout plumbing.  Leaf-child connections are then
-accepted *lazily* by the node's event loop while the rest of the tree
-is still booting.
+the front-end starts only its direct internal children; each process
+receives its whole *subtree* specification — which carries the
+placement plan (:func:`repro.topology.plan_placement`): every node's
+host group and the link kind of its uplink — and creates its own
+off-group internal children by ``fork()``, so the tree builds itself
+in O(depth) spawn rounds instead of O(nodes).  Internal children in
+the *same* group are hosted on this process's event loop behind
+in-process links instead of being spawned (``Network(colocate=True)``;
+without it every group has one member).  Every hosted node announces
+its listener address to the front-end with a ``TAG_ADDR_REPORT``
+control packet relayed up the data plane, so back-end leaf slots learn
+where to attach, and leaf-child connections are accepted *lazily* by
+the event loop while the rest of the tree is still booting.
 
-Links whose two endpoints share a topology host may be upgraded to
-the shared-memory ring transport (``--shm auto``; see
-:mod:`repro.transport.shm`) during the connection hello — refusal or
+An uplink the plan marks ``"shm"`` (both endpoints share a topology
+host) offers the shared-memory ring transport
+(:mod:`repro.transport.shm`) during the connection hello — refusal or
 failure falls back to plain TCP transparently.
 
 The process multiplexes all of its sockets through one ``selectors``
 loop on the main thread — no per-link reader threads, non-blocking
-vectored writes, and timer deadlines instead of polling.  (The legacy
-``--io-mode threads`` reader-thread architecture, deprecated in PR 7,
-has been removed.)
+vectored writes, and timer deadlines instead of polling.
 
 Custom filters cross the process boundary the same way real MRNet
 ships shared objects: as a file path + function name, loaded on every
@@ -78,7 +68,6 @@ from .transport.tcp import TcpListener
 __all__ = [
     "main",
     "parse_filter_spec",
-    "run_commnode",
     "run_commnode_recursive",
     "subtree_spec",
     "RecursiveOpts",
@@ -106,32 +95,32 @@ def _parse_host_port(text: str) -> Tuple[str, int]:
 # -- recursive instantiation (paper §2.5 mode 1, Figure 5) ------------------
 #
 # Subtree spec wire format (JSON): every node is an object with
-#   "l": "host:index" topology label (host = co-location domain)
+#   "l": "host:index" topology label
 #   "r": observability rank          (internal nodes only)
+#   "g": host-group id               (internal nodes only)
+#   "k": link kind of the uplink     (internal nodes only)
 #   "c": [child specs...]            (present iff internal)
 # A leaf entry carries only "l" — its back-end attaches later, so the
 # node just counts it toward the lazy accept budget.
 
 
-def subtree_spec(node, obs_rank) -> dict:
+def subtree_spec(node, obs_rank, plan) -> dict:
     """Serialize a topology node's subtree for recursive spawning.
 
     *obs_rank* maps internal-node keys to observability ranks (the
-    front-end numbers them breadth-first, matching sequential spawn
-    order so identities are stable across instantiation modes).
+    front-end numbers them breadth-first); *plan* is the network's
+    :class:`~repro.topology.Placement`, shipped node by node so no
+    process re-derives it.
     """
     if node.is_leaf:
         return {"l": node.label}
     return {
         "l": node.label,
         "r": obs_rank[node.key],
-        "c": [subtree_spec(c, obs_rank) for c in node.children],
+        "g": plan.group_of[node.key],
+        "k": plan.kind_of[node.key],
+        "c": [subtree_spec(c, obs_rank, plan) for c in node.children],
     }
-
-
-def _host_of(label: str) -> str:
-    """The co-location domain of a ``host:index`` topology label."""
-    return label.rsplit(":", 1)[0]
 
 
 def _count_leaves(spec: dict) -> int:
@@ -148,22 +137,13 @@ class RecursiveOpts:
     filter_specs: List[Tuple[str, str, Optional[str]]] = field(default_factory=list)
     heartbeat: Optional[HeartbeatConfig] = None
     accept_timeout: float = 60.0
-    shm: str = "off"  # "auto" upgrades same-host links to shared memory
-    spawn: str = "fork"  # how *this* node creates its internal children
-    colocate: bool = False  # host same-host internal subtrees in-process
-    workers: int = 0  # filter worker threads on a colocated loop
+    workers: int = 0  # filter worker threads on this process's loop
     repair: bool = False  # re-dial a live ancestor when the parent dies
     checkpoint_interval: float = 0.0  # filter-state deposit period (0 = off)
 
     def command_line(self) -> List[str]:
-        """The inheritable flags, as ``--spawn popen`` arguments."""
-        args = [
-            "--shm", self.shm,
-            "--spawn", self.spawn,
-            "--accept-timeout", str(self.accept_timeout),
-        ]
-        if self.colocate:
-            args += ["--colocate"]
+        """The inheritable flags, as ``mrnet_commnode`` arguments."""
+        args = ["--accept-timeout", str(self.accept_timeout)]
         if self.repair:
             args += ["--repair"]
         if self.checkpoint_interval > 0:
@@ -244,77 +224,43 @@ class _ForkChild:
 
 
 def _spawn_internal_children(
-    spec: dict,
+    children: list,
     listener: TcpListener,
-    my_host: str,
     opts: RecursiveOpts,
-    close_in_child: tuple = (),
-    child_ancestors: tuple = (),
+    close_in_child: tuple,
+    child_ancestors: tuple,
 ) -> list:
-    """Create this node's internal children, all at once (Figure 5).
+    """Fork one process per subtree spec in *children*, all at once.
 
-    With ``spawn="fork"`` each child is an ``os.fork()`` of this
-    already-initialized interpreter — the subtree spec travels as a
-    plain argument, and the fork costs milliseconds where a fresh
-    interpreter costs hundreds.  (Bootstrap is single-threaded at this
-    point: children are forked before any event loop, channel end, or
-    reader thread exists.)  ``spawn="popen"`` execs a new
-    ``mrnet_commnode`` with ``--subtree`` JSON on the command line —
-    the fully self-describing form, matching how rsh-launched MRNet
-    processes receive their configuration.
+    Each child is an ``os.fork()`` of this already-initialized
+    interpreter — the subtree spec travels as a plain argument, and
+    the fork costs milliseconds where a fresh interpreter costs
+    hundreds.  Must run while this process is single-threaded: before
+    any event loop, filter worker or reader thread exists.
     """
     handles = []
-    addr = listener.address
-    for child in spec.get("c", ()):
-        if "c" not in child:
-            continue  # leaf slot: its back-end connects later
-        if opts.spawn == "fork":
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    # The parent's listener fds are not ours to hold:
-                    # keeping them open would hold their ports
-                    # half-alive after the parent exits.  (A colocated
-                    # parent hosts several members, hence several.)
-                    listener.close()
-                    for other in close_in_child:
-                        if other is not listener:
-                            try:
-                                other.close()
-                            except Exception:
-                                pass
-                    code = run_commnode_recursive(
-                        child, addr, my_host, opts, announce=_silent,
-                        ancestors=child_ancestors,
-                    )
-                except BaseException:
-                    traceback.print_exc()
-                finally:
-                    os._exit(code)
-            handles.append(_ForkChild(pid, child["l"]))
-        else:
-            import subprocess
-
-            cmd = [
-                sys.executable, "-m", "repro.mrnet_commnode",
-                "--parent", f"127.0.0.1:{addr[1]}",
-                "--parent-host", my_host,
-                "--subtree", json.dumps(child, separators=(",", ":")),
-            ] + opts.command_line()
-            if opts.repair and child_ancestors:
-                cmd += [
-                    "--ancestors",
-                    ",".join(f"{h}:{p}" for h, p in child_ancestors),
-                ]
-            handles.append(
-                subprocess.Popen(cmd, stdout=subprocess.DEVNULL)
-            )
+    for child in children:
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                # The parent's listener fds are not ours to hold:
+                # keeping them open would hold their ports half-alive
+                # after the parent exits.
+                for other in close_in_child:
+                    try:
+                        other.close()
+                    except Exception:
+                        pass
+                code = run_commnode_recursive(
+                    child, listener.address, opts, child_ancestors
+                )
+            except BaseException:
+                traceback.print_exc()
+            finally:
+                os._exit(code)
+        handles.append(_ForkChild(pid, child["l"]))
     return handles
-
-
-def _silent(*args, **kwargs) -> None:
-    """announce sink for forked children (stdout belongs to the root)."""
 
 
 def _reap(handles, timeout: float = 5.0) -> None:
@@ -330,369 +276,161 @@ def _reap(handles, timeout: float = 5.0) -> None:
                 pass
 
 
+@dataclass
+class _Hosted:
+    """One node of this process's host group (preorder; [0] is its root)."""
+
+    spec: dict
+    parent: Optional["_Hosted"]  # hosting member above, None at the group root
+    listener: TcpListener
+    remote: list  # internal child specs placed in other groups: forked
+    n_leaves: int
+    # Full proper-ancestor address chain, root first: what this node's
+    # forked children re-dial under repair.
+    ancestors: tuple
+    core: Optional[NodeCore] = None
+
+
+def _enlist(spec: dict, parent: Optional[_Hosted], ancestors: tuple, out: list) -> None:
+    """Open a listener for *spec* and every same-group internal descendant."""
+    children = spec.get("c", [])
+    internal = [c for c in children if "c" in c]
+    member = _Hosted(
+        spec, parent, TcpListener(Inbox()),
+        remote=[c for c in internal if c["g"] != spec["g"]],
+        n_leaves=len(children) - len(internal),
+        ancestors=ancestors,
+    )
+    out.append(member)
+    for child in internal:
+        if child["g"] == spec["g"]:
+            _enlist(child, member, ancestors + (member.listener.address,), out)
+
+
 def run_commnode_recursive(
     spec: dict,
     parent_addr: Tuple[str, int],
-    parent_host: str,
     opts: RecursiveOpts,
-    announce=print,
     ancestors: tuple = (),
 ) -> int:
     """Instantiate this node *and its whole subtree* (paper mode 1).
 
-    Ordering is the heart of the O(depth) claim:
+    *ancestors* is this node's proper-ancestor address chain, root
+    first and excluding its parent (repair re-dials the nearest live
+    one).  Ordering is the heart of the O(depth) claim:
 
-    1. open the listener;
-    2. spawn every internal child immediately — the next tree level
-       boots in parallel with everything below;
-    3. connect upward (offering the shared-memory upgrade when this
-       node and its parent share a topology host);
-    4. accept the internal children spawned in step 2;
-    5. announce ``label host port`` upstream via ``TAG_ADDR_REPORT``
-       so the front-end can aim back-end attaches at leaf parents;
-    6. run the event loop, accepting leaf (back-end) connections
-       lazily as they arrive.
+    1. open a listener for this node and for every same-group internal
+       descendant it hosts (a group of one without ``colocate``);
+    2. fork every off-group internal child immediately — the next tree
+       level boots in parallel with everything below, and the fork
+       happens before this process has a loop or a second thread;
+    3. connect upward (offering the shared-memory upgrade when the plan
+       marks the uplink ``"shm"``; the offer blocks until the parent
+       answers, which is why it comes after the forks);
+    4. build one core per hosted node on ONE event loop, in-process
+       links between them;
+    5. accept the children forked in step 2 and announce each hosted
+       node's ``label host port`` upstream via ``TAG_ADDR_REPORT`` so
+       the front-end can aim back-end attaches at leaf parents;
+    6. run the loop, accepting leaf (back-end) connections lazily.
+
+    The rest of the tree cannot tell a hosted group apart from N
+    separate processes, except that it costs one thread instead of N.
     """
+    from .transport.eventloop import EventLoop
+    from .transport.tcp import tcp_connect_socket_retry_ex
+
     registry = default_registry()
     for path, func, fmt in opts.filter_specs:
         registry.load_filter_func(path, func, fmt)
 
-    inbox = Inbox()
-    listener = TcpListener(inbox)
-    announce(f"LISTENING {listener.address[1]}", flush=True)
-    my_host = _host_of(spec["l"])
-    if opts.colocate:
-        # Same-host internal descendants are hosted on this process's
-        # shared event loop instead of being spawned; the colocated
-        # runner spawns (and reaps) only the off-host ones.
-        try:
-            return _run_recursive_colocated(
-                spec, parent_addr, parent_host, my_host,
-                registry, inbox, listener, opts, ancestors,
-            )
-        finally:
-            listener.close()
-    children = spec.get("c", [])
-    internal = [c for c in children if "c" in c]
-    n_leaves = len(children) - len(internal)
-    expected = sum(_count_leaves(c) for c in children)
-
-    # A spawned child's repair chain is this node's own proper
-    # ancestors plus this node's parent (i.e. everything above the
-    # child except the child's parent — us).
-    handles = _spawn_internal_children(
-        spec, listener, my_host, opts,
-        child_ancestors=ancestors + (parent_addr,),
-    )
+    group: List[_Hosted] = []
+    handles: list = []
     try:
-        return _run_recursive_eventloop(
-            spec, parent_addr, parent_host, my_host,
-            len(internal), n_leaves, expected, registry, inbox,
-            listener, opts, ancestors,
+        _enlist(spec, None, ancestors + (parent_addr,), group)
+        listeners = tuple(m.listener for m in group)
+        for member in group:
+            handles += _spawn_internal_children(
+                member.remote, member.listener, opts,
+                close_in_child=listeners, child_ancestors=member.ancestors,
+            )
+
+        sock, pair = tcp_connect_socket_retry_ex(
+            parent_addr, attempts=6, timeout=opts.accept_timeout,
+            shm=spec["k"] == "shm",
         )
+        loop = EventLoop(workers=opts.workers)
+        if pair is not None:
+            uplink = loop.add_shm_link(sock, pair[0], pair[1], owner=True)
+        else:
+            uplink = loop.add_socket(sock)
+
+        for member in group:
+            repair_fn = None
+            if member.parent is not None:
+                down, uplink = loop.add_inproc_pair(member.parent.core)
+                member.parent.core.add_child(down)
+            elif opts.repair and ancestors:
+                # Only the group root can outlive its parent: a hosted
+                # member's parent shares this process.
+                repair_fn = _repair_fn_eventloop(
+                    loop, ancestors, opts.accept_timeout
+                )
+            core = member.core = _recursive_core(
+                member.spec, registry, uplink, opts, repair_fn
+            )
+            uplink._core = core  # made before the core it delivers to
+            loop.bind(core)
+
+        for member in group:
+            core = member.core
+            for _ in member.remote:
+                sock_c, pair_c = member.listener.accept_socket_ex(
+                    timeout=opts.accept_timeout
+                )
+                if pair_c is not None:
+                    end = loop.add_shm_link(sock_c, pair_c[0], pair_c[1], core=core)
+                else:
+                    end = loop.add_socket(sock_c, core=core)
+                core.add_child(end)
+            core._queue_up(
+                make_addr_report(
+                    member.spec["l"], "127.0.0.1", member.listener.address[1]
+                )
+            )
+            # Back-ends attach whenever the front-end reaches them; the
+            # loop accepts them without blocking the rest of the
+            # subtree.  Under repair, accept forever: re-dialing
+            # orphans and elastic joiners arrive long after the leaf
+            # budget is spent.
+            if opts.repair or member.n_leaves:
+                loop.add_acceptor(
+                    member.listener,
+                    remaining=None if opts.repair else member.n_leaves,
+                    core=core,
+                )
+        loop.run()
+        return 0
     finally:
-        listener.close()
+        for member in group:
+            member.listener.close()
         _reap(handles)
 
 
-def _recursive_core(
-    spec, registry, expected, parent_end, inbox, opts, repair_fn=None
-) -> NodeCore:
-    core = NodeCore(
-        spec["l"], registry, expected, parent=parent_end, inbox=inbox
-    )
+def _recursive_core(spec, registry, parent_end, opts, repair_fn) -> NodeCore:
+    core = NodeCore(spec["l"], registry, _count_leaves(spec), parent=parent_end)
     core.obs_rank = int(spec.get("r", -1))
     kwargs = {}
     if opts.heartbeat is not None:
         kwargs["heartbeat"] = opts.heartbeat
     if opts.checkpoint_interval > 0:
         kwargs["checkpoint_interval"] = opts.checkpoint_interval
-    if opts.repair and repair_fn is not None:
+    if repair_fn is not None:
         kwargs["policy"] = REPAIR
         kwargs["repair_fn"] = repair_fn
     if kwargs:
         core.configure_failure(**kwargs)
     return core
-
-
-def _run_recursive_eventloop(
-    spec, parent_addr, parent_host, my_host,
-    n_internal, n_leaves, expected, registry, inbox, listener, opts,
-    ancestors=(),
-) -> int:
-    from .transport.eventloop import EventLoop
-    from .transport.tcp import tcp_connect_socket_retry_ex
-
-    want_shm = opts.shm == "auto" and parent_host == my_host
-    allow_shm = opts.shm == "auto"
-    sock, pair = tcp_connect_socket_retry_ex(
-        parent_addr, attempts=6, timeout=opts.accept_timeout, shm=want_shm
-    )
-    loop = EventLoop()
-    if pair is not None:
-        parent_end = loop.add_shm_link(sock, pair[0], pair[1], owner=True)
-    else:
-        parent_end = loop.add_socket(sock)
-    repair_fn = None
-    if opts.repair and ancestors:
-        repair_fn = _repair_fn_eventloop(loop, ancestors, opts.accept_timeout)
-    core = _recursive_core(
-        spec, registry, expected, parent_end, inbox, opts, repair_fn
-    )
-    for _ in range(n_internal):
-        sock_c, pair_c = listener.accept_socket_ex(
-            timeout=opts.accept_timeout, allow_shm=allow_shm
-        )
-        if pair_c is not None:
-            core.add_child(loop.add_shm_link(sock_c, pair_c[0], pair_c[1]))
-        else:
-            core.add_child(loop.add_socket(sock_c))
-    core._queue_up(
-        make_addr_report(spec["l"], "127.0.0.1", listener.address[1])
-    )
-    if opts.repair:
-        # Keep accepting for the network's lifetime: orphaned
-        # descendants re-dial their nearest live ancestor here, and
-        # elastic joiners may be pointed at this node by the
-        # coordinator, long after the n_leaves budget is spent.
-        loop.add_acceptor(listener, remaining=None, allow_shm=allow_shm)
-    elif n_leaves:
-        # Back-ends attach whenever the front-end reaches them; the
-        # loop accepts them without blocking the rest of the subtree.
-        loop.add_acceptor(listener, remaining=n_leaves, allow_shm=allow_shm)
-    loop.bind(core)
-    loop.run()
-    return 0
-
-
-def _run_recursive_colocated(
-    spec, parent_addr, parent_host, my_host,
-    registry, inbox, listener, opts, ancestors=(),
-) -> int:
-    """Host the whole same-host subtree group on ONE event loop.
-
-    Walking the subtree spec from this node, every internal descendant
-    reachable through a chain of *same-host* internal edges becomes a
-    core on this process's shared selector loop, wired to its parent
-    with an in-process :class:`~repro.transport.inproc.InprocLink`
-    (deque hand-off, no sockets).  Each hosted member still gets its
-    own TCP listener — off-host internal children and back-end leaves
-    attach to it exactly as in the plain recursive mode, and each
-    member announces its ``TAG_ADDR_REPORT`` upstream as usual — so
-    the rest of the tree cannot tell the group apart from N separate
-    processes, except that it costs one thread instead of N.
-    """
-    from .transport.eventloop import EventLoop
-    from .transport.tcp import tcp_connect_socket_retry_ex
-
-    allow_shm = opts.shm == "auto"
-    want_shm = allow_shm and parent_host == my_host
-    sock, pair = tcp_connect_socket_retry_ex(
-        parent_addr, attempts=6, timeout=opts.accept_timeout, shm=want_shm
-    )
-    loop = EventLoop(workers=opts.workers)
-    if pair is not None:
-        parent_end = loop.add_shm_link(sock, pair[0], pair[1], owner=True)
-    else:
-        parent_end = loop.add_socket(sock)
-
-    # members: (spec, core, listener, n_remote, n_leaves, anc) in
-    # preorder; ``anc`` is the member's *full* proper-ancestor address
-    # chain (what its spawned children re-dial under repair).
-    members: list = []
-
-    def build(node_spec, node_parent_end, node_inbox, node_listener, anc):
-        children = node_spec.get("c", [])
-        internal = [c for c in children if "c" in c]
-        hosted = [c for c in internal if _host_of(c["l"]) == my_host]
-        remote = [c for c in internal if _host_of(c["l"]) != my_host]
-        n_leaves = len(children) - len(internal)
-        # Only the group root can outlive its parent: a hosted
-        # member's parent shares this process, so it repairs nothing.
-        repair_fn = None
-        if not members and opts.repair and ancestors:
-            repair_fn = _repair_fn_eventloop(
-                loop, ancestors, opts.accept_timeout
-            )
-        core = _recursive_core(
-            node_spec, registry, sum(_count_leaves(c) for c in children),
-            node_parent_end, node_inbox, opts, repair_fn,
-        )
-        if getattr(node_parent_end, "_inproc", False):
-            node_parent_end._core = core
-        members.append(
-            (node_spec, core, node_listener, len(remote), n_leaves, anc)
-        )
-        for child in hosted:
-            p_end, c_end = loop.add_inproc_pair()
-            p_end._core = core
-            core.add_child(p_end)
-            build(
-                child, c_end, Inbox(), TcpListener(Inbox()),
-                anc + (node_listener.address,),
-            )
-        return core
-
-    build(spec, parent_end, inbox, listener, ancestors + (parent_addr,))
-
-    # Spawn every member's off-host internal children in one burst —
-    # the whole next off-host level boots in parallel (Figure 5), and
-    # fork children close ALL group listeners, not just their parent's.
-    all_listeners = tuple(m[2] for m in members)
-    handles: list = []
-    for node_spec, _core, node_listener, n_remote, _n_leaves, anc in members:
-        if not n_remote:
-            continue
-        remote = [
-            c for c in node_spec.get("c", ())
-            if "c" in c and _host_of(c["l"]) != my_host
-        ]
-        handles += _spawn_internal_children(
-            {"l": node_spec["l"], "c": remote}, node_listener, my_host,
-            opts, close_in_child=all_listeners, child_ancestors=anc,
-        )
-
-    try:
-        for node_spec, core, node_listener, n_remote, n_leaves, _anc in members:
-            for _ in range(n_remote):
-                sock_c, pair_c = node_listener.accept_socket_ex(
-                    timeout=opts.accept_timeout, allow_shm=allow_shm
-                )
-                if pair_c is not None:
-                    core.add_child(
-                        loop.add_shm_link(
-                            sock_c, pair_c[0], pair_c[1], core=core
-                        )
-                    )
-                else:
-                    core.add_child(loop.add_socket(sock_c, core=core))
-            core._queue_up(
-                make_addr_report(
-                    node_spec["l"], "127.0.0.1", node_listener.address[1]
-                )
-            )
-            if opts.repair:
-                # Accept forever: re-dialing orphans and elastic
-                # joiners arrive long after the leaf budget is spent.
-                loop.add_acceptor(
-                    node_listener, remaining=None,
-                    allow_shm=allow_shm, core=core,
-                )
-            elif n_leaves:
-                loop.add_acceptor(
-                    node_listener, remaining=n_leaves,
-                    allow_shm=allow_shm, core=core,
-                )
-            loop.bind(core)
-        loop.run()
-        return 0
-    finally:
-        for node_listener in all_listeners:
-            try:
-                node_listener.close()
-            except Exception:
-                pass
-        _reap(handles)
-
-
-def run_commnode(
-    parent_addr: Tuple[str, int],
-    n_children: int,
-    expected_ranks: int,
-    filter_specs: List[Tuple[str, str, Optional[str]]],
-    name: str = "commnode",
-    announce=print,
-    accept_timeout: float = 60.0,
-    heartbeat: Optional["HeartbeatConfig"] = None,
-    rank: int = -1,
-    repair: bool = False,
-    ancestors: tuple = (),
-    checkpoint_interval: float = 0.0,
-) -> int:
-    """The program body; returns a process exit code.
-
-    ``rank`` is this process's observability rank (the launcher's
-    spawn order), used only to form the ``rank:hostname`` identity in
-    ``STATS_SNAPSHOT`` replies.  With ``repair`` the node re-dials the
-    nearest live entry of *ancestors* (proper-ancestor addresses,
-    root-first, excluding its own parent) when the parent link dies,
-    and keeps accepting connections for its whole life so orphaned
-    descendants and elastic joiners can attach.
-    """
-    registry = default_registry()
-    for path, func, fmt in filter_specs:
-        registry.load_filter_func(path, func, fmt)
-
-    inbox = Inbox()
-    listener = TcpListener(inbox)
-    announce(f"LISTENING {listener.address[1]}", flush=True)
-
-    return _run_eventloop(
-        listener, parent_addr, n_children, expected_ranks,
-        registry, name, inbox, accept_timeout, heartbeat, rank,
-        repair, ancestors, checkpoint_interval,
-    )
-
-
-def _configure_core_failure(
-    core, heartbeat, repair, repair_fn, checkpoint_interval
-) -> None:
-    """One configure_failure call carrying everything this body needs."""
-    kwargs = {}
-    if heartbeat is not None:
-        kwargs["heartbeat"] = heartbeat
-    if checkpoint_interval > 0:
-        kwargs["checkpoint_interval"] = checkpoint_interval
-    if repair and repair_fn is not None:
-        kwargs["policy"] = REPAIR
-        kwargs["repair_fn"] = repair_fn
-    if kwargs:
-        core.configure_failure(**kwargs)
-
-
-def _run_eventloop(
-    listener, parent_addr, n_children, expected_ranks,
-    registry, name, inbox, accept_timeout, heartbeat=None, rank=-1,
-    repair=False, ancestors=(), checkpoint_interval=0.0,
-) -> int:
-    """Selector-driven body: every socket on one loop, zero I/O threads."""
-    from .transport.eventloop import EventLoop
-    from .transport.tcp import tcp_connect_socket_retry
-
-    loop = EventLoop()
-    parent_end = loop.add_socket(
-        tcp_connect_socket_retry(parent_addr, attempts=6, timeout=accept_timeout)
-    )
-    core = NodeCore(
-        name, registry, expected_ranks, parent=parent_end, inbox=inbox
-    )
-    core.obs_rank = rank
-    repair_fn = None
-    if repair and ancestors:
-        repair_fn = _repair_fn_eventloop(loop, ancestors, accept_timeout)
-    _configure_core_failure(
-        core, heartbeat, repair, repair_fn, checkpoint_interval
-    )
-    try:
-        for _ in range(n_children):
-            core.add_child(
-                loop.add_socket(listener.accept_socket(timeout=accept_timeout))
-            )
-    finally:
-        if not repair:
-            listener.close()
-    if repair:
-        # Accept for the node's whole life: orphaned descendants
-        # re-dial their nearest live ancestor here, and elastic
-        # joiners may be handed to this node by the coordinator.
-        loop.add_acceptor(listener, remaining=None)
-    loop.bind(core)
-    try:
-        loop.run()
-    finally:
-        if repair:
-            listener.close()
-    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -705,52 +443,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--parent", required=True, help="parent address, host:port"
     )
     parser.add_argument(
-        "--children", type=int, default=None,
-        help="number of child connections to accept (sequential mode)",
-    )
-    parser.add_argument(
-        "--expected-ranks", type=int, default=None,
-        help="back-end ranks in this subtree (gates the endpoint report)",
-    )
-    parser.add_argument(
-        "--subtree", default=None, metavar="JSON",
-        help="recursive instantiation: this node's whole subtree spec "
-        "(replaces --children/--expected-ranks/--name/--rank; the node "
-        "spawns its own internal children)",
-    )
-    parser.add_argument(
-        "--parent-host", default="",
-        help="parent's topology host (shared-memory co-location test)",
-    )
-    parser.add_argument(
-        "--shm", choices=("auto", "off"), default="off",
-        help="upgrade same-host links to shared-memory rings (auto) "
-        "or keep every link on TCP (off, default)",
-    )
-    parser.add_argument(
-        "--spawn", choices=("fork", "popen"), default="fork",
-        help="how recursive instantiation creates internal children: "
-        "fork this interpreter (default, fast) or exec fresh processes",
-    )
-    parser.add_argument(
-        "--colocate", action="store_true",
-        help="recursive instantiation: host same-host internal subtree "
-        "members on this process's shared event loop (inproc links) "
-        "instead of spawning one process each",
+        "--subtree", required=True, metavar="JSON",
+        help="this node's whole subtree spec, placement plan included "
+        "(the node hosts its same-group internal children and forks the "
+        "others)",
     )
     parser.add_argument(
         "--filter-workers", type=int, default=0,
-        help="worker threads for large filter reductions on a "
-        "colocated event loop (0 = run filters inline)",
+        help="worker threads for large filter reductions on this "
+        "process's event loop (0 = run filters inline)",
     )
     parser.add_argument(
         "--filter", action="append", default=[], metavar="PATH:FUNC[:FMT]",
         help="custom filter to load (repeatable; order defines ids)",
-    )
-    parser.add_argument("--name", default="commnode")
-    parser.add_argument(
-        "--rank", type=int, default=-1,
-        help="observability rank used in STATS_SNAPSHOT identities",
     )
     parser.add_argument("--accept-timeout", type=float, default=60.0)
     parser.add_argument(
@@ -768,11 +473,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "descendants and joining back-ends can attach",
     )
     parser.add_argument(
-        "--ancestors", default="", metavar="HOST:PORT,...",
-        help="proper-ancestor addresses, root first and excluding this "
-        "node's own parent (repair re-dials the nearest live one)",
-    )
-    parser.add_argument(
         "--checkpoint-interval", type=float, default=0.0,
         help="period between filter-state checkpoints shipped to the "
         "grandparent (0 disables checkpointing)",
@@ -782,9 +482,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         specs = [parse_filter_spec(s) for s in args.filter]
         parent_addr = _parse_host_port(args.parent)
-        ancestors = tuple(
-            _parse_host_port(a) for a in args.ancestors.split(",") if a
-        )
+        spec = json.loads(args.subtree)
     except ValueError as exc:
         parser.error(str(exc))
     heartbeat = None
@@ -793,41 +491,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             interval=args.heartbeat_interval,
             miss_threshold=args.heartbeat_miss,
         )
-    if args.subtree is not None:
-        try:
-            spec = json.loads(args.subtree)
-        except ValueError as exc:
-            parser.error(f"malformed --subtree JSON: {exc}")
-        opts = RecursiveOpts(
-            filter_specs=specs,
-            heartbeat=heartbeat,
-            accept_timeout=args.accept_timeout,
-            shm=args.shm,
-            spawn=args.spawn,
-            colocate=args.colocate,
-            workers=args.filter_workers,
-            repair=args.repair,
-            checkpoint_interval=args.checkpoint_interval,
-        )
-        return run_commnode_recursive(
-            spec, parent_addr, args.parent_host, opts, ancestors=ancestors
-        )
-    if args.children is None or args.expected_ranks is None:
-        parser.error("--children and --expected-ranks are required "
-                     "without --subtree")
-    return run_commnode(
-        parent_addr,
-        args.children,
-        args.expected_ranks,
-        specs,
-        name=args.name,
-        accept_timeout=args.accept_timeout,
+    opts = RecursiveOpts(
+        filter_specs=specs,
         heartbeat=heartbeat,
-        rank=args.rank,
+        accept_timeout=args.accept_timeout,
+        workers=args.filter_workers,
         repair=args.repair,
-        ancestors=ancestors,
         checkpoint_interval=args.checkpoint_interval,
     )
+    # A process started from a command line is a direct child of the
+    # front-end: it has no proper ancestors besides its parent.
+    return run_commnode_recursive(spec, parent_addr, opts)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,6 +24,7 @@ from .parser import (
     serialize_config,
     write_config_file,
 )
+from .placement import LINK_KINDS, Placement, plan_placement
 from .spec import TopologyError, TopologyNode, TopologySpec
 
 __all__ = [
@@ -49,4 +50,7 @@ __all__ = [
     "levels",
     "link_transports",
     "to_networkx",
+    "LINK_KINDS",
+    "Placement",
+    "plan_placement",
 ]

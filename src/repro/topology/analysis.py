@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List
 
+from .placement import plan_placement
 from .spec import TopologyNode, TopologySpec
 
 __all__ = [
@@ -86,68 +87,20 @@ def analyze(spec: TopologySpec) -> TopologyStats:
 
 
 def link_transports(
-    spec: TopologySpec,
-    transport: str = "process",
-    shm: str = "auto",
-    colocate: bool = False,
+    spec: TopologySpec, transport: str = "process", colocate: bool = False
 ) -> Dict[tuple, str]:
-    """Classify every tree edge by the transport it would be carried on.
+    """Every tree edge's planned link kind, keyed by labels.
 
-    Returns ``(parent_label, child_label) -> kind`` where *kind* is
-    ``"channel"`` (in-process mailboxes, thread-hosted transports),
-    ``"inproc"`` (both endpoints are comm nodes hosted on one shared
-    event loop under ``colocate=True`` — same-process deque hand-off,
-    which beats the shared-memory upgrade when both apply),
-    ``"shm"`` (both endpoints share a topology host and the
-    shared-memory upgrade is enabled) or ``"tcp"``.  This is the
-    planning-time view of the runtime's negotiated outcome — the
-    actual upgrade can still fall back to TCP if a segment cannot be
-    created, which the per-link ``links{kind=...}`` gauges report.
-
-    Colocation groups mirror the runtime exactly: with
-    ``transport="local"`` every comm-to-comm edge is in-process (one
-    host thread runs the whole tree; front-end and back-end edges stay
-    channels), while with ``transport="process"`` an internal child
-    joins its parent's process only when connected to a *group seed*
-    (a direct child of the front-end) through a chain of same-host
-    internal edges.
+    A ``(parent_label, child_label) -> kind`` view of
+    :func:`~repro.topology.placement.plan_placement` — the plan the
+    runtime builds from — for display and analysis.
     """
-    kinds: Dict[tuple, str] = {}
-    # transport="process" + colocate: every direct internal child of
-    # the front-end seeds a group; a deeper internal node joins its
-    # parent's group iff the connecting edge stays on one host.  An
-    # internal edge is then inproc exactly when the child is in its
-    # parent's group.
-    joined: Dict[tuple, bool] = {}
-    for node in spec.nodes():
-        for child in node.children:
-            if child.is_leaf:
-                continue
-            joined[child.key] = node is spec.root or (
-                joined[node.key] and node.host == child.host
-            )
-    for node in spec.nodes():
-        for child in node.children:
-            comm_edge = node is not spec.root and not child.is_leaf
-            if transport == "local":
-                kind = "inproc" if (colocate and comm_edge) else "channel"
-            elif (
-                transport == "process"
-                and colocate
-                and comm_edge
-                and joined[child.key]
-            ):
-                kind = "inproc"
-            elif (
-                transport == "process"
-                and shm == "auto"
-                and node.host == child.host
-            ):
-                kind = "shm"
-            else:
-                kind = "tcp"
-            kinds[(node.label, child.label)] = kind
-    return kinds
+    kind_of = plan_placement(spec, transport, colocate).kind_of
+    return {
+        (node.label, child.label): kind_of[child.key]
+        for node in spec.nodes()
+        for child in node.children
+    }
 
 
 def to_networkx(spec: TopologySpec):

@@ -1,7 +1,7 @@
 """In-process transport for colocated comm nodes.
 
-When two comm nodes share one event loop (a ``--colocate`` subtree or
-a colocated :class:`~repro.core.network.Network`), a link between them
+When two comm nodes share one event loop (one host group of a
+``colocate=True`` :class:`~repro.core.network.Network`), a link between them
 never needs a socket, a ring, or even a lock: a send is a deque append
 on the receiving end, and delivery happens on the very next loop
 iteration.  :class:`InprocLink` is that hand-off — already-framed

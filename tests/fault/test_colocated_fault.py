@@ -54,8 +54,8 @@ class TestDegradeColocated:
         assert net.stats()["recovery"]["orphans_adopted"] == 0
         # The loop itself is still alive: the host thread hosts the
         # survivors even though one core finished.
-        assert net._host.is_alive()
-        assert net._host.loop.core_finished(victims[0].core)
+        assert victims[0].host.is_alive()
+        assert not victims[0].is_alive()
 
     def test_root_child_kill_drops_whole_subtree(self, shutdown_nets):
         net = Network(balanced_tree(2, 3), colocate=True, policy=DEGRADE)

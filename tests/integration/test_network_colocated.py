@@ -6,15 +6,16 @@ comm-to-comm edges on in-process deque links, optional filter workers
 for big reductions.  These tests pin the acceptance bars:
 
 * thread census per mode — solo eventloop (1 thread/node), colocated
-  (1 thread TOTAL, i.e. well under the <= 2/node bar), legacy threads
-  mode (deprecated, still 1 driver thread/node here);
-* wave correctness and byte-identity with the TCP transport,
-  including chunked (pipelined) waves over inproc hops;
+  (1 thread TOTAL, i.e. well under the <= 2/node bar);
+* wave correctness, and byte-identity of what the front-end receives
+  across all five placements, including chunked (pipelined) waves;
 * observability — ``links{kind="inproc"}``, ``loop_cores_hosted``,
   ``loop_threads_per_node``, worker-pool counters in ``stats()``;
 * the filter worker pool actually offloads big waves off the loop.
 """
 
+import functools
+import os
 import threading
 import time
 
@@ -25,6 +26,8 @@ from repro.core import Network
 from repro.core.network import NetworkError
 from repro.filters import TFILTER_CONCAT, TFILTER_SUM
 from repro.topology import balanced_tree
+
+from .test_network_recursive import PLACEMENTS, TWO_HOSTS
 
 RECV_TIMEOUT = 10.0
 CHUNK_BYTES = 4096
@@ -46,6 +49,26 @@ def rank_array(rank, n=N_ELEMS):
 
 def new_threads(before):
     return [t for t in threading.enumerate() if t not in before]
+
+
+@functools.lru_cache(maxsize=None)
+def front_end_bytes(placement):
+    """``to_bytes()`` of three waves' results under one placement."""
+    with Network(balanced_tree(2, 3, hosts=TWO_HOSTS), **PLACEMENTS[placement]) as net:
+        comm = net.get_broadcast_communicator()
+        waves = {
+            "scalar_sum": (dict(transform=TFILTER_SUM), "%d", lambda r: r + 1),
+            "concat": (dict(transform=TFILTER_CONCAT), "%s", lambda r: f"r{r}"),
+            "chunked_sum": (
+                dict(transform=TFILTER_SUM, chunk_bytes=CHUNK_BYTES),
+                "%alf",
+                rank_array,
+            ),
+        }
+        return {
+            name: run_wave(net, net.new_stream(comm, **opts), fmt, payload).to_bytes()
+            for name, (opts, fmt, payload) in waves.items()
+        }
 
 
 class TestThreadCensus:
@@ -86,11 +109,6 @@ class TestThreadCensus:
         finally:
             net.shutdown()
 
-    def test_legacy_threads_mode_removed(self):
-        # Deprecated in PR 7, removed one release later as promised.
-        with pytest.raises(NetworkError, match="io_mode"):
-            Network(balanced_tree(2, 2), io_mode="threads")
-
     def test_colocated_with_workers_census(self):
         before = set(threading.enumerate())
         net = Network(balanced_tree(2, 3), colocate=True, filter_workers=2)
@@ -106,22 +124,9 @@ class TestThreadCensus:
 
 
 class TestColocationValidation:
-    def test_rejects_unknown_io_mode(self):
-        with pytest.raises(NetworkError, match="io_mode"):
-            Network(balanced_tree(2, 2), colocate=True, io_mode="threads")
-
     def test_rejects_tcp(self):
         with pytest.raises(NetworkError, match="colocate"):
             Network(balanced_tree(2, 2), colocate=True, transport="tcp")
-
-    def test_rejects_sequential_process(self):
-        with pytest.raises(NetworkError, match="recursive"):
-            Network(
-                balanced_tree(2, 2),
-                colocate=True,
-                transport="process",
-                instantiation="sequential",
-            )
 
     def test_rejects_negative_workers(self):
         with pytest.raises(NetworkError, match="filter_workers"):
@@ -184,30 +189,13 @@ class TestColocatedCorrectness:
         finally:
             net.shutdown()
 
-    def test_chunked_wave_byte_identical_to_tcp(self):
-        """Satellite bar: a chunked pipelined wave crossing inproc
-        hops must be byte-identical to the same wave over TCP."""
-        results = {}
-        for name, kwargs in (
-            ("tcp", dict(transport="tcp")),
-            ("colocated", dict(colocate=True)),
-        ):
-            net = Network(balanced_tree(2, 3), **kwargs)
-            try:
-                stream = net.new_stream(
-                    net.get_broadcast_communicator(),
-                    transform=TFILTER_SUM,
-                    chunk_bytes=CHUNK_BYTES,
-                )
-                results[name] = run_wave(
-                    net, stream, fmt="%alf", payload=rank_array
-                )
-            finally:
-                net.shutdown()
-        tcp, colo = results["tcp"], results["colocated"]
-        assert colo.fmt.canonical == tcp.fmt.canonical
-        assert colo.tag == tcp.tag
-        assert colo.values == tcp.values  # bit-for-bit
+    @pytest.mark.parametrize("placement", [p for p in PLACEMENTS if p != "tcp"])
+    def test_chunked_wave_byte_identical_to_tcp(self, placement):
+        """Where the nodes run and what the edges are made of must not
+        show in the data: the packets the front-end receives — a scalar
+        SUM, a concatenation, a chunked (pipelined) array SUM — are
+        byte-identical to the same waves over thread-hosted TCP."""
+        assert front_end_bytes(placement) == front_end_bytes("tcp")
 
     def test_concat_preserves_rank_order(self):
         net = Network(balanced_tree(2, 3), colocate=True)
@@ -290,3 +278,41 @@ class TestProcessColocation:
             assert run_wave(net, stream).values == (2 * len(net.backends),)
         finally:
             net.shutdown()
+
+    def test_forks_happen_before_any_loop_or_worker_thread(
+        self, tmp_path, monkeypatch
+    ):
+        """``os.fork()`` in a process with live threads copies locks
+        nobody will release; a group that hosts nodes AND forks
+        off-host children must fork first, while it is single-threaded
+        — the filter workers start with the event loop, afterwards."""
+        census = tmp_path / "fork_census"
+        (tmp_path / "sitecustomize.py").write_text(
+            "import os, threading\n"
+            "_fork = os.fork\n"
+            "def fork():\n"
+            "    with open(os.environ['FORK_CENSUS'], 'a') as f:\n"
+            "        f.write(f'{threading.active_count()}\\n')\n"
+            "    return _fork()\n"
+            "os.fork = fork\n"
+        )
+        monkeypatch.setenv("FORK_CENSUS", str(census))
+        monkeypatch.setenv(
+            "PYTHONPATH",
+            os.pathsep.join([str(tmp_path), os.environ.get("PYTHONPATH", "")]),
+        )
+        with Network(
+            balanced_tree(2, 3, hosts=TWO_HOSTS),
+            transport="process",
+            colocate=True,
+            filter_workers=2,
+        ) as net:
+            assert len(net._procs) == 2
+            stream = net.new_stream(
+                net.get_broadcast_communicator(), transform=TFILTER_SUM
+            )
+            assert run_wave(net, stream).values == (2 * len(net.backends),)
+        # Each root child hosts its same-host internal child and forks
+        # the other one.
+        assert census.read_text().split() == ["1", "1"]
+

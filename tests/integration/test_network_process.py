@@ -115,8 +115,10 @@ class TestCommnodeProgram:
         from repro.mrnet_commnode import main
 
         with pytest.raises(SystemExit):
-            main(["--parent", "nocolon", "--children", "1",
-                  "--expected-ranks", "1"])
+            main(["--parent", "nocolon", "--subtree", '{"l": "n:0", "c": []}'])
+        assert "malformed address" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["--parent", "127.0.0.1:1", "--subtree", "{not json"])
 
     def test_unknown_transport_still_rejected(self):
         with pytest.raises(NetworkError):

@@ -1,15 +1,16 @@
 """Integration tests: parallel recursive instantiation (paper §2.5,
-Figure 5) and the shared-memory transport on co-located links.
+Figure 5), and the placement plan against the running tree.
 
-``Network(transport="process")`` defaults to ``instantiation=
-"recursive"``: the front-end launches only the root's direct internal
-children, each of which builds its own subtree concurrently, and
-internal listener addresses travel up the data plane as
-``TAG_ADDR_REPORT`` packets.  Trees whose topology expresses
+``Network(transport="process")`` launches only the root's direct
+internal children, each of which builds its own subtree concurrently,
+and internal listener addresses travel up the data plane as
+``TAG_ADDR_REPORT`` packets.  What every edge is made of comes from
+:func:`repro.topology.plan_placement`; trees whose topology expresses
 co-location (a shared host list) upgrade intra-host links to
 shared-memory rings.
 """
 
+import inspect
 import textwrap
 import threading
 import time
@@ -18,7 +19,13 @@ import pytest
 
 from repro.core import Network, NetworkError
 from repro.filters import TFILTER_CONCAT, TFILTER_SUM
-from repro.topology import balanced_tree, flat_topology, link_transports
+from repro.topology import (
+    LINK_KINDS,
+    balanced_tree,
+    flat_topology,
+    link_transports,
+    plan_placement,
+)
 
 RECV_TIMEOUT = 30.0
 
@@ -39,7 +46,6 @@ class TestRecursiveInstantiation:
         # children — the other 4 are forked by the subtree owners.
         net = Network(balanced_tree(2, 3), transport="process")
         try:
-            assert net.instantiation == "recursive"
             assert len(net._procs) == 2
             assert len(net._core.addr_reports) == 6
             run_reduction(net, 36)  # 1+2+...+8
@@ -48,32 +54,21 @@ class TestRecursiveInstantiation:
         assert all(p.poll() is not None for p in net._procs)
 
     def test_obs_ranks_match_sequential_numbering(self):
-        # Identities are stable across instantiation modes: breadth-
-        # first rank order, same as the sequential spawn loop.
-        net = Network(balanced_tree(2, 2), transport="process")
+        # Identities number the internal nodes breadth-first (the
+        # generator allocates hosts in the same order), whichever
+        # process forked them: depth 3 tells that from preorder.
+        net = Network(balanced_tree(2, 3), transport="process")
         try:
             stats = net.stats()
             keys = {k for k in stats if ":" in k and not k.startswith("0:")}
-            assert keys == {"1:node0001:0", "2:node0002:0"}
-        finally:
-            net.shutdown()
-
-    def test_sequential_mode_still_available(self):
-        net = Network(
-            balanced_tree(2, 2),
-            transport="process",
-            instantiation="sequential",
-        )
-        try:
-            assert len(net._procs) == 2
-            run_reduction(net, 10)
+            assert keys == {f"{i}:node{i:04d}:0" for i in range(1, 7)}
         finally:
             net.shutdown()
 
     def test_popen_spawn_round_trips_flags(self, tmp_path):
-        """Heartbeat and filter flags must survive the recursive spawn
-        command line: with ``--spawn popen`` every grandchild is a
-        fresh interpreter that knows only its argv."""
+        """Heartbeat and filter flags must survive the recursive spawn:
+        the root's children are fresh interpreters that know only
+        their argv, and the grandchildren they fork inherit from it."""
         mod = tmp_path / "doubler.py"
         mod.write_text(
             textwrap.dedent(
@@ -87,7 +82,6 @@ class TestRecursiveInstantiation:
         net = Network(
             balanced_tree(2, 3),
             transport="process",
-            spawn="popen",
             filter_specs=[(str(mod), "double_sum")],
             heartbeat_interval=0.2,
         )
@@ -155,32 +149,90 @@ class TestRecursiveInstantiation:
             net.shutdown()
 
     def test_invalid_mode_arguments_raise(self):
+        # The placement knobs are transport and colocate, nothing else.
+        assert list(inspect.signature(Network.__init__).parameters)[1:] == [
+            "topology", "registry", "auto_backends", "startup_timeout",
+            "clock", "transport", "filter_specs", "policy",
+            "heartbeat_interval", "heartbeat_miss_threshold",
+            "checkpoint_interval", "trace", "colocate", "filter_workers",
+        ]
         topo = balanced_tree(2, 2)
         with pytest.raises(NetworkError):
-            Network(topo, transport="process", instantiation="magic")
+            Network(topo, transport="rsh")
         with pytest.raises(NetworkError):
-            Network(topo, transport="process", shm="always")
-        with pytest.raises(NetworkError):
-            Network(topo, transport="process", spawn="rsh")
+            Network(topo, policy="hope")
+
+
+# fe and its first child share host hA, the second child sits on hB;
+# each child keeps one internal child on its own host and one on the
+# other, and the first leaf is on hA like its parent: process trees
+# over this topology have tcp, shm and (colocated) inproc edges.
+TWO_HOSTS = ["hA", "hA", "hB", "hA", "hB", "hB", "hA", "hA"] + [
+    f"be{i}" for i in range(7)
+]
+
+PLACEMENTS = {
+    "local": dict(),
+    "colocated": dict(colocate=True),
+    "tcp": dict(transport="tcp"),
+    "process": dict(transport="process"),
+    "process-colocated": dict(transport="process", colocate=True),
+}
+
+
+class TestPlanMatchesRuntime:
+    @pytest.mark.parametrize(
+        "placement, hosts",
+        [(name, None) for name in PLACEMENTS]
+        + [("process", TWO_HOSTS), ("process-colocated", TWO_HOSTS)],
+        ids=lambda v: v if isinstance(v, str) else "two-hosts" if v else "own-hosts",
+    )
+    def test_running_tree_reports_the_planned_link_kinds(self, placement, hosts):
+        """Every process's ``links{kind=...}`` census (its uplink plus
+        its child edges) equals the plan's, kind by kind."""
+        topo = balanced_tree(2, 3, hosts=hosts)
+        kwargs = PLACEMENTS[placement]
+        plan = plan_placement(
+            topo, kwargs.get("transport", "local"), kwargs.get("colocate", False)
+        )
+        planned = {}
+        for node in topo.nodes():
+            if node.is_leaf:
+                continue
+            kinds = [plan.kind_of[c.key] for c in node.children]
+            if node is not topo.root:
+                kinds.append(plan.kind_of[node.key])
+            name = "front-end" if node is topo.root else node.label
+            planned[name] = {k: kinds.count(k) for k in LINK_KINDS}
+        if hosts:
+            assert {"tcp", "shm"} <= set(plan.kind_of.values())
+            assert ("inproc" in plan.kind_of.values()) == ("colocate" in kwargs)
+
+        with Network(topo, **kwargs) as net:
+            run_reduction(net, 36)
+            stats = net.stats(timeout=10.0)
+        reported = {
+            key.split(":", 1)[1]: {
+                k: proc[f'links{{kind="{k}"}}'] for k in LINK_KINDS
+            }
+            for key, proc in stats.items()
+            if key not in ("recovery", "meta")
+        }
+        assert reported == planned
 
 
 class TestShmNetwork:
     def test_co_located_tree_runs_on_shm(self):
         from repro.transport.shm import live_segments
 
-        # One host for everything: every link in the plan is shm.
+        # One host for everything: every link in the plan is shm, and
+        # every segment is gone once the tree is.
         topo = balanced_tree(2, 2, hosts=["h0"])
-        plan = link_transports(topo)
-        assert set(plan.values()) == {"shm"}
+        assert set(link_transports(topo).values()) == {"shm"}
         net = Network(topo, transport="process")
         try:
             run_reduction(net, 10)
-            stats = net.stats()
-            fe = stats["0:front-end"]
-            assert fe['links{kind="shm"}'] == 2
-            assert fe['links{kind="tcp"}'] == 0
-            for key in ("1:h0:1", "2:h0:2"):
-                assert stats[key]['links{kind="shm"}'] == 3
+            assert net.stats()["0:front-end"]['links{kind="shm"}'] == 2
         finally:
             net.shutdown()
         deadline = time.monotonic() + 5
@@ -189,29 +241,10 @@ class TestShmNetwork:
         assert live_segments() == []
 
     def test_distinct_hosts_stay_on_tcp(self):
-        # Default generators give every process its own host: the shm
-        # auto mode must not upgrade anything.
-        topo = balanced_tree(2, 2)
-        assert set(link_transports(topo).values()) == {"tcp"}
-        net = Network(topo, transport="process")
-        try:
-            stats = net.stats()
-            fe = stats["0:front-end"]
-            assert fe['links{kind="shm"}'] == 0
-            assert fe['links{kind="tcp"}'] == 2
-        finally:
-            net.shutdown()
-
-    def test_shm_off_keeps_co_located_links_on_tcp(self):
-        topo = balanced_tree(2, 2, hosts=["h0"])
-        assert set(link_transports(topo, shm="off").values()) == {"tcp"}
-        net = Network(topo, transport="process", shm="off")
-        try:
-            stats = net.stats()
-            assert stats["0:front-end"]['links{kind="shm"}'] == 0
-            run_reduction(net, 10)
-        finally:
-            net.shutdown()
+        # Default generators give every process its own host: nothing
+        # is planned onto shared memory.
+        plan = link_transports(balanced_tree(2, 2))
+        assert set(plan.values()) == {"tcp"}
 
     def test_segment_failure_falls_back_to_tcp(self, monkeypatch):
         """If rings cannot be created the link silently stays TCP —

@@ -3,6 +3,7 @@ behaviour under an in-flight wave and a mid-run node kill."""
 
 import json
 import re
+import time
 
 import pytest
 
@@ -213,3 +214,22 @@ class TestProcessTransportGather:
         assert len(keys) == 3
         for key in keys - {"0:front-end"}:
             assert s[key]["packets_in"] >= 0
+
+    def test_gather_does_not_wait_for_a_dead_process(self, shutdown_nets):
+        """A killed root child drops out of the gather census: the next
+        gather hears from the survivor and returns, instead of waiting
+        out its whole timeout for a process that cannot answer."""
+        net = Network(balanced_tree(2, 2), transport="process")
+        shutdown_nets.append(net)
+        healthy = net.stats(timeout=10.0)["meta"]["expected"]
+
+        net._procs[0].kill()
+        net._procs[0].wait(timeout=5)
+
+        timeout = 4.0
+        t0 = time.monotonic()
+        meta = net.stats(timeout=timeout)["meta"]
+        assert time.monotonic() - t0 < timeout / 2
+        assert meta["expected"] == healthy - 1
+        assert meta["replies"] == meta["expected"]
+

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.core.batching import decode_batch, encode_batch
-from repro.core.commnode import CommNode, NodeCore
+from repro.core.commnode import NodeCore, NodeHost
 from repro.core.packet import Packet
 from repro.core.protocol import (
     make_endpoint_report,
@@ -67,21 +67,22 @@ def recv_packets(sock, n, timeout=RECV_TIMEOUT):
 
 
 def make_node(n_children, expected_ranks=None, name="node"):
-    """A CommNode driven by one event loop over raw socketpairs.
+    """A comm node on its own host loop over raw socketpairs.
 
     Returns ``(node, parent_sock, child_socks)`` — our test-side ends.
     """
     parent_ours, parent_theirs = socket.socketpair()
-    node = CommNode(
+    host = NodeHost(f"commnode-{name}")
+    node = host.add_node(
         name,
         default_registry(),
         expected_ranks if expected_ranks is not None else n_children,
-        parent_socket=parent_theirs,
+        host.loop.add_socket(parent_theirs),
     )
     child_socks = []
     for _ in range(n_children):
         ours, theirs = socket.socketpair()
-        node.add_child_socket(theirs)
+        node.core.add_child(host.loop.add_socket(theirs))
         child_socks.append(ours)
     return node, parent_ours, child_socks
 
@@ -106,7 +107,7 @@ class TestSingleThread:
         node.start()
         try:
             added = [t for t in threading.enumerate() if t not in before]
-            assert added == [node]
+            assert added == [node.host]
             # The node is live: aggregate endpoint reports from all 16
             # children into one report at the parent.
             for i, sock in enumerate(children):
@@ -114,7 +115,7 @@ class TestSingleThread:
             (report,) = recv_packets(parent, 1)
             (ranks,) = report.unpack()
             assert tuple(ranks) == tuple(range(16))
-            assert [t for t in threading.enumerate() if t not in before] == [node]
+            assert [t for t in threading.enumerate() if t not in before] == [node.host]
         finally:
             stop_node(node, parent, children)
 
