@@ -808,15 +808,21 @@ class EventLoop:
 
     def _on_wakeup(self) -> None:
         self._c_wakeups.value += 1
-        with self._wake_lock:
-            self._wake_pending = False
-            deferred, self._deferred_writes = self._deferred_writes, []
-            adoptions, self._pending_adoptions = self._pending_adoptions, []
+        # Drain before clearing the flag.  recv releases the GIL: with
+        # the flag cleared first, a wake() landing mid-drain sets it and
+        # sends a byte this drain then swallows, leaving the flag set
+        # over an empty pipe so every later wake() is skipped.  A wake()
+        # that sees the flag still set skips its byte, which is safe:
+        # its work is queued and this iteration drains it below.
         try:
             while self._wake_recv.recv(4096):
                 pass
         except (BlockingIOError, OSError):
             pass
+        with self._wake_lock:
+            self._wake_pending = False
+            deferred, self._deferred_writes = self._deferred_writes, []
+            adoptions, self._pending_adoptions = self._pending_adoptions, []
         for link in deferred:
             self._enable_write(link)
         for sock, core, adopted in adoptions:

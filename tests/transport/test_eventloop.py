@@ -7,7 +7,9 @@ honoured without busy-spinning, and abrupt peer death mid-frame tears
 the link down cleanly instead of wedging the loop.
 """
 
+import random
 import socket
+import statistics
 import struct
 import threading
 import time
@@ -281,6 +283,53 @@ class TestTimeOutDeadline:
             assert node.loop.iterations - iters_before < 40
         finally:
             stop_node(node, parent, children)
+
+
+class TestWakeup:
+    def test_concurrent_wakes_never_strand_the_flag(self):
+        """wake() from two threads must keep working afterwards.
+
+        A wake that lands while the loop is draining its wake pipe used
+        to leave the coalescing flag set over an empty pipe: every later
+        wake() was skipped and the loop advanced only on IDLE_TIMEOUT.
+        """
+        loop = EventLoop()
+        core = NodeCore("wake", default_registry(), 0)
+        loop.bind(core)
+        t = threading.Thread(target=loop.run, daemon=True)
+        t.start()
+        stop = time.monotonic() + 0.5
+
+        def hammer(seed):
+            rng = random.Random(seed)
+            while time.monotonic() < stop:
+                loop.wake()
+                time.sleep(rng.uniform(0, 0.0005))
+
+        hammers = [threading.Thread(target=hammer, args=(i,)) for i in range(2)]
+        try:
+            for h in hammers:
+                h.start()
+            for h in hammers:
+                h.join(timeout=5)
+                assert not h.is_alive()
+            latencies = []
+            for _ in range(9):
+                seen = loop.iterations
+                start = time.monotonic()
+                loop.wake()
+                while loop.iterations == seen:
+                    assert time.monotonic() - start < 1.0, "loop stopped iterating"
+                    time.sleep(0.0002)
+                latencies.append(time.monotonic() - start)
+            # A working wake interrupts select in well under a millisecond;
+            # a stranded flag makes each one wait out the 50 ms idle cap.
+            assert statistics.median(latencies) < EventLoop.IDLE_TIMEOUT / 5
+        finally:
+            core.shutting_down = True
+            loop.wake()
+            t.join(timeout=5)
+        assert not t.is_alive()
 
 
 class TestAbruptClose:
