@@ -42,8 +42,8 @@ def live_batching_counts():
                 got = be.recv(timeout=10)
                 assert got is not None
                 received += 1
-        packets = sum(n.core.stats["packets_down"] for n in net._commnodes)
-        messages = sum(n.core.stats["messages_sent"] for n in net._commnodes)
+        packets = sum(n.core.metrics.counters()["packets_down"].value for n in net._commnodes)
+        messages = sum(n.core.metrics.counters()["messages_sent"].value for n in net._commnodes)
         return packets, messages, received
     finally:
         net.shutdown()

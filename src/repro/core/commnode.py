@@ -75,11 +75,11 @@ from .batching import (
     decode_batch,
     encode_batch,
 )
-from ..obs.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry, StatsView
+from ..obs.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from ..obs.snapshot import dumps_snapshot
 from ..topology.placement import LINK_KINDS
 from ..transport.channel import ChannelEnd, Inbox
-from ..transport.eventloop import SendQueueFull
+from ..transport.eventloop import EventLoop, LoopLink, SendQueueFull
 from .failure import DEGRADE, REPAIR, HeartbeatConfig
 from .packet import Packet
 from .protocol import (
@@ -235,10 +235,8 @@ class NodeCore:
         self._hb_rng = random.Random(zlib.crc32(name.encode()))
         self._hb_interval = self.heartbeat.interval
         # -- observability (see repro.obs) ----------------------------
-        # Typed registry behind the legacy ``stats`` mapping.  Hot-path
-        # sites bump pre-bound Counter objects (one attribute add, same
-        # cost as the dicts they replaced); ``self.stats`` is a live
-        # view kept for tests and callers that read by name.
+        # Hot-path sites bump pre-bound Counter objects (one attribute
+        # add); readers go through ``self.metrics.counters()``.
         # ``packets_relayed_zero_copy`` counts packets appended to an
         # outbound buffer while still undecoded lazy wire frames: the
         # §2.3 forward-by-reference fast path, taken by pure relays
@@ -286,18 +284,9 @@ class NodeCore:
                 fn=(lambda k=_kind: self._count_transport(k)),
                 kind=_kind,
             )
-        self.stats = StatsView(self.metrics)
         #: Extra snapshot providers merged into :meth:`metrics_snapshot`
         #: (the event loop registers its transport registry here).
         self.extra_metrics: List[Callable[[], dict]] = []
-        #: Optional :class:`~repro.transport.workers.FilterWorkerPool`
-        #: (set by ``EventLoop.bind`` when the loop has workers).
-        #: Stream managers offload big transform waves through it.
-        self.worker_pool = None
-        #: Loop-thread callable that fires parked pool completions;
-        #: stream managers use it to settle in-flight offloads before
-        #: membership changes or teardown.
-        self.drain_worker_completions: Optional[Callable[[], int]] = None
         #: Rank used in STATS_SNAPSHOT identities; the network assigns
         #: 0 to the front-end and 1..N to comm nodes.
         self.obs_rank = -1
@@ -1518,19 +1507,12 @@ class NodeHost(threading.Thread):
     :class:`~repro.transport.eventloop.EventLoop`, which owns the
     sockets and inproc ends handed to it plus each core's in-process
     inbox.  A solo node is a host with one core; ``colocate=True`` is
-    one host with all of them (plus the optional filter workers).
+    one host with all of them.
     """
 
-    def __init__(
-        self,
-        name: str,
-        clock: Callable[[], float] = time.monotonic,
-        workers: int = 0,
-    ):
+    def __init__(self, name: str, clock: Callable[[], float] = time.monotonic):
         super().__init__(name=name, daemon=True)
-        from ..transport.eventloop import EventLoop
-
-        self.loop = EventLoop(clock=clock, workers=workers)
+        self.loop = EventLoop(clock=clock)
 
     def add_node(
         self,
@@ -1544,10 +1526,10 @@ class NodeHost(threading.Thread):
         core = NodeCore(
             name, registry, expected_ranks, parent, self.loop.clock, inbox
         )
-        if getattr(parent, "_loop", None) is self.loop:
+        if isinstance(parent, LoopLink):
             # A socket or inproc end this loop owns was made before the
             # core it delivers to existed.
-            parent._core = core
+            parent.core = core
         self.loop.bind(core)
         return CommNode(self, core)
 

@@ -385,7 +385,6 @@ class Network:
         checkpoint_interval: float = 0.0,
         trace: bool = False,
         colocate: bool = False,
-        filter_workers: int = 0,
     ):
         """Instantiate the network.
 
@@ -422,10 +421,6 @@ class Network:
         :class:`~repro.transport.inproc.InprocLink` hand-offs.  For
         ``transport="process"`` it instead packs each chain of
         same-host internal nodes into one ``mrnet_commnode`` process.
-        ``filter_workers`` > 0 adds that many ``filter-worker``
-        threads to each colocated loop so large synchronized-wave
-        transformations run off-loop (see
-        :class:`~repro.transport.workers.FilterWorkerPool`).
 
         ``policy`` selects what a process failure means (see
         :mod:`repro.core.failure`): ``"fail_fast"`` poisons the
@@ -466,10 +461,7 @@ class Network:
                 "thread-hosted TCP nodes already share the front-end "
                 "address space via channels"
             )
-        if filter_workers < 0:
-            raise NetworkError("filter_workers must be >= 0")
         self.colocate = colocate
-        self.filter_workers = filter_workers
         self.transport = transport
         self.policy = policy
         self._startup_timeout = startup_timeout
@@ -579,8 +571,8 @@ class Network:
         Every host group becomes one :class:`NodeHost` loop thread (a
         solo node is a host with one core; ``colocate=True`` is one
         host with all of them, so the steady-state thread census for
-        the whole tree is 1 + ``filter_workers``), and every edge is
-        made of what the plan says.  The front-end and the back-ends
+        the whole tree is one thread), and every edge is made of what
+        the plan says.  The front-end and the back-ends
         are passive — pumped by API calls, not by a loop — so their
         ends receive into inboxes.
         """
@@ -598,7 +590,6 @@ class Network:
                 hosts[group] = NodeHost(
                     "colocated-host" if self.colocate else f"commnode-{node.label}",
                     clock=self._clock,
-                    workers=self.filter_workers if self.colocate else 0,
                 )
                 self._hosts.append(hosts[group])
             return hosts[group]
@@ -735,7 +726,6 @@ class Network:
         opts = RecursiveOpts(
             filter_specs=self.filter_specs,
             heartbeat=self.heartbeat,
-            workers=self.filter_workers if self.colocate else 0,
             repair=self.policy == REPAIR,
             checkpoint_interval=self.checkpoint_interval,
         )

@@ -143,24 +143,7 @@ class StreamManager:
     that opens a wave to the instant the synchronization filter
     releases it: exactly the Figure 3 synchronization-layer dwell the
     paper's wave experiments time externally.
-
-    Worker-pool offload: when the owner carries a
-    :class:`~repro.transport.workers.FilterWorkerPool` (a colocated
-    event loop with ``workers > 0``), classic (non-incremental) waves
-    whose payload reaches :attr:`OFFLOAD_MIN_BYTES` run their transform
-    on a worker thread instead of stalling the shared loop; outputs
-    re-enter on the loop thread via the pool's completion drain and go
-    straight to ``owner._queue_up``.  Ordering holds because the pool
-    serializes per manager (per ``key=self``) and, once one wave is in
-    flight, every subsequent wave of this stream offloads too — the
-    transform state is only ever touched by one thread at a time, in
-    arrival order.  Incremental chunk filtering never offloads: each
-    invocation is already bounded by ``chunk_bytes``.
     """
-
-    #: Classic waves at or above this many payload bytes are shipped
-    #: to the owner's worker pool (when one is attached).
-    OFFLOAD_MIN_BYTES = 128 << 10
 
     def __init__(
         self,
@@ -249,8 +232,6 @@ class StreamManager:
         # wave releases.  One attribute test per pushed packet, one
         # clock read per wave — cheap enough to stay always-on.
         self._wave_t0: Optional[float] = None
-        # Waves currently running their transform on a worker thread.
-        self._offload_inflight = 0
         # -- chunked-wave state ----------------------------------------
         # Per-link fragment reassembly for the non-incremental path
         # (created lazily; also catches fragments on streams whose own
@@ -474,7 +455,6 @@ class StreamManager:
         sibling's fragments for it are dropped too), so the next wave
         realigns cleanly under the bumped membership epoch.
         """
-        self._settle_offloads()
         self._bump_epoch()
         self._in_high.pop(link_id, None)
         self._ack_low.pop(link_id, None)
@@ -563,7 +543,6 @@ class StreamManager:
         slice is not a usable contribution); whole packets flush
         positionally like the classic path.
         """
-        self._settle_offloads()
         if not self.incremental:
             return self._emit_up(self._run_waves(self.sync.flush()))
         if self._wave_pos > 0:
@@ -932,10 +911,6 @@ class StreamManager:
                         detail=self.sync.name,
                     )
                 self._wave_t0 = None
-            if tracer is None and self._should_offload(wave):
-                self._offload_wave(wave)
-                self._note_wave_released()
-                continue
             if tracer is None:
                 out.extend(self.transform(wave, self.transform_state))
             else:
@@ -946,63 +921,6 @@ class StreamManager:
                 )
             self._note_wave_released()
         return out
-
-    # -- worker-pool offload (colocated loops) -----------------------------
-
-    def _should_offload(self, wave) -> bool:
-        """Does this wave's transform belong on a worker thread?"""
-        owner = self._owner
-        pool = owner.worker_pool if owner is not None else None
-        if pool is None or not pool.enabled or self.incremental:
-            return False
-        if self._offload_inflight:
-            # Arrival order: once one wave is in the pool, every later
-            # wave of this stream must queue behind it (per-key FIFO).
-            return True
-        return (
-            sum(p.nbytes for p in wave) >= self.OFFLOAD_MIN_BYTES
-        )
-
-    def _offload_wave(self, wave) -> None:
-        self._offload_inflight += 1
-        transform, state = self.transform, self.transform_state
-        self._owner.worker_pool.submit(
-            self, lambda: transform(wave, state), self._offload_done
-        )
-
-    def _offload_done(self, result, exc) -> None:
-        """Pool completion (runs on the loop thread, in wave order)."""
-        self._offload_inflight -= 1
-        owner = self._owner
-        if exc is not None:
-            log.warning(
-                "stream %d: offloaded filter %s raised: %s",
-                self.stream_id,
-                self.transform.name,
-                exc,
-            )
-            return
-        outs = self._emit_up(list(result))
-        if outs:
-            owner._c_waves_aggregated.value += 1
-        for out in outs:
-            owner._queue_up(out)
-
-    def _settle_offloads(self) -> None:
-        """Barrier: wait out in-flight offloaded waves (loop thread).
-
-        Called before any inline use of ``transform_state`` (teardown
-        flush, membership drops) so a worker never races the loop on
-        per-stream filter state.
-        """
-        owner = self._owner
-        if not self._offload_inflight or owner is None:
-            return
-        drain = owner.drain_worker_completions
-        while self._offload_inflight:
-            fired = drain() if drain is not None else 0
-            if not fired and self._offload_inflight:
-                time.sleep(0.0005)
 
     # -- downstream --------------------------------------------------------
 
@@ -1036,7 +954,6 @@ class StreamManager:
         return self.sync.next_deadline()
 
     def close(self) -> None:
-        self._settle_offloads()
         self.closed = True
 
     def __repr__(self) -> str:

@@ -123,15 +123,12 @@ class FaultInjector:
                 sock.send(_LEN.pack(1 << 20) + b"truncated")
             except OSError:
                 pass
-        elif mid_frame and getattr(end, "_inproc", False):
+        elif mid_frame and hasattr(end, "drop_undelivered"):
             # Co-located (in-process) links have no wire to truncate;
             # the equivalent abrupt loss is dropping whatever the peer
             # had queued but not yet consumed, so close() delivers a
             # bare EOF instead of the usual drain-then-EOF goodbye.
-            peer = getattr(end, "_peer", None)
-            if peer is not None:
-                peer._rx.clear()
-                peer._rx_nbytes = 0
+            end.drop_undelivered()
         self.log.append(("sever_link", (core.name, link_id)))
         end.close()
         return link_id

@@ -137,7 +137,6 @@ class RecursiveOpts:
     filter_specs: List[Tuple[str, str, Optional[str]]] = field(default_factory=list)
     heartbeat: Optional[HeartbeatConfig] = None
     accept_timeout: float = 60.0
-    workers: int = 0  # filter worker threads on this process's loop
     repair: bool = False  # re-dial a live ancestor when the parent dies
     checkpoint_interval: float = 0.0  # filter-state deposit period (0 = off)
 
@@ -148,8 +147,6 @@ class RecursiveOpts:
             args += ["--repair"]
         if self.checkpoint_interval > 0:
             args += ["--checkpoint-interval", str(self.checkpoint_interval)]
-        if self.workers:
-            args += ["--filter-workers", str(self.workers)]
         if self.heartbeat is not None and self.heartbeat.enabled:
             args += [
                 "--heartbeat-interval", str(self.heartbeat.interval),
@@ -236,7 +233,7 @@ def _spawn_internal_children(
     interpreter — the subtree spec travels as a plain argument, and
     the fork costs milliseconds where a fresh interpreter costs
     hundreds.  Must run while this process is single-threaded: before
-    any event loop, filter worker or reader thread exists.
+    any event loop or reader thread exists.
     """
     handles = []
     for child in children:
@@ -359,9 +356,9 @@ def run_commnode_recursive(
             parent_addr, attempts=6, timeout=opts.accept_timeout,
             shm=spec["k"] == "shm",
         )
-        loop = EventLoop(workers=opts.workers)
+        loop = EventLoop()
         if pair is not None:
-            uplink = loop.add_shm_link(sock, pair[0], pair[1], owner=True)
+            uplink = loop.add_shm_link(sock, pair[0], pair[1])
         else:
             uplink = loop.add_socket(sock)
 
@@ -379,7 +376,7 @@ def run_commnode_recursive(
             core = member.core = _recursive_core(
                 member.spec, registry, uplink, opts, repair_fn
             )
-            uplink._core = core  # made before the core it delivers to
+            uplink.core = core  # made before the core it delivers to
             loop.bind(core)
 
         for member in group:
@@ -449,11 +446,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "others)",
     )
     parser.add_argument(
-        "--filter-workers", type=int, default=0,
-        help="worker threads for large filter reductions on this "
-        "process's event loop (0 = run filters inline)",
-    )
-    parser.add_argument(
         "--filter", action="append", default=[], metavar="PATH:FUNC[:FMT]",
         help="custom filter to load (repeatable; order defines ids)",
     )
@@ -495,7 +487,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         filter_specs=specs,
         heartbeat=heartbeat,
         accept_timeout=args.accept_timeout,
-        workers=args.filter_workers,
         repair=args.repair,
         checkpoint_interval=args.checkpoint_interval,
     )

@@ -31,7 +31,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    StatsView,
     prometheus_text,
 )
 from .snapshot import (
@@ -50,7 +49,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "StatsView",
     "DEFAULT_LATENCY_BUCKETS",
     "prometheus_text",
     "TraceRecorder",

@@ -20,24 +20,19 @@ Labels are fixed at instrument creation (``registry.counter("waves",
 stream="5", filter="sum")``); the rendered key uses the Prometheus
 ``name{k="v"}`` form so labelled series survive a JSON round trip
 through the ``STATS_SNAPSHOT`` wire protocol unchanged.
-
-:class:`StatsView` is the backward-compatibility shim: a live mapping
-over a registry's counters so existing code and tests can keep reading
-``core.stats["packets_up"]``.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "StatsView",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_SIZE_BUCKETS",
     "prometheus_text",
@@ -310,50 +305,6 @@ class MetricsRegistry:
             f"{len(self._counters)}c/{len(self._gauges)}g/"
             f"{len(self._histograms)}h)"
         )
-
-
-class StatsView(Mapping):
-    """Dict-like live view over a registry's counters (compat shim).
-
-    Pre-existing code and tests read node statistics as
-    ``core.stats["packets_up"]`` / ``dict(core.stats)``; this view
-    keeps that working on top of typed :class:`Counter` objects.
-    Writes (``stats["x"] += 1``) are accepted and create the counter
-    on demand, so external bump sites keep functioning, but new code
-    should pre-bind counters instead.
-
-    Only *unlabelled* counters are visible here, matching the flat
-    dicts this view replaces.
-    """
-
-    def __init__(self, registry: MetricsRegistry):
-        self._registry = registry
-
-    def __getitem__(self, name: str) -> int:
-        c = self._registry.counters().get(name)
-        if c is None:
-            raise KeyError(name)
-        return c.value
-
-    def __setitem__(self, name: str, value: int) -> None:
-        self._registry.counter(name).value = value
-
-    def get(self, name: str, default=None):
-        """Counter value, or *default* when no such counter exists."""
-        c = self._registry.counters().get(name)
-        return default if c is None else c.value
-
-    def __iter__(self) -> Iterator[str]:
-        return (k for k, c in self._registry.counters().items() if not c.labels)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._registry.counters()
-
-    def __repr__(self) -> str:
-        return f"StatsView({dict(self)})"
 
 
 def _prom_series(

@@ -51,6 +51,7 @@ error.
 
 from __future__ import annotations
 
+import collections
 import json
 import select
 import socket
@@ -60,10 +61,12 @@ import time
 from typing import List, Optional, Tuple
 
 from .channel import Inbox
+from .eventloop import SEND_QUEUE_MAX_BYTES, LoopLink
 
 __all__ = [
     "ShmRing",
     "ShmChannelEnd",
+    "ShmLink",
     "offer_shm",
     "accept_shm_offer",
     "shm_available",
@@ -508,23 +511,238 @@ def _destroy(*rings: ShmRing) -> None:
         ring.unlink()
 
 
-# -- passive channel end ----------------------------------------------------
+# -- the two kinds of link end over a ring pair ---------------------------------
 
 
-class ShmChannelEnd:
+class _RingEnd:
+    """What both shm link ends are made of: a ring each way and the
+    negotiation socket kept as a doorbell (see the module docstring)."""
+
+    __slots__ = ()
+
+    #: Transport classification for the obs ``links{kind=...}`` census.
+    transport_kind = "shm"
+
+    def _init_rings(self, sock: socket.socket, tx: ShmRing, rx: ShmRing) -> None:
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError:
+            pass  # e.g. a socketpair doorbell in tests
+        sock.setblocking(False)
+        self._sock = sock
+        self._tx = tx
+        self._rx = rx
+
+    def _doorbell(self) -> None:
+        try:
+            self._sock.send(b"\x01")
+        except (BlockingIOError, InterruptedError):
+            pass  # socket buffer full: doorbells are already pending
+        except OSError:
+            pass  # dying link: the doorbell's reader surfaces it via EOF
+
+    def _drain_doorbell(self) -> bool:
+        """Swallow pending doorbell bytes; True on EOF (peer death,
+        exactly as for a TCP link).  Any byte may be a wakeup (ring
+        went non-empty) or a credit (a stalled write can now retry)."""
+        while True:
+            try:
+                data = self._sock.recv(4096)
+            except (BlockingIOError, InterruptedError):
+                return False
+            except OSError:
+                return True
+            if not data:
+                return True
+            if len(data) < 4096:
+                return False
+
+    def _release_rings(self) -> None:
+        try:
+            self._sock.close()
+        except OSError:
+            pass
+        for ring in (self._tx, self._rx):
+            ring.close()
+            # Both sides unlink: if the creator was SIGKILLed its
+            # segments must not outlive the link, and a double unlink
+            # is a caught FileNotFoundError.  Existing mappings stay
+            # valid, so a peer still draining is unaffected.
+            ring.unlink()
+
+
+class ShmLink(LoopLink, _RingEnd):
+    """A co-located link driven by the event loop over shared memory.
+
+    Same rings as :class:`ShmChannelEnd`, no thread: the doorbell
+    socket is what the selector watches, and the rings are polled on
+    every loop pass besides — doorbells are an optimization, not the
+    only wakeup path.  When the transmit ring is full the frame is
+    parked in a bounded overflow deque (``SendQueueFull`` past the
+    bound, exactly like the TCP send queue) and pumped into the ring as
+    credit doorbells arrive.
+    """
+
+    __slots__ = (
+        "_sock", "_tx", "_rx", "_out", "_out_nbytes",
+        "_c_writes", "_c_bytes_out", "_c_zero_copy",
+    )
+
+    def __init__(
+        self,
+        loop,
+        sock: socket.socket,
+        tx: ShmRing,
+        rx: ShmRing,
+        link_id: int,
+        max_send_bytes: int = SEND_QUEUE_MAX_BYTES,
+    ):
+        super().__init__(loop, link_id, max_send_bytes)
+        self._init_rings(sock, tx, rx)
+        self._out: collections.deque = collections.deque()
+        self._out_nbytes = 0
+        self._c_writes = loop.metrics.counter("writes")
+        self._c_bytes_out = loop.metrics.counter("bytes_out")
+        self._c_zero_copy = loop.metrics.counter("shm_frames_zero_copy")
+        loop.mark_ready(self, every_pass=True)
+
+    @property
+    def selectable(self) -> socket.socket:
+        return self._sock
+
+    @property
+    def send_backlog(self) -> int:
+        """Bytes parked beyond the ring (overflow deque)."""
+        return self._out_nbytes
+
+    def send(self, payload) -> None:
+        """Write one framed payload into the ring, or park it.
+
+        The fast path is a single ``try_write`` into shared memory —
+        no syscall at all unless the ring was empty (doorbell).
+        """
+        size = self._admit(payload, self._out_nbytes)
+        if not self._out:
+            try:
+                if self._write(payload):
+                    return
+            except ValueError as exc:
+                # Released mapping (concurrent close) or a frame larger
+                # than the ring: either way this link cannot carry it.
+                raise ConnectionError(str(exc)) from exc
+        # Ring full: try_write set the stalled flag, so the peer sends
+        # a credit doorbell once it drains; the loop pumps us then.
+        self._out.append(payload if isinstance(payload, bytes) else bytes(payload))
+        self._out_nbytes += size
+
+    def _write(self, payload) -> bool:
+        ok, was_empty = self._tx.try_write(payload)
+        if ok:
+            self._c_writes.value += 1
+            self._c_bytes_out.value += len(payload) + _LEN.size
+            if was_empty:
+                self._doorbell()
+        return ok
+
+    def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        self._loop.forget(self)
+        self._tx.mark_closed()
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._release_rings()
+
+    # -- loop-facing ------------------------------------------------------
+
+    def on_events(self, mask: int) -> bool:
+        """Readable doorbell: one poll answers wakeups and credits."""
+        eof = self._drain_doorbell()
+        worked = self.poll()
+        if eof and not self._closed:
+            self._dead()
+            return True
+        return worked
+
+    def poll(self) -> bool:
+        """Pump parked writes and deliver inbound frames."""
+        if self._closed:
+            return False
+        worked = bool(self._out) and self._pump()
+        if self._closed:
+            return True
+        rx = self._rx
+        if rx.readable:
+            # Zero-copy drain: frames arrive as memoryviews aliasing
+            # the ring.  Anything the core keeps past this call parks
+            # through a materialize() guard (batching buffers, sync
+            # queues, chunk queues), so after delivery the consumer
+            # cursor can be published and the bytes recycled.  Frames
+            # consumed inline never get copied out of shared memory.
+            frames = rx.read_frames_inplace()
+            deliver = self._loop.deliver
+            for frame in frames:
+                if type(frame) is memoryview:
+                    self._c_zero_copy.value += 1
+                deliver(self, frame)
+            if self._closed:
+                return True  # the core hung up mid-delivery: rings are gone
+            if rx.commit_read():
+                self._doorbell()
+            worked |= bool(frames)
+        if rx.peer_closed and not rx.readable and not self._closed:
+            self._dead()
+            worked = True
+        return worked
+
+    def drain(self, deadline: float) -> None:
+        """Parked frames enter the ring as the peer makes room; poll
+        briefly rather than arming the selector."""
+        clock = self._loop.clock
+        while self._out and not self._closed and clock() < deadline:
+            if not self._pump():
+                time.sleep(0.005)
+
+    def _pump(self) -> bool:
+        """Move parked frames from the overflow deque into the ring."""
+        out = self._out
+        wrote = False
+        while out:
+            try:
+                if not self._write(out[0]):
+                    break
+            except ValueError:
+                self._dead()
+                return True
+            self._out_nbytes -= len(out.popleft()) + _LEN.size
+            wrote = True
+        return wrote
+
+    def _dead(self) -> None:
+        """EOF / ring failure: deliver what the peer managed to write,
+        then report the death."""
+        if not self._closed:
+            try:
+                frames, _ = self._rx.read_frames()
+            except Exception:
+                frames = []
+            for frame in frames:
+                self._loop.deliver(self, frame)
+        self._loop.link_dead(self)
+
+
+class ShmChannelEnd(_RingEnd):
     """A co-located link end for passive processes (front-end,
     back-ends): a reader thread selects on the doorbell socket and
     drains the receive ring into an :class:`Inbox`, mirroring
     :class:`~repro.transport.tcp.TcpChannelEnd`'s contract exactly
     (payload deliveries, ``None`` on close, pause/resume hooks).
 
-    Event-loop processes use
-    :class:`repro.transport.eventloop.ShmLink` instead — same rings,
-    no thread.
+    Event-loop processes use :class:`ShmLink` instead.
     """
-
-    #: Transport classification for the obs ``links{kind=...}`` census.
-    transport_kind = "shm"
 
     #: A send blocked this long on a full ring means the peer stopped
     #: draining entirely; surface it as a dead link, like a TCP send
@@ -538,14 +756,10 @@ class ShmChannelEnd:
         rx: ShmRing,
         link_id: int,
         inbox: Inbox,
-        owner: bool = False,
     ):
         self.link_id = link_id
-        self._sock = sock
-        self._tx = tx
-        self._rx = rx
+        self._init_rings(sock, tx, rx)
         self._inbox = inbox
-        self._owner = owner
         self._send_lock = threading.Lock()
         self._release_lock = threading.Lock()
         self._released = False
@@ -559,11 +773,6 @@ class ShmChannelEnd:
         self._space = threading.Event()
         self._reading = threading.Event()
         self._reading.set()
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            pass  # e.g. a socketpair doorbell in tests
-        sock.setblocking(False)
         self._reader = threading.Thread(
             target=self._read_loop, name=f"shm-reader-{link_id}", daemon=True
         )
@@ -611,14 +820,6 @@ class ShmChannelEnd:
             if was_empty:
                 self._doorbell()
 
-    def _doorbell(self) -> None:
-        try:
-            self._sock.send(b"\x01")
-        except (BlockingIOError, InterruptedError):
-            pass  # socket buffer full: doorbells are already pending
-        except OSError:
-            pass  # dying link: the reader surfaces it via EOF
-
     def link_metrics(self) -> dict:
         """Point-in-time transport numbers for this link (JSON-able)."""
         return {
@@ -662,18 +863,7 @@ class ShmChannelEnd:
             except (OSError, ValueError):
                 break
             if readable:
-                while True:
-                    try:
-                        data = sock.recv(4096)
-                    except (BlockingIOError, InterruptedError):
-                        break
-                    except OSError:
-                        data = b""
-                    if not data:
-                        eof = True
-                        break
-                    if len(data) < 4096:
-                        break
+                eof = self._drain_doorbell()
                 self._space.set()  # any doorbell may be a credit
             self._reading.wait()
             self._drain_rx(rx)
@@ -703,14 +893,4 @@ class ShmChannelEnd:
             if self._released:
                 return
             self._released = True
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        for ring in (self._tx, self._rx):
-            ring.close()
-            # Both sides unlink: if the creator was SIGKILLed its
-            # segments must not outlive the link, and a double unlink
-            # is a caught FileNotFoundError.  Existing mappings stay
-            # valid, so a peer still draining is unaffected.
-            ring.unlink()
+        self._release_rings()

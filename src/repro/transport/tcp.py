@@ -432,7 +432,5 @@ def tcp_connect_retry(
     if pair is not None:
         from .shm import ShmChannelEnd
 
-        return ShmChannelEnd(
-            sock, pair[0], pair[1], _alloc_link_id(), inbox, owner=True
-        )
+        return ShmChannelEnd(sock, pair[0], pair[1], _alloc_link_id(), inbox)
     return TcpChannelEnd(sock, _alloc_link_id(), inbox)

@@ -7,8 +7,7 @@ reads.  The short grace poll lets reader threads finish releasing
 ends that were closed at the very end of a test.
 
 Likewise for threads: every runtime thread this codebase can start —
-comm-node drivers, reader threads, the colocated host, filter workers
-— must be gone when a test returns.  A shutdown path that forgets one
+comm-node drivers, reader threads, the colocated host — must be gone when a test returns.  A shutdown path that forgets one
 fails the offending test by name instead of silently accumulating
 threads across the suite.
 """
@@ -25,7 +24,6 @@ from repro.transport.shm import live_segments
 _RUNTIME_THREAD_PREFIXES = (
     "commnode-",
     "colocated-host",
-    "filter-worker-",
     "tcp-reader-",
     "shm-reader-",
     "drain-",

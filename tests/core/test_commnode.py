@@ -132,7 +132,7 @@ class TestStreamLifecycle:
         core.flush()
         outs = [p for p in drain(parent_inbox) if p.stream_id == 5]
         assert len(outs) == 1 and outs[0].values == (7,)
-        assert core.stats["waves_aggregated"] == 1
+        assert core.metrics.counters()["waves_aggregated"].value == 1
 
     def test_downstream_fanout_by_reference(self):
         core, _, child_inboxes, links = build_node(n_children=2, expected=2)
@@ -242,9 +242,9 @@ class TestStats:
         core.dispatch(links[0], Packet(5, 0, "%d", (1,)))
         core.dispatch(core.parent_link_id, Packet(5, 0, "%d", (2,)))
         core.flush()
-        assert core.stats["packets_up"] == 1
-        assert core.stats["packets_down"] == 1
-        assert core.stats["messages_sent"] >= 1
+        assert core.metrics.counters()["packets_up"].value == 1
+        assert core.metrics.counters()["packets_down"].value == 1
+        assert core.metrics.counters()["messages_sent"].value >= 1
 
     def test_batched_payload_roundtrip(self):
         """handle_payload unbatches multi-packet messages."""

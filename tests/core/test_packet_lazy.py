@@ -274,7 +274,7 @@ class TestRelayFastPath:
             [Packet(99, 5, "%alf %s", (tuple(map(float, range(200))), "x"), 3)]
         )
         core.handle_payload(child_link, payload)
-        assert core.stats["packets_relayed_zero_copy"] == 1
+        assert core.metrics.counters()["packets_relayed_zero_copy"].value == 1
         # the buffered packet is still an undecoded wire frame
         (buffered,) = core._parent_buffer._packets
         assert not buffered.values_decoded
@@ -286,7 +286,7 @@ class TestRelayFastPath:
         core, _, child_inbox, _ = self._build_relay()
         payload = encode_batch([Packet(42, 1, "%d", (5,), 0)])
         core.handle_payload(core.parent_link_id, payload)
-        assert core.stats["packets_relayed_zero_copy"] == 1
+        assert core.metrics.counters()["packets_relayed_zero_copy"].value == 1
         core.flush()
         _, sent = child_inbox.get_nowait()
         assert sent == payload
@@ -300,7 +300,7 @@ class TestRelayFastPath:
         core.handle_control_down(new_stream)
         data = encode_batch([Packet(7, 1, "%ad", (tuple(range(100)),), 0)])
         core.handle_payload(child_link, data)
-        assert core.stats["packets_relayed_zero_copy"] == 1
+        assert core.metrics.counters()["packets_relayed_zero_copy"].value == 1
         core.flush()
         deliveries = []
         while not parent_inbox.empty():
@@ -321,7 +321,7 @@ class TestRelayFastPath:
         core.handle_control_down(new_stream)
         data = encode_batch([Packet(7, 1, "%d", (5,), 0)])
         core.handle_payload(child_link, data)
-        assert core.stats["packets_relayed_zero_copy"] == 0
+        assert core.metrics.counters()["packets_relayed_zero_copy"].value == 0
 
 
 class TestPacketBufferLazy:

@@ -65,7 +65,7 @@ class TestDropOnClose:
         core.dispatch(parent_ch.end_b.link_id, Packet(1, 100, "%d", (7,)))
         child_ends[0].close()
         core.flush()
-        assert core.stats["messages_dropped_on_close"] >= 1
+        assert core.metrics.counters()["messages_dropped_on_close"].value >= 1
         # Closure propagated into the stream: the wave must now release
         # on the survivor's contribution alone.
         core.dispatch(child_links[1], Packet(1, 100, "%d", (5,), origin_rank=1))
@@ -113,12 +113,12 @@ class TestBackpressure:
             net.flush()
             time.sleep(0.02)
         assert wait_until(
-            lambda: core.stats["send_queue_full"] >= 1,
+            lambda: core.metrics.counters()["send_queue_full"].value >= 1,
             net=net,
             poll=False,
             timeout=5.0,
         ), "backpressure deferral never counted"
-        before_drop = core.stats["messages_dropped_on_close"]
+        before_drop = core.metrics.counters()["messages_dropped_on_close"].value
 
         inj.resume_backend(0)
         inj.resume_backend(1)
@@ -133,7 +133,7 @@ class TestBackpressure:
                 if got is not None:
                     received[rank] += 1
         assert received == {0: n_sent, 1: n_sent}
-        assert core.stats["messages_dropped_on_close"] == before_drop
+        assert core.metrics.counters()["messages_dropped_on_close"].value == before_drop
 
     def test_parked_packets_dropped_when_stalled_leaf_dies(self, shutdown_nets):
         """Packets parked by backpressure are dropped with accounting
@@ -157,14 +157,14 @@ class TestBackpressure:
             net.flush()
             time.sleep(0.02)
         assert wait_until(
-            lambda: core.stats["send_queue_full"] >= 1,
+            lambda: core.metrics.counters()["send_queue_full"].value >= 1,
             net=net,
             poll=False,
             timeout=5.0,
         )
         inj.kill_backend(0)
         assert wait_until(
-            lambda: core.stats["messages_dropped_on_close"] >= 1,
+            lambda: core.metrics.counters()["messages_dropped_on_close"].value >= 1,
             net=net,
             poll=False,
             timeout=5.0,

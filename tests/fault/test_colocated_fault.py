@@ -26,7 +26,7 @@ def inproc_commnodes(net):
     """The colocated comm nodes whose PARENT edge is an inproc link."""
     return [
         n for n in net._commnodes
-        if getattr(n.core.parent, "_inproc", False)
+        if n.core.parent.transport_kind == "inproc"
     ]
 
 
@@ -134,7 +134,7 @@ class TestInprocLinkFaults:
         inj = FaultInjector(net)
         core = inj.commnode(0).core
         end = core.children[next(iter(core.children))]
-        assert getattr(end, "_inproc", False), (
+        assert end.transport_kind == "inproc", (
             "root child's comm children must hang off inproc links"
         )
         inj.sever_link(0, child_index=0, mid_frame=True)

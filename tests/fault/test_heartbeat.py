@@ -78,9 +78,9 @@ class TestWedgeDetection:
         inj = FaultInjector(net)
         core = inj.commnode(0).core
         inj.wedge_commnode(0)
-        sent = core.stats["heartbeats_sent"]
+        sent = core.metrics.counters()["heartbeats_sent"].value
         time.sleep(4 * INTERVAL)
-        assert core.stats["heartbeats_sent"] == sent
+        assert core.metrics.counters()["heartbeats_sent"].value == sent
 
 
 class TestHeartbeatJitter:

@@ -2,16 +2,15 @@
 
 ``Network(colocate=True)`` hosts every internal process of a local
 tree on ONE shared selector loop: a single ``colocated-host`` thread,
-comm-to-comm edges on in-process deque links, optional filter workers
-for big reductions.  These tests pin the acceptance bars:
+comm-to-comm edges on in-process deque links.  These tests pin the
+acceptance bars:
 
 * thread census per mode — solo eventloop (1 thread/node), colocated
   (1 thread TOTAL, i.e. well under the <= 2/node bar);
 * wave correctness, and byte-identity of what the front-end receives
   across all five placements, including chunked (pipelined) waves;
-* observability — ``links{kind="inproc"}``, ``loop_cores_hosted``,
-  ``loop_threads_per_node``, worker-pool counters in ``stats()``;
-* the filter worker pool actually offloads big waves off the loop.
+* observability — ``links{kind="inproc"}`` and ``loop_cores_hosted``
+  in ``stats()``.
 """
 
 import functools
@@ -109,28 +108,11 @@ class TestThreadCensus:
         finally:
             net.shutdown()
 
-    def test_colocated_with_workers_census(self):
-        before = set(threading.enumerate())
-        net = Network(balanced_tree(2, 3), colocate=True, filter_workers=2)
-        try:
-            names = sorted(t.name for t in new_threads(before))
-            assert names == [
-                "colocated-host", "filter-worker-0", "filter-worker-1"
-            ]
-            # 3 threads over 6 internal nodes: still <= 2 per node.
-            assert len(names) / len(net._commnodes) <= 2
-        finally:
-            net.shutdown()
-
 
 class TestColocationValidation:
     def test_rejects_tcp(self):
         with pytest.raises(NetworkError, match="colocate"):
             Network(balanced_tree(2, 2), colocate=True, transport="tcp")
-
-    def test_rejects_negative_workers(self):
-        with pytest.raises(NetworkError, match="filter_workers"):
-            Network(balanced_tree(2, 2), filter_workers=-1)
 
 
 class TestColocatedObservability:
@@ -152,21 +134,6 @@ class TestColocatedObservability:
             assert on_loop
             hosted = {n["loop_cores_hosted"] for n in on_loop}
             assert hosted == {len(net._commnodes)}
-            per_node = {n["loop_threads_per_node"] for n in on_loop}
-            assert per_node == {1 / len(net._commnodes)}
-        finally:
-            net.shutdown()
-
-    def test_worker_pool_metrics_visible(self):
-        net = Network(balanced_tree(2, 2), colocate=True, filter_workers=2)
-        try:
-            stats = net.stats()
-            nodes = [
-                v for k, v in stats.items()
-                if isinstance(v, dict) and "loop_worker_queue_depth" in v
-            ]
-            assert nodes, "worker queue depth gauge missing from stats"
-            assert all(n["loop_worker_queue_depth"] == 0 for n in nodes)
         finally:
             net.shutdown()
 
@@ -213,51 +180,6 @@ class TestColocatedCorrectness:
             net.shutdown()
 
 
-class TestWorkerOffload:
-    def test_big_waves_run_on_worker_pool(self, monkeypatch):
-        from repro.core.stream_manager import StreamManager
-
-        monkeypatch.setattr(StreamManager, "OFFLOAD_MIN_BYTES", 0)
-        net = Network(balanced_tree(2, 3), colocate=True, filter_workers=2)
-        try:
-            stream = net.new_stream(
-                net.get_broadcast_communicator(), transform=TFILTER_SUM
-            )
-            expect = np.sum(
-                [np.asarray(rank_array(r)) for r in sorted(net.backends)],
-                axis=0,
-            )
-            for _ in range(2):
-                result = run_wave(net, stream, fmt="%alf", payload=rank_array)
-                assert np.allclose(np.asarray(result.values[0]), expect)
-            stats = net.stats()
-            completed = [
-                v.get("loop_worker_tasks_completed", 0)
-                for v in stats.values()
-                if isinstance(v, dict)
-            ]
-            assert max(completed) > 0, "no wave was offloaded to workers"
-        finally:
-            net.shutdown()
-
-    def test_small_waves_stay_inline(self):
-        net = Network(balanced_tree(2, 2), colocate=True, filter_workers=2)
-        try:
-            stream = net.new_stream(
-                net.get_broadcast_communicator(), transform=TFILTER_SUM
-            )
-            assert run_wave(net, stream).values == (2 * len(net.backends),)
-            stats = net.stats()
-            offloaded = [
-                v.get("loop_worker_tasks_offloaded", 0)
-                for v in stats.values()
-                if isinstance(v, dict)
-            ]
-            assert max(offloaded) == 0
-        finally:
-            net.shutdown()
-
-
 class TestProcessColocation:
     def test_same_host_subtrees_share_processes(self):
         """transport='process' + colocate packs same-host internal
@@ -285,7 +207,7 @@ class TestProcessColocation:
         """``os.fork()`` in a process with live threads copies locks
         nobody will release; a group that hosts nodes AND forks
         off-host children must fork first, while it is single-threaded
-        — the filter workers start with the event loop, afterwards."""
+        — the event loop's thread starts afterwards."""
         census = tmp_path / "fork_census"
         (tmp_path / "sitecustomize.py").write_text(
             "import os, threading\n"
@@ -305,7 +227,6 @@ class TestProcessColocation:
             balanced_tree(2, 3, hosts=TWO_HOSTS),
             transport="process",
             colocate=True,
-            filter_workers=2,
         ) as net:
             assert len(net._procs) == 2
             stream = net.new_stream(

@@ -154,7 +154,7 @@ class TestRecursiveInstantiation:
             "topology", "registry", "auto_backends", "startup_timeout",
             "clock", "transport", "filter_specs", "policy",
             "heartbeat_interval", "heartbeat_miss_threshold",
-            "checkpoint_interval", "trace", "colocate", "filter_workers",
+            "checkpoint_interval", "trace", "colocate",
         ]
         topo = balanced_tree(2, 2)
         with pytest.raises(NetworkError):

@@ -10,7 +10,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    StatsView,
     parse_key,
     prometheus_text,
     render_key,
@@ -86,28 +85,6 @@ class TestHistogram:
 
     def test_default_latency_buckets_are_sorted(self):
         assert list(DEFAULT_LATENCY_BUCKETS) == sorted(DEFAULT_LATENCY_BUCKETS)
-
-
-class TestStatsView:
-    """The legacy ``core.stats`` mapping semantics over a registry."""
-
-    def test_read_write_and_default(self):
-        reg = MetricsRegistry()
-        view = StatsView(reg)
-        view["packets_in"] = 0  # setitem creates the counter on demand
-        view["packets_in"] += 3
-        assert view["packets_in"] == 3
-        assert view.get("missing", 7) == 7
-        with pytest.raises(KeyError):
-            view["missing"]
-
-    def test_iterates_unlabelled_counters_only(self):
-        reg = MetricsRegistry()
-        reg.counter("plain").inc()
-        reg.counter("labelled", stream=1).inc()
-        view = StatsView(reg)
-        assert set(view) == {"plain"}
-        assert "labelled" not in list(view)
 
 
 class TestSnapshotWire:

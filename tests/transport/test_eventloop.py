@@ -147,7 +147,7 @@ class TestWideFanIn:
             packets = recv_packets(parent, 64)
             values = sorted(p.unpack()[0] for p in packets)
             assert values == list(range(64))
-            assert node.loop.stats["frames_in"] >= 64
+            assert node.loop.metrics.counters()["frames_in"].value >= 64
         finally:
             stop_node(node, parent, children)
 
@@ -161,7 +161,7 @@ class TestWideFanIn:
             recv_packets(parent, 32)
             # Adaptive flushing must have coalesced at least some of
             # the 32 inbound packets into shared upstream messages.
-            assert node.core.stats["messages_sent"] < 32
+            assert node.core.metrics.counters()["messages_sent"].value < 32
         finally:
             stop_node(node, parent, children)
 
@@ -182,7 +182,7 @@ class TestBackpressure:
                 link.send(b"x" * 600)
         finally:
             b.close()
-            loop._shutdown_selector()
+            loop.close()
 
     def test_flush_defers_then_recovers(self):
         """NodeCore.flush parks packets on a full link, then retries."""
@@ -200,9 +200,9 @@ class TestBackpressure:
         link.send(prefill)
         core._handle_data_down(Packet(9, 100, "%s", ("z" * 600,)))
         core.flush()
-        assert core.stats["send_queue_full"] == 1
+        assert core.metrics.counters()["send_queue_full"].value == 1
         assert core.has_pending_output  # parked, not dropped
-        assert core.stats["messages_dropped_on_close"] == 0
+        assert core.metrics.counters()["messages_dropped_on_close"].value == 0
         # Start the loop: the queue drains into the socket, the parked
         # buffer flushes on the next idle pass — lossless backpressure.
         loop.bind(core)
@@ -230,7 +230,7 @@ class TestBackpressure:
         core.add_child(link)
         core._handle_data_down(Packet(9, 100, "%s", ("w" * 5000,)))
         core.flush()
-        assert core.stats["send_queue_full"] == 0
+        assert core.metrics.counters()["send_queue_full"].value == 0
         assert not core.has_pending_output
         loop.bind(core)
         t = threading.Thread(target=loop.run, daemon=True)

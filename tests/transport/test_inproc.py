@@ -29,7 +29,6 @@ class RecorderCore:
         self.crashed = False
         self.shutting_down = False
         self.extra_metrics = []
-        self.worker_pool = None
         self.received = []
         self.closed_links = []
 
@@ -97,7 +96,7 @@ def loop():
     for core in lp.cores:
         core.shutting_down = True
     lp.wake()
-    if lp._thread_id is not None:
+    if lp.thread_id is not None:
         for _ in range(1000):
             if not any(
                 t.name == "test-loop" for t in threading.enumerate()

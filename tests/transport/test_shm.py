@@ -412,7 +412,7 @@ class TestShmChannelEnd:
             1,
             left_inbox,
         )
-        right = ShmChannelEnd(b, r2, r1, 2, right_inbox, owner=True)
+        right = ShmChannelEnd(b, r2, r1, 2, right_inbox)
         return left, right, left_inbox, right_inbox
 
     def test_bidirectional_traffic(self):

@@ -1,6 +1,7 @@
-"""Documentation lint: links, public-API docstrings, and code fences.
+"""Documentation lint: links, public-API docstrings, code fences, and
+the ``Network(...)`` parameter table.
 
-Three checks, all cheap enough for every CI run:
+Four checks, all cheap enough for every CI run:
 
 1. **Links** — every relative Markdown link in ``README.md`` and
    ``docs/*.md`` must resolve to a file in the repo, and a ``#anchor``
@@ -20,6 +21,11 @@ Three checks, all cheap enough for every CI run:
    Prose snippets that elide bodies with ``...`` stay valid Python, so
    this catches typos, bad indentation, and API drift pasted from old
    revisions.
+
+4. **Network parameters** — the rows of the ``Network(topology, ...)``
+   table in ``docs/api.md`` are exactly the keyword parameters of
+   ``Network.__init__`` (read from the source with ``ast``), so adding
+   or deleting a parameter without touching the table fails CI.
 
 Usage::
 
@@ -184,20 +190,50 @@ def check_python_fences(repo: Path) -> List[str]:
     return problems
 
 
+def check_network_table(repo: Path) -> List[str]:
+    """Report lines where the ``Network(topology, ...)`` table in
+    ``docs/api.md`` and ``Network.__init__``'s keyword parameters differ."""
+    tree = ast.parse((repo / "src/repro/core/network.py").read_text())
+    init = next(
+        fn
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == "Network"
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+    )
+    args = init.args
+    params = [a.arg for a in args.args + args.kwonlyargs][2:]  # self, topology
+    section = (repo / "docs/api.md").read_text().partition(
+        "### `Network(topology, ...)`"
+    )[2]
+    table = section[section.index("\n|"):].partition("\n\n")[0]
+    rows = re.findall(r"^\| `(\w+)` \|", table, re.MULTILINE)
+    return [
+        f"docs/api.md: Network parameter `{name}` has no table row"
+        for name in params
+        if name not in rows
+    ] + [
+        f"docs/api.md: table row `{name}` is not a Network parameter"
+        for name in rows
+        if name not in params
+    ]
+
+
 def main() -> int:
-    """Run all three checks; print violations; exit non-zero on any."""
+    """Run all four checks; print violations; exit non-zero on any."""
     problems = (
         check_links(REPO_ROOT)
         + check_docstrings(REPO_ROOT)
         + check_python_fences(REPO_ROOT)
+        + check_network_table(REPO_ROOT)
     )
     for line in problems:
         print(line)
     if problems:
         print(f"FAIL: {len(problems)} documentation problem(s)", file=sys.stderr)
         return 1
-    print(f"OK: links + docstrings + python fences clean across "
-          f"{len(DOC_FILES)} docs, {len(DOCSTRING_MODULES)} modules")
+    print(f"OK: links + docstrings + python fences + Network table clean "
+          f"across {len(DOC_FILES)} docs, {len(DOCSTRING_MODULES)} modules")
     return 0
 
 
