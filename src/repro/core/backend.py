@@ -89,13 +89,12 @@ class BackEndStream:
         """
         if self.closed:
             raise NetworkShutdown(f"stream {self.stream_id} is closed")
+        # copy=False: ndarray values are cast into the frame(s) straight
+        # from the caller's array, before this returns either way.
         packet = Packet(
-            self.stream_id, tag, fmt, values, origin_rank=self._backend.rank
+            self.stream_id, tag, fmt, values, self._backend.rank, copy=False
         )
-        if flush:
-            self._send_maybe_chunked(packet, buffered=False)
-        else:
-            self._send_maybe_chunked(packet, buffered=True)
+        self._send_maybe_chunked(packet, buffered=not flush)
 
     def send_packet(self, packet: Packet) -> None:
         if self.closed:
@@ -464,6 +463,7 @@ class BackEnd:
 
     def _buffer_upstream(self, packet: Packet) -> None:
         self._check_sendable()
+        packet.encoded_view()  # the wire snapshot, taken before send() returns
         self._out.append(packet)
 
     def flush(self) -> None:

@@ -59,8 +59,10 @@ def encode_batch(packets: Iterable[Packet]) -> bytes:
     """Encode an iterable of packets into one framed message.
 
     Uses :meth:`Packet.encoded_view`, so an undecoded lazy packet
-    contributes its original wire frame without a private copy; the
-    only copy is the final join into the outgoing message.
+    contributes its slice of the inbound message and an array packet
+    the frame its values were cast into, neither through a private
+    ``bytes`` copy: this join is the one copy a packet's bytes take on
+    the way out.
     """
     bodies = [p.encoded_view() for p in packets]
     parts = [_U32.pack(len(bodies))]

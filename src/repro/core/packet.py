@@ -103,23 +103,22 @@ class PacketDecodeError(ValueError):
 
 
 def _owns_buffer(value: np.ndarray) -> bool:
-    """True when *value*'s ultimate backing memory is immortal.
+    """True when nobody else may write *value*'s backing memory.
 
-    Walks the ``.base`` chain to the exporting object: arrays that own
-    their data (or view another owning array) are safe to keep forever;
-    so is a view over ``bytes``.  A view whose root exporter is
-    anything else — a shared-memory ring slice, an mmap, a bytearray —
-    borrows memory that may be reused or mutated, and must be copied
-    before the packet is parked (see :meth:`Packet.materialize`).
+    Walks the ``.base`` chain to the exporting object.  Arrays that own
+    their data, views over ``bytes`` and views over a **read-only**
+    ``memoryview`` are safe to keep: that is how links hand over a
+    frame buffer they allocated for one frame and never touch again.
+    A writable exporter — a shared-memory ring slice, an mmap, a
+    bytearray — is borrowed and must be copied before the packet is
+    parked (see :meth:`Packet.materialize`).
     """
     base = value.base
     while isinstance(base, np.ndarray):
         base = base.base
-    if base is None or isinstance(base, bytes):
-        return True
     if isinstance(base, memoryview):
-        return isinstance(base.obj, bytes)
-    return False
+        return base.readonly
+    return base is None or isinstance(base, bytes)
 
 
 def _check_scalar(code: TypeCode, value: Any) -> Any:
@@ -171,7 +170,9 @@ def _check_scalar(code: TypeCode, value: Any) -> Any:
     raise FormatError(f"unhandled type code {code}")  # pragma: no cover
 
 
-def _normalise(fields: Tuple[FieldSpec, ...], values: Sequence[Any]) -> Tuple[Any, ...]:
+def _normalise(
+    fields: Tuple[FieldSpec, ...], values: Sequence[Any], copy: bool = True
+) -> Tuple[Any, ...]:
     if len(values) != len(fields):
         raise FormatError(
             f"format has {len(fields)} fields but {len(values)} values given"
@@ -190,7 +191,7 @@ def _normalise(fields: Tuple[FieldSpec, ...], values: Sequence[Any]) -> Tuple[An
             ):
                 out.append(tuple(bytes(value)))
             elif isinstance(value, np.ndarray):
-                out.append(_normalise_ndarray(spec.code, value))
+                out.append(_normalise_ndarray(spec.code, value, copy))
             else:
                 if isinstance(value, (str, bytes)):
                     raise FormatError(f"{spec.spec} expects a sequence of scalars")
@@ -206,12 +207,13 @@ def _normalise(fields: Tuple[FieldSpec, ...], values: Sequence[Any]) -> Tuple[An
     return tuple(out)
 
 
-def _normalise_ndarray(code: TypeCode, arr: np.ndarray) -> np.ndarray:
-    """Vectorized validation of a numpy array field.
+def _normalise_ndarray(code: TypeCode, arr: np.ndarray, copy: bool) -> np.ndarray:
+    """Vectorized validation of a numpy array field, in place.
 
-    Returns a *read-only private copy* in the field's native dtype, so
-    later mutation by the caller cannot change the packet, and the
-    encode path is a single byteswap copy.
+    With *copy* the result is a *read-only private copy* taken directly
+    in wire order, so later mutation by the caller cannot change the
+    packet and encoding it is a plain block copy; without, *arr* itself
+    (see ``Packet(..., copy=False)``).
     """
     if arr.ndim != 1:
         raise FormatError(f"array fields must be 1-D, got shape {arr.shape}")
@@ -230,7 +232,9 @@ def _normalise_ndarray(code: TypeCode, arr: np.ndarray) -> np.ndarray:
             )
     else:
         raise FormatError(f"ndarray not supported for {code}")
-    out = np.array(arr, dtype=NATIVE_DTYPE[code])
+    if not copy:
+        return arr
+    out = np.array(arr, dtype=_NP_DTYPE[code])
     out.setflags(write=False)
     return out
 
@@ -265,6 +269,10 @@ class Packet:
         Field values matching *fmt*.
     origin_rank:
         Rank of the producing end-point (0 for the front-end).
+    copy:
+        ``False`` keeps ndarray values by reference (still validated):
+        for send paths that encode the packet — the one copy, cast
+        straight into the frame — before returning to the arrays' owner.
     """
 
     __slots__ = (
@@ -285,6 +293,8 @@ class Packet:
         fmt: str | FormatString,
         values: Sequence[Any],
         origin_rank: int = 0,
+        *,
+        copy: bool = True,
     ):
         stream_id = int(stream_id)
         tag = int(tag)
@@ -298,7 +308,7 @@ class Packet:
         self.stream_id = stream_id
         self.tag = tag
         self._fmt = fmt if isinstance(fmt, FormatString) else parse_format(fmt)
-        self._values = _normalise(self._fmt.fields, values)
+        self._values = _normalise(self._fmt.fields, values, copy)
         self._public = None
         self.origin_rank = origin_rank
         self._encoded: bytes | memoryview | None = None
@@ -519,11 +529,65 @@ class Packet:
     # -- codec -----------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Encode to the packed wire representation (cached).
+        """The packed wire representation as ``bytes`` (cached).
 
-        For a packet built by :meth:`lazy_from_wire` this returns the
-        original inbound frame byte-identically — even if its format
-        text was non-canonical — so a relayed packet is bit-exact.
+        :meth:`encoded_view` plus, for a frame held as a view, the one
+        copy a caller who insists on ``bytes`` pays.  For a packet built
+        by :meth:`lazy_from_wire` this is the original inbound frame
+        byte-identically — even if its format text was non-canonical —
+        so a relayed packet is bit-exact.
+        """
+        enc = self.encoded_view()
+        if not isinstance(enc, bytes):
+            enc = self._encoded = bytes(enc)
+        return enc
+
+    def materialize(self) -> "Packet":
+        """Ensure this packet owns every byte it references (in place).
+
+        The zero-copy shm receive path delivers frames as
+        ``memoryview`` slices aliasing the ring directly; once the read
+        is committed the producer may overwrite those bytes.  Any
+        packet that *parks* — output batching buffers, synchronization
+        queues, chunk reassembly — calls this first.  A *writable*
+        view is such a borrowed frame (links hand frames they allocated
+        over as ``bytes`` or read-only views: owned): it is copied to
+        ``bytes`` (decoded caches over the old buffer are dropped to
+        re-decode lazily), and so are decoded/computed array values
+        whose root exporter somebody else may write.
+        Packets that are consumed before parking never pay the copy —
+        that is the elision the ``shm_frames_zero_copy`` counter counts.
+        Returns ``self`` for call-site convenience.
+        """
+        enc = self._encoded
+        if isinstance(enc, memoryview) and not enc.readonly:
+            self._encoded = bytes(enc)
+            # Decoded ndarray fields were frombuffer views over the old
+            # frame; forget them so access re-decodes from the copy.
+            self._values = None
+            self._public = None
+            return self
+        values = self._values
+        if values is not None and any(
+            isinstance(v, np.ndarray) and not _owns_buffer(v) for v in values
+        ):
+            self._values = tuple(
+                _copy_readonly(v)
+                if isinstance(v, np.ndarray) and not _owns_buffer(v)
+                else v
+                for v in values
+            )
+        return self
+
+    def encoded_view(self) -> bytes | memoryview:
+        """The wire frame, encoded once and cached, never copied.
+
+        ``bytes``, or a ``memoryview`` for an undecoded wire packet
+        (its slice of the inbound message: the zero-copy relay path)
+        and for a packet with ndarray fields (a read-only view of the
+        frame they were cast into).  Inside a process packets travel by
+        reference, so one fanned out to many children is serialized
+        once (§2.3).
         """
         enc = self._encoded
         if enc is None:
@@ -544,62 +608,13 @@ class Packet:
                 return enc
             parts = [
                 _HEADER.pack(self.stream_id, self.tag, self.origin_rank),
+                _U32.pack(len(fmt_bytes)),
+                fmt_bytes,
             ]
-            parts.append(_U32.pack(len(fmt_bytes)))
-            parts.append(fmt_bytes)
             for spec, value in zip(fmt.fields, self._values):
                 _encode_field(parts, spec, value)
-            enc = self._encoded = b"".join(parts)
-        elif not isinstance(enc, bytes):
-            enc = self._encoded = bytes(enc)
+            enc = self._encoded = _join_frame(parts)
         return enc
-
-    def materialize(self) -> "Packet":
-        """Ensure this packet owns every byte it references (in place).
-
-        The zero-copy shm receive path delivers frames as
-        ``memoryview`` slices aliasing the ring directly; once the read
-        is committed the producer may overwrite those bytes.  Any
-        packet that *parks* — output batching buffers, synchronization
-        queues, chunk reassembly — calls this first: a borrowed frame
-        is copied to owned ``bytes`` (decoded caches over the old
-        buffer are dropped to re-decode lazily), and decoded/computed
-        array values whose root exporter is not immortal are copied.
-        Packets that are consumed before parking never pay the copy —
-        that is the elision the ``shm_frames_zero_copy`` counter counts.
-        Returns ``self`` for call-site convenience.
-        """
-        enc = self._encoded
-        if isinstance(enc, memoryview) and not isinstance(enc.obj, bytes):
-            self._encoded = bytes(enc)
-            # Decoded ndarray fields were frombuffer views over the old
-            # frame; forget them so access re-decodes from the copy.
-            self._values = None
-            self._public = None
-            return self
-        values = self._values
-        if values is not None and any(
-            isinstance(v, np.ndarray) and not _owns_buffer(v) for v in values
-        ):
-            self._values = tuple(
-                _copy_readonly(v)
-                if isinstance(v, np.ndarray) and not _owns_buffer(v)
-                else v
-                for v in values
-            )
-        return self
-
-    def encoded_view(self) -> bytes | memoryview:
-        """Wire bytes without forcing a copy of a lazy packet's frame.
-
-        Returns the raw ``memoryview`` slice for an undecoded wire
-        packet (zero-copy relay path), else the cached/computed
-        :meth:`to_bytes` result.  Callers must treat it as read-only.
-        """
-        enc = self._encoded
-        if enc is not None:
-            return enc
-        return self.to_bytes()
 
     @property
     def nbytes(self) -> int:
@@ -607,7 +622,7 @@ class Packet:
         enc = self._encoded
         if enc is not None:
             return len(enc)
-        return len(self.to_bytes())
+        return len(self.encoded_view())
 
     @classmethod
     def from_bytes(cls, data: bytes | memoryview) -> "Packet":
@@ -653,6 +668,26 @@ class Packet:
         return cls(stream_id, tag, fmt, _materialize(tuple(values)), origin), offset
 
 
+def _join_frame(parts: list) -> bytes | memoryview:
+    """Concatenate *parts*: ``bytes``, or ``(wire dtype, values)`` pairs
+    written into the frame with one casting assignment each."""
+    if not any(type(part) is tuple for part in parts):
+        return b"".join(parts)
+    sizes = [
+        len(p[1]) * p[0].itemsize if type(p) is tuple else len(p) for p in parts
+    ]
+    # np.empty: bytearray(n) would zero-fill first.
+    frame = memoryview(np.empty(sum(sizes), np.uint8))
+    offset = 0
+    for part, size in zip(parts, sizes):
+        if type(part) is tuple:
+            np.frombuffer(frame, part[0], len(part[1]), offset)[:] = part[1]
+        else:
+            frame[offset : offset + size] = part
+        offset += size
+    return frame.toreadonly()
+
+
 def _encode_field(parts: list, spec: FieldSpec, value: Any) -> None:
     code = spec.code
     if spec.is_array:
@@ -665,12 +700,9 @@ def _encode_field(parts: list, spec: FieldSpec, value: Any) -> None:
         else:
             parts.append(_U32.pack(len(value)))
             if isinstance(value, np.ndarray) or len(value) > _NUMPY_THRESHOLD:
-                # Vectorized encode: one big-endian copy, no per-element
-                # Python work.
-                if len(value):
-                    parts.append(
-                        np.asarray(value, dtype=_NP_DTYPE[code]).tobytes()
-                    )
+                # Vectorized encode: _join_frame casts the elements to
+                # wire order straight into the frame.
+                parts.append((_NP_DTYPE[code], value))
             elif len(value):
                 parts.append(
                     struct.pack(f">{len(value)}{code.struct_char}", *value)

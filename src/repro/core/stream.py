@@ -71,7 +71,9 @@ class Stream:
         into pipeline fragments that multicast hop-overlapped.
         """
         self._check_open()
-        packet = Packet(self.stream_id, tag, fmt, values)
+        # copy=False: every fragment is encoded (PacketBuffer.add) and
+        # flushed before _send_downstream returns.
+        packet = Packet(self.stream_id, tag, fmt, values, copy=False)
         self._send_maybe_chunked(packet)
 
     def send_packet(self, packet: Packet) -> None:

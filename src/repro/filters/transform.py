@@ -102,17 +102,33 @@ def _reduce_field_vector(
         dtype = np.dtype(np.int64)  # cannot overflow for <= 32-bit elements
     else:
         dtype = NATIVE_DTYPE[code]  # min/max stay in-type
-    arrs = [np.asarray(v, dtype=dtype) for v in values]
-    acc = arrs[0]
-    for arr in arrs[1:]:
-        acc = ufunc(acc, arr)
+    acc = _fold(ufunc, dtype, values)
     if code.is_integral and ufunc is np.add and acc.size:
         lo, hi = code.bounds
         if int(acc.min()) < lo or int(acc.max()) > hi:
             raise FormatError(f"array values out of range for {code}")
-    if acc is arrs[0] and acc.flags.writeable is False:
-        return acc
-    acc.setflags(write=False)
+    if acc.flags.writeable:
+        acc.setflags(write=False)
+    return acc
+
+
+def _fold(ufunc: np.ufunc, dtype: np.dtype, values: Sequence[Any]) -> np.ndarray:
+    """``ufunc``-fold *values* in order, accumulating in *dtype*.
+
+    ndarray inputs are consumed as they are — wire-order views
+    included: the ufunc casts and byte-swaps block-wise inside its
+    loop, so no input is first copied to native order.
+    """
+    values = [
+        v if isinstance(v, np.ndarray) else np.asarray(v, dtype=dtype)
+        for v in values
+    ]
+    if len(values) == 1:
+        return np.asarray(values[0], dtype=dtype)
+    # casting="unsafe" is what np.asarray(v, dtype=dtype) applies.
+    acc = ufunc(values[0], values[1], dtype=dtype, casting="unsafe")
+    for arr in values[2:]:
+        ufunc(acc, arr, out=acc, dtype=dtype, casting="unsafe")
     return acc
 
 
@@ -228,13 +244,11 @@ class AverageFilter(FunctionFilter):
                 # Vectorized: sum then divide element-wise.  The mean
                 # of in-range values is in-range, so no bounds check.
                 _check_lengths(vals)
-                if field.code.is_float:
-                    arrs = [np.asarray(v, dtype=np.float64) for v in vals]
-                else:
-                    arrs = [np.asarray(v, dtype=np.int64) for v in vals]
-                total = arrs[0]
-                for arr in arrs[1:]:
-                    total = total + arr
+                total = _fold(
+                    np.add,
+                    np.dtype(np.float64 if field.code.is_float else np.int64),
+                    vals,
+                )
                 avg = total // n if field.code.is_integral else total / n
                 avg.setflags(write=False)
                 out_values.append(avg)

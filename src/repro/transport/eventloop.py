@@ -36,8 +36,12 @@ ready is polled before the loop next sleeps (frames a poll delivers may
 mark further links: the pass repeats until none is left, so a colocated
 wave crosses every inproc hop in one iteration), and that frames reach
 ``core.handle_payload`` in arrival order followed by a single ``None``.
-A frame may alias the link's receive buffer (shm rings): it is valid
-until ``handle_payload`` returns, and a core copies what it keeps.
+Who owns a delivered frame is told by its type: ``bytes`` or a
+*read-only* ``memoryview`` is a buffer the link allocated for that one
+frame and never touches again — the receiver may keep it; a *writable*
+``memoryview`` aliases the link's receive memory (shm rings), is valid
+until ``handle_payload`` returns, and a core copies what it keeps
+(:meth:`~repro.core.packet.Packet.materialize`).
 
 Time-based work (TimeOut synchronization filters, heartbeats, the
 adaptive flush window) is scheduled by deadline: the selector sleeps
@@ -68,6 +72,9 @@ import threading
 import time
 from typing import Deque, Dict, List, Optional
 
+import numpy as np
+
+from ..core.packet import PacketDecodeError
 from ..obs.metrics import MetricsRegistry
 from .tcp import _alloc_link_id
 
@@ -183,8 +190,9 @@ class LoopLink:
 class SelectorLink(LoopLink):
     """One non-blocking framed TCP socket.
 
-    Read incrementally into a frame reassembly buffer and written
-    through a bounded send queue with vectored ``sendmsg`` writes — no
+    Read with one ``recv`` per readiness event, big frames straight
+    into their own buffer (see :meth:`_read`), and written through a
+    bounded send queue with vectored ``sendmsg`` writes — no
     frame-join copy, no per-link thread.
     """
 
@@ -192,7 +200,7 @@ class SelectorLink(LoopLink):
     transport_kind = "tcp"
 
     __slots__ = (
-        "_sock", "_out", "_out_nbytes", "_rbuf", "_writing",
+        "_sock", "_out", "_out_nbytes", "_rbuf", "_frame", "_filled", "_writing",
         "_c_writes", "_c_bytes_out",
     )
 
@@ -208,7 +216,9 @@ class SelectorLink(LoopLink):
         self._sock = sock
         self._out: Deque[memoryview] = collections.deque()
         self._out_nbytes = 0
-        self._rbuf = bytearray()
+        self._rbuf = b""
+        self._frame: Optional[memoryview] = None  # frame being received
+        self._filled = 0
         self._writing = False  # write interest armed (or requested)
         self._c_writes = loop.metrics.counter("writes")
         self._c_bytes_out = loop.metrics.counter("bytes_out")
@@ -281,41 +291,60 @@ class SelectorLink(LoopLink):
             pass
 
     def _read(self) -> bool:
+        """One ``recv`` per readiness event.
+
+        Frames complete in what it returned are sliced out as
+        ``bytes``.  One that is not gets a buffer of exactly its size:
+        the prefix already read moves there once, later events
+        ``recv_into`` the remainder in place, and the whole is
+        delivered as a read-only view this link never touches again —
+        the receiver owns it.
+        """
+        frame = self._frame
         try:
-            data = self._sock.recv(_RECV_CHUNK)
+            if frame is None:
+                data = self._sock.recv(_RECV_CHUNK)
+            else:
+                data = self._sock.recv_into(frame[self._filled :])
         except BlockingIOError:
             return False
         except OSError:
-            data = b""
+            data = None
         if not data:
             self._loop.link_dead(self)
             return True
-        rbuf = self._rbuf
-        rbuf += data
+        if frame is not None:
+            self._filled += data
+            if self._filled == len(frame):
+                self._frame = None
+                self._loop.deliver(self, frame.toreadonly())
+            return True
+        if self._rbuf:  # the split 4-byte header of the last read
+            data = self._rbuf + data
         offset = 0
-        view = memoryview(rbuf)
+        size = len(data)
         deliver = self._loop.deliver
-        try:
-            while len(rbuf) - offset >= _LEN.size:
-                (length,) = _LEN.unpack_from(rbuf, offset)
-                if length > _MAX_FRAME:
-                    log.warning(
-                        "link %d: oversized frame (%d bytes); closing",
-                        self.link_id,
-                        length,
-                    )
-                    self._loop.link_dead(self)
-                    return True
-                end = offset + _LEN.size + length
-                if len(rbuf) < end:
-                    break
-                frame = bytes(view[offset + _LEN.size : end])
-                offset = end
-                deliver(self, frame)
-        finally:
-            view.release()
-            if offset:
-                del rbuf[:offset]
+        while size - offset >= _LEN.size:
+            (length,) = _LEN.unpack_from(data, offset)
+            if length > _MAX_FRAME:
+                log.warning(
+                    "link %d: oversized frame (%d bytes); closing",
+                    self.link_id,
+                    length,
+                )
+                self._loop.link_dead(self)
+                return True
+            start = offset + _LEN.size
+            offset = start + length
+            if size < offset:
+                # np.empty: bytearray(length) would zero-fill first.
+                self._frame = frame = memoryview(np.empty(length, np.uint8))
+                self._filled = size - start
+                frame[: self._filled] = memoryview(data)[start:]
+                offset = size
+                break
+            deliver(self, data[start:offset])
+        self._rbuf = data[offset:]
         return True
 
     def _write(self) -> None:
@@ -625,9 +654,22 @@ class EventLoop:
         The only route from a link into a NodeCore.
         """
         if frame is not None:
+            if link._closed:
+                return  # closed while an earlier frame of this read was handled
             self._c_frames_in.value += 1
             self._c_bytes_in.value += len(frame) + _LEN.size
-        link.core.handle_payload(link.link_id, frame)
+        try:
+            link.core.handle_payload(link.link_id, frame)
+        except PacketDecodeError as exc:
+            # Bytes from a peer are untrusted: a frame that is not a
+            # batch costs the sender its link, not this node its loop.
+            self.metrics.counter(
+                "frames_rejected",
+                "Inbound frames refused as malformed (the link is closed)",
+                kind=link.transport_kind,
+            ).value += 1
+            log.warning("link %d: malformed frame (%s); closing", link.link_id, exc)
+            self.link_dead(link)
 
     def link_dead(self, link: LoopLink) -> None:
         """*link* lost its peer (EOF, error, poisoned frame): close it

@@ -11,7 +11,10 @@ Use :func:`tcp_pair` for an in-process connected pair (tests, single
 host), or :class:`TcpListener` + :func:`tcp_connect` for genuinely
 separate endpoints (e.g. one process tree per terminal on localhost).
 Each end runs a small reader thread that feeds its inbox, mirroring
-how a comm node's event loop owns its socket set.
+how a comm node's event loop owns its socket set — and its receive
+rule: a payload is what one ``recv`` returned, or a read-only view of
+an exact-size buffer the rest was received into; either way the inbox
+consumer owns it.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ import struct
 import threading
 import time
 from typing import Callable, Optional, Tuple
+
+import numpy as np
 
 from .channel import Inbox
 
@@ -167,17 +172,27 @@ class TcpChannelEnd:
 
     # -- reader -----------------------------------------------------------
 
-    def _read_exact(self, n: int) -> Optional[bytes]:
-        buf = bytearray()
-        while len(buf) < n:
-            try:
-                chunk = self._sock.recv(n - len(buf))
-            except OSError:
-                return None
-            if not chunk:
-                return None
-            buf.extend(chunk)
-        return bytes(buf)
+    def _read_exact(self, n: int):
+        """The next *n* bytes, or ``None`` at EOF.
+
+        Same rule as ``SelectorLink._read``: what one ``recv`` returned
+        when that is all of them, else a read-only view of an
+        exact-size buffer the remainder was received into.
+        """
+        try:
+            chunk = self._sock.recv(n)
+            filled = got = len(chunk)
+            if filled == n:
+                return chunk
+            # np.empty: bytearray(n) would zero-fill first.
+            view = memoryview(np.empty(n, np.uint8))
+            view[:filled] = chunk
+            while got and filled < n:
+                got = self._sock.recv_into(view[filled:])
+                filled += got
+        except OSError:
+            return None
+        return view.toreadonly() if filled == n else None
 
     def _read_loop(self) -> None:
         while True:

@@ -43,6 +43,16 @@ def chunk_aborts(net, stream_id):
     return total
 
 
+def chunks_received(net, stream_id):
+    """Fragments every comm node's manager has taken in so far."""
+    total = 0
+    for node in net._commnodes:
+        mgr = node.core.streams.get(stream_id)
+        if mgr is not None and mgr._h_chunk_bytes is not None:
+            total += mgr._h_chunk_bytes.count
+    return total
+
+
 def max_epoch(net, stream_id):
     epochs = [0]
     for node in net._commnodes:
@@ -89,6 +99,13 @@ class TestMidWaveBackendDeath:
                     bstream.send_packet(frag)
             else:
                 bstream.send("%alf", payload)
+        # The fault under test strikes *mid-wave*: rank 0's parent must
+        # have taken in the half sequence (and its sibling's fragments)
+        # before the EOF, or it just runs a clean three-survivor wave.
+        assert wait_until(
+            lambda: chunks_received(net, st.stream_id) == 16 + 14,
+            timeout=WAVE_TIMEOUT,
+        ), "sent fragments never arrived"
         inj.kill_backend(0)
 
         # Rank 0's parent notices the dead link mid-wave: the partial

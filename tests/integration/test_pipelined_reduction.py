@@ -14,7 +14,7 @@ Covers the PR's acceptance bars directly:
 import numpy as np
 import pytest
 
-from repro.core import Network, NetworkError, StreamClosed
+from repro.core import FormatError, Network, NetworkError, StreamClosed
 from repro.core.protocol import (
     TAG_CHUNK,
     WAVE_DUAL_ROOT,
@@ -245,3 +245,53 @@ class TestWindowFilter:
                 assert np.allclose(np.asarray(smoothed), expect)
         finally:
             net.shutdown()
+
+
+class TestSendSnapshotsNdarrays:
+    """``send`` takes its one copy of an ndarray — cast straight into
+    the wire frame(s) — before it returns: mutating the array
+    afterwards cannot change what arrives, chunked or whole, flushed or
+    buffered, upstream or downstream."""
+
+    @pytest.mark.parametrize("chunk_bytes", [None, CHUNK_BYTES])
+    @pytest.mark.parametrize("flush", [True, False])
+    def test_backend_send(self, net, chunk_bytes, flush):
+        stream = net.new_stream(
+            net.get_broadcast_communicator(),
+            transform=TFILTER_SUM,
+            chunk_bytes=chunk_bytes,
+        )
+        stream.send("%d", 0)
+        sources = []
+        for rank in sorted(net.backends):
+            _, s = net.backends[rank].recv(timeout=RECV_TIMEOUT)
+            arr = np.array(rank_array(rank), dtype=np.float64)
+            s.send("%alf", arr, flush=flush)
+            before = arr.copy()
+            arr[:] = -1.0
+            sources.append(before)
+        for backend in net.backends.values():
+            backend.flush()
+        result = stream.recv(timeout=RECV_TIMEOUT)
+        assert np.array_equal(result.array(0), np.sum(sources, axis=0))
+
+    @pytest.mark.parametrize("chunk_bytes", [None, CHUNK_BYTES])
+    def test_frontend_send(self, net, chunk_bytes):
+        stream = net.new_stream(
+            net.get_broadcast_communicator(), chunk_bytes=chunk_bytes
+        )
+        arr = np.arange(N_ELEMS, dtype=np.int64)
+        stream.send("%ald", arr[::-1])  # a strided view of the caller's array
+        arr[:] = 7
+        for backend in net.backends.values():
+            packet, _ = backend.recv(timeout=RECV_TIMEOUT)
+            assert np.array_equal(packet.array(0), np.arange(N_ELEMS)[::-1])
+
+    def test_send_validates_in_place(self, net):
+        stream = net.new_stream(net.get_broadcast_communicator())
+        with pytest.raises(FormatError):
+            stream.send("%ad", np.array([2**31], dtype=np.int64))
+        with pytest.raises(FormatError):
+            stream.send("%ad", np.zeros((2, 2), dtype=np.int32))
+        with pytest.raises(FormatError):
+            stream.send("%ad", np.zeros(4, dtype=np.float64))

@@ -24,7 +24,12 @@ from repro.core.protocol import (
     make_new_stream,
     make_shutdown,
 )
-from repro.filters.registry import SFILTER_TIMEOUT, TFILTER_SUM, default_registry
+from repro.filters.registry import (
+    SFILTER_TIMEOUT,
+    SFILTER_WAITFORALL,
+    TFILTER_SUM,
+    default_registry,
+)
 from repro.transport.eventloop import EventLoop, SendQueueFull
 
 _LEN = struct.Struct(">I")
@@ -368,3 +373,89 @@ class TestAbruptClose:
                 time.sleep(0.01)
         finally:
             stop_node(node, parent, children)
+
+
+class TestMalformedBatch:
+    """Bytes from a peer are untrusted: a frame that is not a batch
+    must cost the sender its link — not the node, and not the other
+    cores that share the node's loop."""
+
+    @pytest.mark.parametrize("kind", ["tcp", "inproc"])
+    def test_junk_frame_kills_the_link_not_the_loop(self, kind):
+        junk = b"\xff\xff\xff\xff junk"
+        host = NodeHost("commnode-shared")
+        loop = host.loop
+        registry = default_registry()
+
+        def add(name, n_socket_children):
+            ours, theirs = socket.socketpair()
+            node = host.add_node(name, registry, 2, loop.add_socket(theirs))
+            socks = []
+            for _ in range(n_socket_children):
+                c_ours, c_theirs = socket.socketpair()
+                node.core.add_child(loop.add_socket(c_theirs, core=node.core))
+                socks.append(c_ours)
+            return node, ours, socks
+
+        bystander, by_parent, by_children = add("bystander", 2)
+        if kind == "tcp":
+            victim, v_parent, (bad, good) = add("victim", 2)
+            send_bad = lambda payload: bad.sendall(_LEN.pack(len(payload)) + payload)
+            to_close = [bad, good]
+        else:
+            # The misbehaving child is a colocated core: an inproc edge.
+            victim, v_parent, (good,) = add("victim", 1)
+            up, down = loop.add_inproc_pair(victim.core)
+            host.add_node("bad", registry, 1, down)
+            victim.core.add_child(up)
+            send_bad = down.send
+            to_close = [good]
+        victim.core.configure_failure(policy="degrade")
+        victim.start()
+        try:
+            send_bad(encode_batch([make_endpoint_report([0])]))
+            send_frame(good, [make_endpoint_report([1])])
+            for rank, sock in zip((2, 3), by_children):
+                send_frame(sock, [make_endpoint_report([rank])])
+            recv_packets(v_parent, 1)
+            recv_packets(by_parent, 1)
+            send_frame(v_parent, [make_new_stream(5, [0, 1], SFILTER_WAITFORALL, TFILTER_SUM)])
+            send_frame(by_parent, [make_new_stream(6, [2, 3], SFILTER_WAITFORALL, TFILTER_SUM)])
+            deadline = time.monotonic() + RECV_TIMEOUT
+            while 5 not in victim.core.streams or 6 not in bystander.core.streams:
+                assert time.monotonic() < deadline, "streams never registered"
+                time.sleep(0.002)
+
+            send_bad(junk)
+
+            # The other core on the loop still completes its SUM wave.
+            for rank, sock in zip((2, 3), by_children):
+                send_frame(sock, [Packet(6, 100, "%d", (rank,), origin_rank=rank)])
+            (total,) = recv_packets(by_parent, 1)
+            assert total.unpack() == (5,)
+            # The bad link is closed, counted and reported: the stream's
+            # membership epoch bumps and the survivor reduces alone.
+            while len(victim.core.children) != 1:
+                assert time.monotonic() < deadline, "poisoned link never removed"
+                time.sleep(0.002)
+            rejected = loop.metrics.counters()[f'frames_rejected{{kind="{kind}"}}']
+            assert rejected.value == 1
+            assert victim.core.streams[5].membership_epoch >= 1
+            if kind == "tcp":
+                bad.settimeout(5)
+                while bad.recv(4096):  # the stream announcement, then EOF
+                    pass
+            send_frame(good, [Packet(5, 100, "%d", (7,), origin_rank=1)])
+            packets = recv_packets(v_parent, 2)  # RANKS_CHANGED, then the wave
+            assert packets[-1].unpack() == (7,)
+            assert host.is_alive()
+        finally:
+            for sock in (v_parent, by_parent):
+                try:
+                    send_frame(sock, [make_shutdown()])
+                except OSError:
+                    pass
+            host.join(timeout=5)
+            for sock in [v_parent, by_parent, *by_children, *to_close]:
+                sock.close()
+            assert not host.is_alive()

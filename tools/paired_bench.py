@@ -1,0 +1,153 @@
+#!/usr/bin/env python3
+"""Alternating parent/change runs of one BENCHMARK.json workload.
+
+The rule of the ``choosing-metrics`` guide, section 8, as a command::
+
+    python tools/paired_bench.py --workload bulk_tcp --parent HEAD~1 --pairs 10
+
+extracts ``--parent`` (``git archive``) into a temporary directory and
+runs ``benchmarks/suite/run.py --workload W --seed k --seconds S
+--trace 0`` alternately there and in the working tree — order swapped
+every pair, a fresh seed per pair — then prints, per end-to-end metric,
+both medians, both quartile distances, pairs won/lost/tied, and
+failed/attempted operations per side.  A gain may be claimed when the
+change wins at least nine tenths of the pairs and the medians differ by
+more than the parent's quartile distance.
+
+Reads only ``BENCHMARK.json`` and the last stdout line of ``run.py``;
+never two runs at once (the benchmark pins itself to one CPU).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def extract(ref: str, into: pathlib.Path) -> None:
+    """Unpack commit *ref* of this repository under *into*."""
+    archive = into / "parent.tar"
+    subprocess.run(
+        ["git", "-C", str(REPO_ROOT), "archive", "-o", str(archive), ref], check=True
+    )
+    with tarfile.open(archive) as tar:
+        tar.extractall(into)
+    archive.unlink()
+
+
+def run_once(root: pathlib.Path, command, workload, seed, seconds) -> dict:
+    """One driver-form run under *root*; the parsed last stdout line."""
+    proc = subprocess.run(
+        [*command, "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, ValueError):
+        sys.stderr.write(proc.stderr[-2000:])
+        return {"attempted": 1, "failed": 1, "metrics": {}}
+
+
+def value(run: dict, name: str) -> float:
+    return run["metrics"].get(name, {}).get("value", float("nan"))
+
+
+def quartile_distance(values) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def summarise(spec: dict, parent_runs, change_runs) -> list:
+    rows = []
+    for metric in spec["end_to_end"]:
+        name, lower = metric["name"], metric["better"] == "lower"
+        pairs = [
+            (value(p, name), value(c, name))
+            for p, c in zip(parent_runs, change_runs)
+            if name in p["metrics"] and name in c["metrics"]
+        ]
+        if not pairs:
+            continue
+        won = sum((c < p) if lower else (c > p) for p, c in pairs)
+        tied = sum(c == p for p, c in pairs)
+        old = [p for p, _ in pairs]
+        new = [c for _, c in pairs]
+        rows.append({
+            "metric": name, "unit": metric["unit"], "better": metric["better"],
+            "parent_median": statistics.median(old),
+            "change_median": statistics.median(new),
+            "parent_iqr": quartile_distance(old),
+            "change_iqr": quartile_distance(new),
+            "won": won, "lost": len(pairs) - won - tied, "tied": tied,
+            "parent_values": old, "change_values": new,
+        })
+    return rows
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--parent", required=True, help="git ref to compare against")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=None,
+                    help="run length (default: BENCHMARK.json run_seconds)")
+    ap.add_argument("--seed", type=int, default=1000,
+                    help="seed of the first pair; pair k uses seed + k")
+    ap.add_argument("--json", type=pathlib.Path, help="also write the rows here")
+    args = ap.parse_args(argv)
+
+    spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    if args.workload not in {w["name"] for w in spec["workloads"]}:
+        ap.error(f"unknown workload {args.workload!r}")
+    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+
+    parent_runs, change_runs = [], []
+    with tempfile.TemporaryDirectory(prefix="paired-bench-") as tmp:
+        parent_root = pathlib.Path(tmp)
+        extract(args.parent, parent_root)
+        for k in range(args.pairs):
+            sides = [(parent_root, parent_runs), (REPO_ROOT, change_runs)]
+            if k % 2:
+                sides.reverse()
+            for root, runs in sides:
+                runs.append(
+                    run_once(root, spec["command"], args.workload, args.seed + k, seconds)
+                )
+            print(f"pair {k} seed {args.seed + k}: " + "  ".join(
+                f"{m['name']} {value(parent_runs[-1], m['name']):.4g}"
+                f" -> {value(change_runs[-1], m['name']):.4g}"
+                for m in spec["end_to_end"]
+            ), flush=True)
+
+    rows = summarise(spec, parent_runs, change_runs)
+    print(f"\n{args.workload}: {args.pairs} pairs of {seconds:g} s, parent {args.parent}")
+    print(f"{'metric':18} {'parent med':>11} {'iqr':>9} {'change med':>11} {'iqr':>9} "
+          f"{'delta':>8}  won/lost/tied")
+    for r in rows:
+        delta = (r["change_median"] / r["parent_median"] - 1) * 100 if r["parent_median"] else 0.0
+        print(f"{r['metric']:18} {r['parent_median']:11.4g} {r['parent_iqr']:9.3g} "
+              f"{r['change_median']:11.4g} {r['change_iqr']:9.3g} {delta:+7.1f}%  "
+              f"{r['won']}/{r['lost']}/{r['tied']}  ({r['better']} is better)")
+    for label, runs in (("parent", parent_runs), ("change", change_runs)):
+        failed = sum(r.get("failed", 0) for r in runs)
+        attempted = sum(r.get("attempted", 0) for r in runs)
+        print(f"{label}: {failed} failed of {attempted} attempted operations")
+    if args.json:
+        args.json.write_text(json.dumps(rows, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
