@@ -21,7 +21,7 @@ from typing import Any, Dict, Optional, Tuple
 from ..transport.channel import ChannelEnd, Inbox
 from ..transport.eventloop import SendQueueFull
 from .batching import decode_batch, encode_batch
-from .chunking import ChunkReassembler, chunk_meta, split_packet
+from .chunking import ReceiveWindow, SendWindow
 from .failure import RanksChanged
 from .packet import Packet
 from .protocol import (
@@ -44,7 +44,6 @@ from .protocol import (
     parse_wave_ack,
     parse_wave_nack,
 )
-from .stream_manager import HISTORY_MAX_BYTES, HISTORY_MAX_WAVES
 
 __all__ = ["BackEnd", "BackEndStream", "NetworkShutdown"]
 
@@ -67,15 +66,10 @@ class BackEndStream:
         self.stream_id = stream_id
         self.chunk_bytes = chunk_bytes
         self.closed = False
-        self._send_wave = 0  # wave ids for this sender's fragments
-        # Bounded replay history of sent fragment waves (crash
-        # consistency): pruned by the parent's TAG_WAVE_ACK, replayed
-        # after a parent repair or on TAG_WAVE_NACK.  A fragment is
-        # recorded only *after* its send succeeded, so a repair that
-        # fires mid-wave replays exactly the sent prefix and the retry
-        # of the failing fragment continues the sequence seamlessly.
-        self._history: deque = deque()
-        self._history_bytes = 0
+        # Send half of the link protocol (crash consistency): fragment
+        # wave ids plus the bounded replay history, pruned by TAG_WAVE_ACK
+        # and replayed after a parent repair or on TAG_WAVE_NACK.
+        self._window = SendWindow()
 
     def send(
         self, fmt: str, *values: Any, tag: int = FIRST_APP_TAG, flush: bool = True
@@ -104,54 +98,19 @@ class BackEndStream:
         self._send_maybe_chunked(packet, buffered=False)
 
     def _send_maybe_chunked(self, packet: Packet, buffered: bool) -> None:
-        if self.chunk_bytes:
-            chunks = split_packet(packet, self.chunk_bytes, self._send_wave)
-            if chunks is not None:
-                self._send_wave += 1
-                for chunk in chunks:
-                    if buffered:
-                        self._backend._buffer_upstream(chunk)
-                    else:
-                        # One frame per fragment: the parent starts on
-                        # fragment 0 while we are still encoding the rest.
-                        self._backend._send_upstream(chunk)
-                    self._record(chunk)
-                return
-        if buffered:
-            self._backend._buffer_upstream(packet)
-        else:
-            self._backend._send_upstream(packet)
-
-    # -- crash-consistent replay ------------------------------------------
-
-    def _record(self, chunk: Packet) -> None:
-        """Park one sent fragment in the bounded replay history."""
-        wave_id = chunk_meta(chunk)[0]
-        if self._history and self._history[-1][0] == wave_id:
-            self._history[-1][1].append(chunk)
-        else:
-            self._history.append((wave_id, [chunk]))
-        self._history_bytes += chunk.nbytes
-        while self._history and (
-            len(self._history) > HISTORY_MAX_WAVES
-            or self._history_bytes > HISTORY_MAX_BYTES
-        ):
-            _seq, chunks = self._history.popleft()
-            self._history_bytes -= sum(c.nbytes for c in chunks)
-
-    def ack_output(self, wave_seq: int) -> None:
-        """``TAG_WAVE_ACK`` from the parent: prune through *wave_seq*."""
-        while self._history and self._history[0][0] <= wave_seq:
-            _seq, chunks = self._history.popleft()
-            self._history_bytes -= sum(c.nbytes for c in chunks)
-
-    def resend_since(self, wave_seq: int = -1) -> list:
-        """Fragments of buffered waves newer than *wave_seq*, in order."""
-        out = []
-        for seq, chunks in self._history:
-            if seq > wave_seq:
-                out.extend(chunks)
-        return out
+        send = self._backend._buffer_upstream if buffered else self._backend._send_upstream
+        chunks = self._window.split(packet, self.chunk_bytes)
+        if chunks is None:
+            send(packet)
+            return
+        for chunk in chunks:
+            # One frame per fragment: the parent starts on fragment 0
+            # while we are still encoding the rest.  A fragment is
+            # recorded only *after* its send succeeded, so a repair that
+            # fires mid-wave replays exactly the sent prefix and the
+            # retry of the failing fragment continues the sequence.
+            send(chunk)
+            self._window.record(chunk)
 
     def __repr__(self) -> str:
         return f"BackEndStream(id={self.stream_id}, rank={self._backend.rank})"
@@ -169,7 +128,7 @@ class BackEnd:
         # Down-broadcast (reduce-to-all) fragments are reassembled into
         # whole packets before delivery, keyed (stream, origin) since
         # fragment order is only guaranteed per sender.
-        self._down_reassemblers: Dict[Tuple[int, int], ChunkReassembler] = {}
+        self._down = ReceiveWindow()
         self._pending: deque[Tuple[Packet, BackEndStream]] = deque()
         self._out: list[Packet] = []
         self.connected = False
@@ -213,13 +172,12 @@ class BackEnd:
             self._send_raw(make_join(self.rank, sorted(stream_ids)))
 
     def register_stream(self, stream_id: int, chunk_bytes: int = 0) -> BackEndStream:
-        """Pre-seed a stream handle without a NEW_STREAM announcement.
+        """Get or create a stream's handle; an existing one adopts the knob.
 
-        A joining back-end missed the broadcasts that created the
-        streams it is entering; the front-end knows their parameters
-        and seeds the handles before the join is announced.  If data
-        later races ahead and :meth:`_handle_control` sees the stream's
-        NEW_STREAM replayed, the existing handle just adopts the knob.
+        Called for every NEW_STREAM(S) announcement naming this rank
+        (a handle synthesised by racing data just adopts the knob), and
+        by the front-end to pre-seed a joining back-end, which missed
+        the broadcasts that created the streams it is entering.
         """
         stream = self._streams.get(stream_id)
         if stream is None:
@@ -308,17 +266,13 @@ class BackEnd:
                 if stream is None:
                     # Data raced ahead of NEW_STREAM (cannot happen on
                     # FIFO links, but stay safe): synthesise the handle.
-                    stream = BackEndStream(self, packet.stream_id)
-                    self._streams[packet.stream_id] = stream
+                    stream = self.register_stream(packet.stream_id)
                 if packet.tag == TAG_CHUNK:
-                    key = (packet.stream_id, packet.origin_rank)
-                    asm = self._down_reassemblers.get(key)
-                    if asm is None:
-                        asm = self._down_reassemblers[key] = ChunkReassembler()
-                    whole = asm.add(packet)
-                    if whole is None:
+                    packet = self._down.add(
+                        (packet.stream_id, packet.origin_rank), packet
+                    )
+                    if packet is None:
                         continue
-                    packet = whole
                 self._pending.append((packet.materialize(), stream))
 
     def _handle_control(self, packet: Packet) -> None:
@@ -327,42 +281,27 @@ class BackEnd:
             stream_id, endpoints = parsed[0], parsed[1]
             chunk_bytes = parsed[6]
             if self.rank in endpoints:
-                stream = self._streams.get(stream_id)
-                if stream is None:
-                    self._streams[stream_id] = BackEndStream(
-                        self, stream_id, chunk_bytes=chunk_bytes
-                    )
-                else:
-                    # Handle synthesised by racing data: adopt the knob.
-                    stream.chunk_bytes = chunk_bytes
+                self.register_stream(stream_id, chunk_bytes)
         elif packet.tag == TAG_NEW_STREAMS:
             # Bulk announcement: register a handle for every spec whose
             # (deduplicated) endpoint group contains this rank.
             groups, specs = parse_new_streams(packet)
             for stream_id, gidx, _sync, _trans, _timeout, _down, chunk_bytes, _pattern in specs:
-                if self.rank not in groups[gidx]:
-                    continue
-                stream = self._streams.get(stream_id)
-                if stream is None:
-                    self._streams[stream_id] = BackEndStream(
-                        self, stream_id, chunk_bytes=chunk_bytes or 0
-                    )
-                else:
-                    stream.chunk_bytes = chunk_bytes or 0
+                if self.rank in groups[gidx]:
+                    self.register_stream(stream_id, chunk_bytes or 0)
         elif packet.tag == TAG_CLOSE_STREAM:
             (stream_id,) = packet.unpack()
             stream = self._streams.pop(stream_id, None)
             if stream is not None:
                 stream.closed = True
-            for key in [k for k in self._down_reassemblers if k[0] == stream_id]:
-                del self._down_reassemblers[key]
+            self._down.drop_stream(stream_id)
         elif packet.tag == TAG_SHUTDOWN:
             self._mark_shutdown()
         elif packet.tag == TAG_WAVE_ACK:
             stream_id, wave_seq = parse_wave_ack(packet)
             stream = self._streams.get(stream_id)
             if stream is not None:
-                stream.ack_output(wave_seq)
+                stream._window.ack(wave_seq)
         elif packet.tag == TAG_RANKS_CHANGED:
             stream_id, epoch, lost, gained = parse_ranks_changed(packet)
             self.membership_events.append(
@@ -413,7 +352,7 @@ class BackEnd:
     def _replay(self, streams, since: int = -1) -> None:
         """Best-effort re-send of buffered fragment waves."""
         for stream in streams:
-            for chunk in stream.resend_since(since):
+            for chunk in stream._window.resend_since(since):
                 try:
                     self._send_raw(chunk)
                 except (NetworkShutdown, ConnectionError):

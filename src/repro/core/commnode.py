@@ -86,7 +86,6 @@ from .protocol import (
     CONTROL_STREAM_ID,
     TAG_ADDR_REPORT,
     TAG_CHECKPOINT,
-    TAG_CHUNK,
     TAG_CLOSE_STREAM,
     TAG_ENDPOINT_REPORT,
     TAG_HEARTBEAT,
@@ -100,7 +99,6 @@ from .protocol import (
     TAG_STATS_REQUEST,
     TAG_WAVE_ACK,
     TAG_WAVE_NACK,
-    WAVE_DUAL_ROOT,
     make_checkpoint,
     make_endpoint_report,
     make_heartbeat,
@@ -549,16 +547,7 @@ class NodeCore:
                 if gained and link_id not in manager.child_links:
                     manager.add_link(link_id)
                     self._seed_from_checkpoints(manager, link_id, gained)
-                    if manager.sync_timed:
-                        self._note_stream_activity(manager)
-                    self._c_waves_reconfigured.value += 1
-                    if self.recovery is not None:
-                        self.recovery.bump("waves_reconfigured")
-                    self._emit_ranks_changed(
-                        manager.stream_id,
-                        manager.membership_epoch,
-                        gained=sorted(gained),
-                    )
+                    self._membership_changed(manager, gained=gained, recovery=True)
         elif packet.tag == TAG_RANKS_CHANGED:
             # Travels upstream to the front-end (which overrides
             # _note_ranks_changed to record it for the tool).
@@ -629,14 +618,10 @@ class NodeCore:
                     spec["endpoints"] = spec["endpoints"] | {rank}
                 continue
             manager.add_endpoints([rank])
-            if link_id not in manager.child_links:
+            spliced = link_id not in manager.child_links
+            if spliced:
                 manager.add_link(link_id)
-                self._c_waves_reconfigured.value += 1
-            if manager.sync_timed:
-                self._note_stream_activity(manager)
-            self._emit_ranks_changed(
-                sid, manager.membership_epoch, gained=[rank]
-            )
+            self._membership_changed(manager, gained=[rank], relinked=spliced)
         if self.parent is not None:
             self._queue_up(packet)
 
@@ -669,27 +654,50 @@ class NodeCore:
             if rank not in manager.endpoints:
                 continue
             manager.remove_endpoints([rank])
-            if retire_link and link_id in manager.child_links:
+            retired = retire_link and link_id in manager.child_links
+            if retired:
                 manager.retire_link(link_id)
-                self._c_waves_reconfigured.value += 1
-            if manager.sync_timed:
-                self._note_stream_activity(manager)
-            self._emit_ranks_changed(
-                manager.stream_id, manager.membership_epoch, lost=[rank]
-            )
-        if self._stream_specs:
-            # Copy-on-write, preserving sharing: specs that pointed at
-            # the same rank set keep pointing at one (shrunk) set.
-            shrunk: Dict[FrozenSet[int], FrozenSet[int]] = {}
-            for spec in self._stream_specs.values():
-                eps = spec["endpoints"]
-                if rank not in eps:
-                    continue
-                new = shrunk.get(eps)
-                if new is None:
-                    new = shrunk[eps] = eps - {rank}
-                spec["endpoints"] = new
+            self._membership_changed(manager, lost=[rank], relinked=retired)
+        self._shrink_specs({rank})
         self.routing.remove_rank(rank)
+
+    def _membership_changed(
+        self, manager, lost=(), gained=(), relinked=True, recovery=False
+    ) -> None:
+        """Bookkeeping after *manager*'s membership changed.
+
+        The callers decide what changed (splice, retire, drop) and
+        whether it counts network-wide; they share this: count a
+        reconfiguration when a link was involved, re-arm a TimeOut
+        deadline, tell the front-end which ranks came or went.
+        """
+        if relinked:
+            self._c_waves_reconfigured.value += 1
+            if recovery and self.recovery is not None:
+                self.recovery.bump("waves_reconfigured")
+        if manager.sync_timed:
+            self._note_stream_activity(manager)
+        if lost or gained:
+            self._emit_ranks_changed(
+                manager.stream_id,
+                manager.membership_epoch,
+                lost=sorted(lost),
+                gained=sorted(gained),
+            )
+
+    def _shrink_specs(self, lost) -> None:
+        """Remove *lost* ranks from pending bulk specs, copy-on-write
+        with sharing preserved: specs that pointed at the same rank set
+        keep pointing at one (shrunk) set."""
+        shrunk: Dict[FrozenSet[int], FrozenSet[int]] = {}
+        for spec in self._stream_specs.values():
+            eps = spec["endpoints"]
+            if eps.isdisjoint(lost):
+                continue
+            new = shrunk.get(eps)
+            if new is None:
+                new = shrunk[eps] = eps - lost
+            spec["endpoints"] = new
 
     def _seed_from_checkpoints(self, manager, link_id: int, ranks) -> None:
         """Apply a dead child's checkpoint to a freshly adopted link.
@@ -712,34 +720,8 @@ class NodeCore:
 
     def handle_control_down(self, packet: Packet) -> None:
         if packet.tag == TAG_NEW_STREAM:
-            (
-                stream_id,
-                endpoints,
-                sync_id,
-                trans_id,
-                timeout,
-                down_id,
-                chunk_bytes,
-                wave_pattern,
-            ) = parse_new_stream(packet)
-            links = self.routing.links_for(frozenset(endpoints))
-            self._install_stream(
-                StreamManager.create(
-                    stream_id,
-                    endpoints,
-                    links,
-                    self.registry,
-                    sync_id,
-                    trans_id,
-                    sync_timeout=timeout,
-                    down_transform_filter_id=down_id,
-                    clock=self.clock,
-                    owner=self,
-                    chunk_bytes=chunk_bytes,
-                    wave_pattern=wave_pattern,
-                )
-            )
-            for link in links:
+            manager = self._create_stream(*parse_new_stream(packet))
+            for link in manager.child_links:
                 self._queue_down(link, packet)
         elif packet.tag == TAG_NEW_STREAMS:
             # Batched announcement: register every stream as a lazy
@@ -753,27 +735,15 @@ class NodeCore:
                 grp = self.routing.group(frozenset(ranks))
                 interned.append(grp)
                 fanout.update(self.routing.links_for_group(grp))
-            for (
-                stream_id,
-                gidx,
-                sync_id,
-                trans_id,
-                timeout,
-                down_id,
-                chunk_bytes,
-                wave_pattern,
-            ) in specs:
+            for stream_id, gidx, *params in specs:
                 self._stream_specs[stream_id] = {
                     # Shared with the interned CommGroup (frozenset):
                     # 5000 specs over one communicator hold ONE rank
                     # set.  Membership churn rebinds copy-on-write.
                     "endpoints": interned[gidx].endpoints,
-                    "sync": sync_id,
-                    "trans": trans_id,
-                    "timeout": timeout,
-                    "down": down_id,
-                    "chunk": chunk_bytes,
-                    "pattern": wave_pattern,
+                    # sync, transform, timeout, down, chunk, pattern:
+                    # the tail of _create_stream's arguments.
+                    "params": params,
                 }
             for link in fanout:
                 self._queue_down(link, packet)
@@ -836,9 +806,27 @@ class NodeCore:
 
     # -- stream bookkeeping (lazy materialization + O(active) ticks) -------
 
-    def _install_stream(self, manager: StreamManager) -> StreamManager:
-        """Register a live stream manager (eager or just materialized)."""
-        self.streams[manager.stream_id] = manager
+    def _create_stream(
+        self, stream_id, endpoints, sync_id, trans_id, timeout, down_id,
+        chunk_bytes, wave_pattern,
+    ) -> StreamManager:
+        """Build and register a live stream manager over the links its
+        endpoints route through (arguments in TAG_NEW_STREAM order)."""
+        manager = StreamManager.create(
+            stream_id,
+            endpoints,
+            self.routing.links_for(frozenset(endpoints)),
+            self.registry,
+            sync_id,
+            trans_id,
+            sync_timeout=timeout,
+            down_transform_filter_id=down_id,
+            clock=self.clock,
+            owner=self,
+            chunk_bytes=chunk_bytes,
+            wave_pattern=wave_pattern,
+        )
+        self.streams[stream_id] = manager
         manager.ack_hook = self._send_wave_ack
         manager.nack_hook = self._send_wave_nack
         if manager.sync_timed:
@@ -864,23 +852,8 @@ class NodeCore:
         spec = self._stream_specs.pop(stream_id, None)
         if spec is None:
             return None
-        endpoints = frozenset(spec["endpoints"])
-        links = self.routing.links_for(endpoints)
-        return self._install_stream(
-            StreamManager.create(
-                stream_id,
-                sorted(endpoints),
-                links,
-                self.registry,
-                spec["sync"],
-                spec["trans"],
-                sync_timeout=spec["timeout"],
-                down_transform_filter_id=spec["down"],
-                clock=self.clock,
-                owner=self,
-                chunk_bytes=spec["chunk"],
-                wave_pattern=spec["pattern"],
-            )
+        return self._create_stream(
+            stream_id, sorted(spec["endpoints"]), *spec["params"]
         )
 
     def stream_state(self, stream_id: int) -> Optional[StreamManager]:
@@ -957,18 +930,7 @@ class NodeCore:
                     self._queue_down(link, packet)
                 return
         for out in manager.transform_downstream(packet):
-            links = manager.child_links
-            if (
-                manager.wave_pattern == WAVE_DUAL_ROOT
-                and out.tag == TAG_CHUNK
-                and out.raw_values[1] & 1
-            ):
-                # Dual-root schedule: odd fragments fan out in reverse
-                # child order, interleaving two broadcast schedules that
-                # load the links in opposite order (Träff's dual-root
-                # reduce-to-all approximated on a single tree).
-                links = list(reversed(links))
-            for link in links:
+            for link in manager.child_links:
                 self._queue_down(link, out)
 
     def poll_streams(self) -> None:
@@ -1023,29 +985,10 @@ class NodeCore:
             if link_id in manager.child_links:
                 for out in manager.drop_link(link_id):
                     self._queue_up(out)
-                self._c_waves_reconfigured.value += 1
-                if self.recovery is not None and not announced:
-                    self.recovery.bump("waves_reconfigured")
-                if manager.sync_timed:
-                    self._note_stream_activity(manager)
-                gone = manager.endpoints & frozenset(lost)
-                if gone:
-                    self._emit_ranks_changed(
-                        manager.stream_id,
-                        manager.membership_epoch,
-                        lost=sorted(gone),
-                    )
-        if lost:
-            # Copy-on-write with sharing preserved, as in _handle_leave.
-            shrunk: Dict[FrozenSet[int], FrozenSet[int]] = {}
-            for spec in self._stream_specs.values():
-                eps = spec["endpoints"]
-                if not (eps & lost):
-                    continue
-                new = shrunk.get(eps)
-                if new is None:
-                    new = shrunk[eps] = eps - lost
-                spec["endpoints"] = new
+                self._membership_changed(
+                    manager, lost=manager.endpoints & lost, recovery=not announced
+                )
+        self._shrink_specs(lost)
 
     def _repair_parent(self) -> bool:
         """Replace a dead parent link via the recovery coordinator.
@@ -1209,9 +1152,9 @@ class NodeCore:
         A no-op unless :attr:`checkpoint_interval` is set and this
         node has a parent.  Each deposit carries the stream's output
         wave sequence, its per-child dedup watermarks and — when the
-        filter's state serializes — the resumable transform/sync state,
-        with link-keyed maps re-keyed by the rank set behind each link
-        so the parent can match them to adopted orphans later.
+        filter's state serializes — the resumable transform state, with
+        the link-keyed watermarks re-keyed by the rank set behind each
+        link so the parent can match them to adopted orphans later.
         """
         if (
             not self.checkpoint_interval
@@ -1233,9 +1176,6 @@ class NodeCore:
                 continue
             doc = manager.checkpoint_state()
             doc["watermarks"] = self._rekey_by_ranks(doc.get("watermarks", {}))
-            sync = doc.get("sync")
-            if isinstance(sync, dict):
-                sync["pending"] = self._rekey_by_ranks(sync.get("pending", {}))
             payload = json.dumps(doc, separators=(",", ":"))
             self._c_checkpoint_bytes.value += len(payload)
             self._queue_up(make_checkpoint(sid, doc.get("out_wave", 0), payload))
@@ -1247,11 +1187,7 @@ class NodeCore:
         are dropped — they could never be matched at the parent.
         """
         out = {}
-        for lid, value in by_link.items():
-            try:
-                link = int(lid)
-            except (TypeError, ValueError):
-                continue
+        for link, value in by_link.items():
             ranks = self.routing.ranks_behind(link)
             if ranks:
                 out[_rank_key(ranks)] = value

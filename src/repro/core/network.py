@@ -68,12 +68,11 @@ from .failure import (
     RanksChanged,
     RecoveryCoordinator,
 )
-from .chunking import ChunkReassembler
+from .chunking import ReceiveWindow
 from .packet import Packet
 from .protocol import (
     FIRST_STREAM_ID,
     TAG_CHUNK,
-    WAVE_DUAL_ROOT,
     WAVE_PATTERNS,
     WAVE_REDUCE,
     WAVE_REDUCE_TO_ALL,
@@ -144,7 +143,7 @@ class _FrontEndCore(NodeCore):
         # chunked results are rebuilt into whole packets before a tool
         # ever sees them, keyed by origin because fragments relayed
         # from distinct back-ends may interleave at the root.
-        self._delivery_reassemblers: Dict[Tuple[int, int], ChunkReassembler] = {}
+        self.reassembly = ReceiveWindow()
 
     def _note_addr_report(self, packet: Packet) -> None:
         label, host, port = parse_addr_report(packet)
@@ -160,20 +159,14 @@ class _FrontEndCore(NodeCore):
         tool-facing delivery queue.
         """
         manager = self.streams.get(packet.stream_id)
-        if manager is not None and manager.wave_pattern in (
-            WAVE_REDUCE_TO_ALL,
-            WAVE_DUAL_ROOT,
-        ):
+        if manager is not None and manager.wave_pattern == WAVE_REDUCE_TO_ALL:
             self._handle_data_down(packet)
         if packet.tag == TAG_CHUNK:
-            key = (packet.stream_id, packet.origin_rank)
-            ra = self._delivery_reassemblers.get(key)
-            if ra is None:
-                ra = self._delivery_reassemblers[key] = ChunkReassembler()
-            whole = ra.add(packet)
-            if whole is None:
+            packet = self.reassembly.add(
+                (packet.stream_id, packet.origin_rank), packet
+            )
+            if packet is None:
                 return
-            packet = whole
         sink = self.delivery_sinks.get(packet.stream_id)
         if sink is not None:
             sink(packet.materialize())
@@ -1196,10 +1189,9 @@ class Network:
         reductions (min/max/sum/avg under Wait-For-All) run
         incrementally per fragment at every hop.  ``None`` (default)
         preserves whole-wave behaviour byte-exactly.  ``pattern``
-        selects the wave pattern: ``WAVE_REDUCE`` (classic reduction),
-        ``WAVE_REDUCE_TO_ALL`` (result also broadcast back down to all
-        back-ends; see :meth:`Stream.allreduce`), or ``WAVE_DUAL_ROOT``
-        (reduce-to-all with the alternating dual-root down schedule).
+        selects the wave pattern: ``WAVE_REDUCE`` (classic reduction)
+        or ``WAVE_REDUCE_TO_ALL`` (result also broadcast back down to
+        all back-ends; see :meth:`Stream.allreduce`).
         """
         self._check_up()
         if communicator.network is not self:
@@ -1587,6 +1579,7 @@ class Network:
         if self._down:
             return
         self._core.handle_control_down(make_close_stream(stream_id))
+        self._core.reassembly.drop_stream(stream_id)
         self._core.flush()
 
     # -- pumping ----------------------------------------------------------

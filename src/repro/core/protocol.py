@@ -99,7 +99,7 @@ ordinary data plane.  See :mod:`repro.core.chunking` for the codec.
 
 ``TAG_NEW_STREAM`` carries two trailing fields for this machinery:
 ``chunk_bytes`` (0 disables chunking) and ``wave_pattern`` (one of
-:data:`WAVE_REDUCE`, :data:`WAVE_REDUCE_TO_ALL`, :data:`WAVE_DUAL_ROOT`).
+:data:`WAVE_REDUCE`, :data:`WAVE_REDUCE_TO_ALL`).
 Parsers pad defaults for the historical six-field announcement so
 mixed-version trees interoperate.
 """
@@ -133,7 +133,6 @@ __all__ = [
     "FIRST_APP_TAG",
     "WAVE_REDUCE",
     "WAVE_REDUCE_TO_ALL",
-    "WAVE_DUAL_ROOT",
     "WAVE_PATTERNS",
     "FMT_ENDPOINT_REPORT",
     "FMT_NEW_STREAM",
@@ -206,13 +205,10 @@ FIRST_APP_TAG = 100
 #: Wave patterns (``TAG_NEW_STREAM`` trailing field).  ``WAVE_REDUCE``
 #: is the classic upstream reduction; ``WAVE_REDUCE_TO_ALL`` turns the
 #: reduced result around at the root and broadcasts it back down the
-#: same stream; ``WAVE_DUAL_ROOT`` additionally alternates the
-#: down-broadcast fan-out order per chunk (Träff's dual-root schedule
-#: approximated on a single tree — see docs/architecture.md).
+#: same stream.
 WAVE_REDUCE = 0
 WAVE_REDUCE_TO_ALL = 1
-WAVE_DUAL_ROOT = 2
-WAVE_PATTERNS = (WAVE_REDUCE, WAVE_REDUCE_TO_ALL, WAVE_DUAL_ROOT)
+WAVE_PATTERNS = (WAVE_REDUCE, WAVE_REDUCE_TO_ALL)
 
 FMT_ENDPOINT_REPORT = "%aud"
 FMT_NEW_STREAM = "%ud %aud %d %d %lf %d %d %d"

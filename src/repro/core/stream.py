@@ -24,10 +24,10 @@ from __future__ import annotations
 import time
 from typing import Any, Optional, Tuple
 
-from .chunking import split_packet
+from .chunking import SendWindow
 from .communicator import Communicator
 from .packet import Packet
-from .protocol import FIRST_APP_TAG, WAVE_DUAL_ROOT, WAVE_REDUCE, WAVE_REDUCE_TO_ALL
+from .protocol import FIRST_APP_TAG, WAVE_REDUCE, WAVE_REDUCE_TO_ALL
 
 __all__ = ["Stream", "StreamClosed"]
 
@@ -59,7 +59,9 @@ class Stream:
         self.chunk_bytes = chunk_bytes
         self.pattern = pattern
         self.closed = False
-        self._send_wave = 0  # wave ids for front-end-originated fragments
+        # Wave ids for front-end-originated fragments; nothing is
+        # recorded, so downstream fragments are never replayed.
+        self._window = SendWindow()
 
     # -- sending -------------------------------------------------------------
 
@@ -86,14 +88,8 @@ class Stream:
         self._send_maybe_chunked(packet)
 
     def _send_maybe_chunked(self, packet: Packet) -> None:
-        if self.chunk_bytes:
-            chunks = split_packet(packet, self.chunk_bytes, self._send_wave)
-            if chunks is not None:
-                self._send_wave += 1
-                for chunk in chunks:
-                    self._network._send_downstream(chunk)
-                return
-        self._network._send_downstream(packet)
+        for out in self._window.split(packet, self.chunk_bytes) or (packet,):
+            self._network._send_downstream(out)
 
     # -- receiving ---------------------------------------------------------
 
@@ -118,8 +114,8 @@ class Stream:
     def allreduce(self, timeout: Optional[float] = None) -> Tuple[Any, ...]:
         """Receive the next reduce-to-all result at the front-end.
 
-        Valid only on streams created with a reduce-to-all pattern
-        (``WAVE_REDUCE_TO_ALL`` or ``WAVE_DUAL_ROOT``): every back-end
+        Valid only on streams created with the ``WAVE_REDUCE_TO_ALL``
+        pattern: every back-end
         contribution wave is reduced up the tree, and the result is
         both delivered here and broadcast back down the same stream to
         every back-end — the MPI ``Allreduce`` shape mapped onto the
@@ -127,7 +123,7 @@ class Stream:
         packet's values; raises ``TimeoutError`` after *timeout*
         seconds and ``StreamClosed`` on a plain-reduction stream.
         """
-        if self.pattern not in (WAVE_REDUCE_TO_ALL, WAVE_DUAL_ROOT):
+        if self.pattern != WAVE_REDUCE_TO_ALL:
             raise StreamClosed(
                 f"stream {self.stream_id} is not a reduce-to-all stream "
                 f"(pattern={self.pattern})"

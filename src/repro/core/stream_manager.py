@@ -27,108 +27,82 @@ relays the original frame bytes without ever touching field values.
 Any value-inspecting filter (sum, concat, ...) triggers the deferred
 decode on first access via ``Packet.raw_values``.
 
+Wave state has three owners
+---------------------------
+
+* The **aligner** — the stream's synchronization filter
+  (:mod:`repro.filters.sync`) — holds the per-link FIFOs of parked
+  units and the joining/leaving sets.  Whole packets and pipeline
+  fragments park in the same queues; every wave leaves via ``pop_wave``.
+* The **send half** (:class:`~repro.core.chunking.SendWindow`) holds
+  this node's output wave counter and bounded retransmit history.
+* The **receive half** (:class:`~repro.core.chunking.ReceiveWindow`,
+  keyed by child link) holds fragment reassembly and the link
+  protocol's window: duplicate drop, one ``TAG_WAVE_NACK`` per gap, and
+  the watermark of *aggregated* waves that ``TAG_WAVE_ACK`` confirms
+  and ``checkpoint_state`` ships.  A link's watermark advances when the
+  aligner *releases* its wave into the filter, not when the last
+  fragment arrives, so a wave parked behind a slow sibling when this
+  node dies is still in its sender's history and below no watermark an
+  adopter could seed.
+
 Chunked waves (pipelined collectives)
 -------------------------------------
 
 Streams created with ``chunk_bytes > 0`` carry large array payloads as
-``TAG_CHUNK`` pipeline fragments (see :mod:`repro.core.chunking`).
-When the upstream transform is *chunkwise* (element-wise reductions:
-min/max/sum/avg) and the synchronizer is Wait-For-All, the manager
-runs the filter **incrementally**: one fragment from every child —
-heads aligned on ``(chunk_index, n_chunks)`` — triggers a partial
-filter invocation whose single output is immediately re-framed as a
-fragment of this node's own output wave and forwarded.  Hop *k* thus
-reduces chunk *i* while hop *k−1* reduces chunk *i+1*, which is what
-flattens Figure 7c's latency-vs-depth curve (Träff, arXiv:2109.12626).
-
-For every other configuration (non-chunkwise filters, TimeOut/DontWait
-sync) fragments are reassembled per child link before entering the
-classic synchronization path, so chunked and whole-wave results are
-byte-identical by construction.  A child that dies mid-wave leaves a
-truncated fragment sequence; the manager discards the poisoned
-partial wave at every affected level (``chunk_waves_aborted``) and
-realigns on the next wave boundary, under the bumped membership epoch.
-
-Crash-consistent waves (elastic robustness)
--------------------------------------------
-
-Chunk framing already carries a per-stream monotonic output wave id in
-every fragment prefix, so crash consistency rides the existing wire
-format.  On the *send* side the manager keeps a bounded history of its
-own emitted waves (:data:`HISTORY_MAX_WAVES` waves /
-:data:`HISTORY_MAX_BYTES` bytes, mirroring the transport send-queue
-bound); after a parent repair the node replays the un-ACKed suffix via
-:meth:`StreamManager.resend_since`, and ``TAG_WAVE_ACK`` from the
-parent prunes it.  On the *receive* side a per-child-link high
-watermark of completed input waves drops duplicate retransmissions and
-turns a fresh gap into a single ``TAG_WAVE_NACK`` toward that child.
-Watermarks and resumable filter state (``checkpoint_state``) are
-shipped one hop up in periodic ``TAG_CHECKPOINT`` packets so an
-adopter can seed dedup for children it inherits from a dead node.
-Output wave ids deliberately bump on aborts without emitting, so gaps
-are *normal*; a NACK is sent at most once per (link, expected-seq) and
-a resender silently skips seqs its history has already aged out.
+``TAG_CHUNK`` fragments.  When the transform is *chunkwise* (min/max/
+sum/avg) and the synchronizer is Wait-For-All, the filter runs
+**incrementally**: once the head of every participating link is the
+same ``(chunk_index, n_chunks)`` the heads are popped — restricted to
+the links that opened the wave — into a partial filter invocation
+whose output is re-framed as a fragment of this node's own output wave
+and forwarded.  Hop *k* thus reduces chunk *i* while hop *k−1* reduces
+chunk *i+1*, which flattens Figure 7c's latency-vs-depth curve (Träff,
+arXiv:2109.12626).  Mixed or unevenly fragmented heads, and every small
+packet on such a stream, take the boundary fallback: complete fragment
+runs are rebuilt in place and a classic whole wave is popped.  Every
+other configuration reassembles fragments per link before they park,
+so chunked and whole-wave results are identical by construction.  A
+child that dies mid-wave poisons only the in-flight wave
+(``chunk_waves_aborted``); the next one realigns under the bumped
+membership epoch, and the output wave id bumps without emitting, so
+gaps in wave ids are *normal* to every receiver.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from collections import deque
-from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..filters.base import FunctionFilter
 from ..filters.registry import (
     SFILTER_DONTWAIT,
     SFILTER_TIMEOUT,
-    SFILTER_WAITFORALL,
     TFILTER_NULL,
     FilterRegistry,
 )
 from ..filters.sync import SynchronizationFilter, WaitForAllFilter
 from ..obs.metrics import MetricsRegistry
 from .chunking import (
-    ChunkReassembler,
+    ReceiveWindow,
+    SendWindow,
     chunk_meta,
     is_chunk,
     reassemble,
-    split_packet,
     strip_chunk,
     wrap_chunk,
 )
 from .packet import Packet
 from .protocol import WAVE_REDUCE
 
-__all__ = [
-    "StreamManager",
-    "CHUNK_BYTE_BUCKETS",
-    "HISTORY_MAX_WAVES",
-    "HISTORY_MAX_BYTES",
-    "ACK_STRIDE",
-]
+__all__ = ["StreamManager", "CHUNK_BYTE_BUCKETS"]
 
 log = logging.getLogger(__name__)
 
 #: Power-of-two byte buckets for the per-stream ``chunk_bytes``
 #: histogram (1 KiB .. 16 MiB covers every sane fragment size).
 CHUNK_BYTE_BUCKETS = tuple(1 << p for p in range(10, 25))
-
-#: Retransmit-history bound, in output waves.  Deep enough to cover
-#: the waves a parent can plausibly lose between heartbeat detection
-#: and repair; shallow enough that history stays a rounding error
-#: next to the chunk queues themselves.
-HISTORY_MAX_WAVES = 8
-
-#: Retransmit-history bound, in encoded payload bytes.  Mirrors the
-#: transport's per-link send-queue ceiling
-#: (:data:`repro.transport.eventloop.SEND_QUEUE_MAX_BYTES`) so a
-#: stream can never pin more memory in history than one link may
-#: queue under backpressure.
-HISTORY_MAX_BYTES = 4 << 20
-
-#: Completed input waves between ``TAG_WAVE_ACK`` emissions toward a
-#: child — the child prunes its history up to the ACKed seq.
-ACK_STRIDE = 4
 
 
 class StreamManager:
@@ -232,23 +206,19 @@ class StreamManager:
         # wave releases.  One attribute test per pushed packet, one
         # clock read per wave — cheap enough to stay always-on.
         self._wave_t0: Optional[float] = None
-        # -- chunked-wave state ----------------------------------------
-        # Per-link fragment reassembly for the non-incremental path
-        # (created lazily; also catches fragments on streams whose own
-        # chunk_bytes is 0, e.g. from a newer peer).
-        self._reassemblers: Dict[object, ChunkReassembler] = {}
-        # Incremental mode: every data packet (fragment or whole) rides
-        # a per-link FIFO; release happens on aligned heads.
-        self._chunk_queues: Dict[object, Deque[Packet]] = (
-            {c: deque() for c in self.child_links} if self.incremental else {}
-        )
-        self._chunk_joining: set = set()
-        self._chunk_leaving: set = set()  # lame-duck links (TAG_LEAVE)
+        # -- wave state: the aligner is ``self.sync``; the two halves of
+        # the link protocol (the receive half also catches fragments on
+        # streams whose own chunk_bytes is 0, e.g. from a newer peer).
+        self._out = SendWindow()
+        self._in = ReceiveWindow()
+        # Cursor of the in-flight aligned fragmented wave.
         self._wave_links: List[object] = []  # fixed participant set mid-wave
         self._wave_pos = 0  # next expected chunk index (0 = at a boundary)
         self._wave_n = 0  # fragment count of the in-flight aligned wave
-        self._out_wave = 0  # this node's output wave sequence number
-        self._fill_t0: Optional[float] = None  # first fragment of a wave
+        # Sequenced whole units parked in the aligner, ``id(unit) ->
+        # (link, wave id)``: a reassembled wave counts as aggregated —
+        # watermark, ACK — when the aligner releases it, not before.
+        self._sequenced: Dict[int, Tuple[object, int]] = {}
         if self.chunk_bytes > 0:
             registry.gauge(
                 "chunks_in_flight",
@@ -272,17 +242,6 @@ class StreamManager:
         else:
             self._h_chunk_bytes = None
             self._c_chunk_aborts = None
-        # -- crash-consistent waves ------------------------------------
-        # Bounded replay history of this node's own emitted output
-        # waves: deque of ``(wave_id, [chunk packets])``, oldest first.
-        self._out_history: Deque = deque()
-        self._history_bytes = 0
-        # Per-child-link high watermark of *completed* input waves
-        # (the link delivered a wave's final fragment).  Anything at
-        # or below the watermark is a duplicate retransmission.
-        self._in_high: Dict[object, int] = {}
-        self._ack_low: Dict[object, int] = {}  # last wave ACKed per link
-        self._nacked: Dict[object, int] = {}  # highest seq NACKed per link
         # Owner-installed control emitters, ``fn(link_id, stream_id,
         # wave_seq)``; ``None`` (back-end-less unit tests, front-end)
         # disables ACK/NACK emission without disabling the watermarks.
@@ -350,87 +309,65 @@ class StreamManager:
         """Process one packet arriving from a child; return outputs."""
         if self.closed:
             return []
-        if is_chunk(packet) and not self._admit_chunk(link_id, packet):
-            return []
-        if self.incremental:
-            return self._push_incremental(link_id, packet)
         if is_chunk(packet):
-            # Non-incremental configuration: rebuild the whole packet
-            # from this child's fragment sequence, then run the classic
-            # wave path — chunked and whole-wave results are identical
-            # by construction.
+            # Sequence gate: a retransmission overlap is dropped, a
+            # fresh gap NACKed once (see ReceiveWindow.admit).
+            accept, nack = self._in.admit(link_id, packet)
+            if nack is not None and self.nack_hook is not None:
+                self.nack_hook(link_id, self.stream_id, nack)
+            if not accept:
+                return []
             if self._h_chunk_bytes is not None:
                 self._h_chunk_bytes.observe(packet.nbytes)
-            ra = self._reassemblers.get(link_id)
-            if ra is None:
-                ra = self._reassemblers[link_id] = ChunkReassembler()
-            discarded = ra.discarded_waves
-            whole = ra.add(packet)
-            if ra.discarded_waves != discarded and self._c_chunk_aborts is not None:
-                self._c_chunk_aborts.value += ra.discarded_waves - discarded
-            if whole is None:
-                return []
-            packet = whole
+            if not self.incremental:
+                # Rebuild the whole packet from this child's fragment
+                # sequence, then run the classic wave path — chunked
+                # and whole-wave results are identical by construction.
+                wave_id = chunk_meta(packet)[0]
+                aborted = self._in.discarded_waves
+                packet = self._in.add(link_id, packet)
+                if self._c_chunk_aborts is not None:
+                    self._c_chunk_aborts.value += self._in.discarded_waves - aborted
+                if packet is None:
+                    return []
+                self._sequenced[id(packet)] = (link_id, wave_id)
         if self._wave_t0 is None:
             self._wave_t0 = self._clock()
-        # The sync filter may park the packet across receive cycles.
-        waves = self.sync.push(link_id, packet.materialize())
-        return self._emit_up(self._run_waves(waves))
-
-    def _admit_chunk(self, link_id: object, packet: Packet) -> bool:
-        """Sequence gate for one arriving fragment (crash consistency).
-
-        Returns ``False`` for duplicates (wave id at or below the
-        link's completed-wave watermark — a retransmission overlap
-        after repair).  A fresh gap at a wave boundary emits one
-        ``TAG_WAVE_NACK`` toward the child via :attr:`nack_hook`; gaps
-        are otherwise *normal* (aborted waves consume ids silently),
-        so the NACK fires at most once per (link, expected-seq) and
-        recovery degrades to realignment when history has aged out.
-        """
-        wave_id, index, n, _tag = chunk_meta(packet)
-        high = self._in_high.get(link_id, -1)
-        if wave_id <= high:
-            log.debug(
-                "stream %d: dropping duplicate chunk wave=%d idx=%d from %r",
-                self.stream_id, wave_id, index, link_id,
-            )
-            return False
-        if index == 0 and self.nack_hook is not None:
-            expected = high + 1
-            if wave_id > expected and expected > self._nacked.get(link_id, -1):
-                self._nacked[link_id] = expected
-                self.nack_hook(link_id, self.stream_id, expected)
-        if index + 1 == n:
-            self._in_high[link_id] = wave_id
-            if (
-                self.ack_hook is not None
-                and wave_id - self._ack_low.get(link_id, -1) >= ACK_STRIDE
-            ):
-                self._ack_low[link_id] = wave_id
-                self.ack_hook(link_id, self.stream_id, wave_id)
-        return True
+        if not self.incremental:
+            # The sync filter may park the packet across receive cycles.
+            waves = self.sync.push(link_id, packet.materialize())
+            return self._emit_up(self._run_waves(waves))
+        q = self.sync.queue(link_id)
+        q.append(packet)
+        out = self._release_aligned()
+        if q and q[-1] is packet:
+            # Not consumed this cycle: the fragment parks until its
+            # siblings arrive, so it must own its bytes (zero-copy shm
+            # frames alias ring memory that is about to be recycled).
+            packet.materialize()
+        return out
 
     def watermark(self, link_id: object) -> int:
-        """Highest completed input wave id seen on *link_id* (-1: none)."""
-        return self._in_high.get(link_id, -1)
+        """Highest input wave id aggregated from *link_id* (-1: none)."""
+        return self._in.watermarks.get(link_id, -1)
 
     def seed_watermark(self, link_id: object, wave_id: int) -> None:
         """Pre-set a link's dedup watermark from a checkpoint.
 
         Called when adopting an orphan whose dead parent had already
-        completed waves up to *wave_id*: the orphan's post-repair
+        aggregated waves up to *wave_id*: the orphan's post-repair
         replay of those waves must be dropped, not re-aggregated.
         """
-        if wave_id > self._in_high.get(link_id, -1):
-            self._in_high[link_id] = wave_id
+        self._in.seed_watermark(link_id, wave_id)
 
     def poll_upstream(self) -> List[Packet]:
         """Re-check time-based synchronization criteria."""
-        if self.closed:
-            return []
+        return [] if self.closed else self._release()
+
+    def _release(self) -> List[Packet]:
+        """Everything the aligner can release right now, filtered."""
         if self.incremental:
-            return []  # no time-based criterion in aligned-chunk mode
+            return self._release_aligned()
         return self._emit_up(self._run_waves(self.sync.poll()))
 
     def _note_wave_released(self) -> None:
@@ -438,6 +375,12 @@ class StreamManager:
         self._c_waves_released.value += 1
         if self.on_wave_complete is not None:
             self.on_wave_complete(self.stream_id, self.membership_epoch)
+
+    def _note_aggregated(self, link_id: object, wave_id: int) -> None:
+        """*link_id*'s wave left the aligner: watermark up, ACK on stride."""
+        ack = self._in.release(link_id, wave_id)
+        if ack is not None and self.ack_hook is not None:
+            self.ack_hook(link_id, self.stream_id, ack)
 
     def _bump_epoch(self) -> None:
         """Advance the membership epoch and fire the change hook."""
@@ -448,42 +391,29 @@ class StreamManager:
     def drop_link(self, link_id: int) -> List[Packet]:
         """A child link closed: discard its state, realign the rest.
 
-        Classic path: the dead child's backlog is released through the
-        filter best-effort.  Incremental path: its buffered fragments
-        are unusable partial state — they are discarded, and if the
-        child was mid-wave the whole in-flight wave is aborted (every
+        The dead child's whole-packet backlog is released through the
+        filter best-effort.  Its parked fragments are unusable partial
+        state — they are discarded, and if the child was taking part in
+        the in-flight fragmented wave that wave is aborted (every
         sibling's fragments for it are dropped too), so the next wave
         realigns cleanly under the bumped membership epoch.
         """
         self._bump_epoch()
-        self._in_high.pop(link_id, None)
-        self._ack_low.pop(link_id, None)
-        self._nacked.pop(link_id, None)
-        if self.incremental:
-            q = self._chunk_queues.pop(link_id, None)
-            self._chunk_joining.discard(link_id)
-            self._chunk_leaving.discard(link_id)
-            self.sync.remove_child(link_id)
-            if link_id in self.child_links:
-                self.child_links.remove(link_id)
-            if self._wave_pos > 0 and link_id in self._wave_links:
-                self._abort_wave()
-            elif q and self._c_chunk_aborts is not None and any(
-                is_chunk(p) for p in q
-            ):
-                self._c_chunk_aborts.value += 1
-            return self._release_aligned()
-        self._reassemblers.pop(link_id, None)
+        self._in.drop(link_id)
         backlog = self.sync.remove_child(link_id)
         if link_id in self.child_links:
             self.child_links.remove(link_id)
+        whole = [p for p in backlog if not is_chunk(p)]
+        for p in whole:
+            self._sequenced.pop(id(p), None)
+        if self._wave_pos > 0 and link_id in self._wave_links:
+            self._abort_wave()
+        elif len(whole) < len(backlog) and self._c_chunk_aborts is not None:
+            self._c_chunk_aborts.value += 1
         out: List[Packet] = []
-        if backlog:
-            backlog = [p for p in backlog if not is_chunk(p)]
-            if backlog:
-                out.extend(self.transform(backlog, self.transform_state))
-        out.extend(self._run_waves(self.sync.poll()))
-        return self._emit_up(out)
+        if whole:
+            out = self._emit_up(list(self.transform(whole, self.transform_state)))
+        return out + self._release()
 
     def add_link(self, link_id: int) -> None:
         """Adopt a child link mid-stream (tree repair).
@@ -496,9 +426,6 @@ class StreamManager:
             return
         self.child_links.append(link_id)
         self.sync.add_child(link_id, joining=True)
-        if self.incremental:
-            self._chunk_queues[link_id] = deque()
-            self._chunk_joining.add(link_id)
         self._bump_epoch()
 
     def retire_link(self, link_id: int) -> None:
@@ -514,8 +441,6 @@ class StreamManager:
             return
         self._bump_epoch()
         self.sync.retire_child(link_id)
-        if self.incremental:
-            self._chunk_leaving.add(link_id)
 
     def add_endpoints(self, ranks: Sequence[int]) -> None:
         """Splice joining back-end ranks into the endpoint set (TAG_JOIN).
@@ -539,49 +464,18 @@ class StreamManager:
     def flush_upstream(self) -> List[Packet]:
         """Stream teardown: push every held packet through the filter.
 
-        Fragments of incomplete waves are discarded (a partial array
-        slice is not a usable contribution); whole packets flush
-        positionally like the classic path.
+        Whole packets flush positionally (the i-th remaining unit of
+        each child forms wave i); fragments of incomplete waves are
+        discarded — a partial array slice is not a usable contribution.
         """
-        if not self.incremental:
-            return self._emit_up(self._run_waves(self.sync.flush()))
         if self._wave_pos > 0:
             self._abort_wave()
-        waves: List[List[Packet]] = []
-        while True:
-            wave = []
-            for q in self._chunk_queues.values():
-                while q and is_chunk(q[0]):
-                    q.popleft()  # orphan fragments: discard
-                if q:
-                    wave.append(q.popleft())
-            if not wave:
-                break
-            waves.append(wave)
-        return self._emit_up(self._run_waves(waves))
+        waves = (
+            [p for p in wave if not is_chunk(p)] for wave in self.sync.flush()
+        )
+        return self._emit_up(self._run_waves([w for w in waves if w]))
 
     # -- incremental (per-chunk) pipeline ---------------------------------
-
-    def _push_incremental(self, link_id: int, packet: Packet) -> List[Packet]:
-        """Queue one arrival and release every aligned fragment."""
-        q = self._chunk_queues.get(link_id)
-        if q is None:
-            raise KeyError(f"unknown child {link_id!r}")
-        if is_chunk(packet) and self._h_chunk_bytes is not None:
-            self._h_chunk_bytes.observe(packet.nbytes)
-        q.append(packet)
-        now = self._clock()
-        if self._wave_t0 is None:
-            self._wave_t0 = now
-        if self._fill_t0 is None:
-            self._fill_t0 = now
-        out = self._release_aligned()
-        if q and q[-1] is packet:
-            # Not consumed this cycle: the fragment parks until its
-            # siblings arrive, so it must own its bytes (zero-copy shm
-            # frames alias ring memory that is about to be recycled).
-            packet.materialize()
-        return out
 
     def _release_aligned(self) -> List[Packet]:
         """Drain every releasable aligned fragment / whole wave."""
@@ -592,102 +486,74 @@ class StreamManager:
                 return out
             out.extend(released)
 
-    def _participants(self) -> Optional[List[object]]:
-        """Links taking part in the next wave, or ``None`` if not ready.
-
-        Mirrors Wait-For-All membership: every non-joining link must
-        have a packet queued; joining links ride along only if they
-        already have one.
-        """
-        required = [
-            lid
-            for lid in self._chunk_queues
-            if lid not in self._chunk_joining
-            and lid not in self._chunk_leaving
-        ]
-        if not required:
-            return None
-        if any(not self._chunk_queues[lid] for lid in required):
-            return None
-        return [lid for lid, q in self._chunk_queues.items() if q]
+    def _drop_stale_tails(self) -> None:
+        """Drop head fragments left by an aborted wave (a fragment
+        sequence must start at index 0)."""
+        for lid in self.child_links:
+            q = self.sync.queue(lid)
+            while q and is_chunk(q[0]) and chunk_meta(q[0])[1] != 0:
+                q.popleft()
 
     def _try_release(self) -> Optional[List[Packet]]:
         if self._wave_pos > 0:
             return self._release_next_chunk()
-        # At a wave boundary: first drop stale fragment tails left by
-        # an aborted wave (a fragment sequence must start at index 0).
-        for q in self._chunk_queues.values():
-            while q and is_chunk(q[0]) and chunk_meta(q[0])[1] != 0:
-                q.popleft()
-        links = self._participants()
-        if links is None:
+        self._drop_stale_tails()
+        heads = self.sync.heads()
+        if heads is None:
             return None
-        heads = [self._chunk_queues[lid][0] for lid in links]
-        if all(is_chunk(h) for h in heads):
-            counts = {chunk_meta(h)[2] for h in heads}
+        if all(is_chunk(h) for h in heads.values()):
+            counts = {chunk_meta(h)[2] for h in heads.values()}
             if len(counts) == 1:
-                # Uniformly fragmented: open an aligned incremental wave.
-                self._wave_links = links
+                # Uniformly fragmented: open an aligned incremental wave
+                # over exactly the links that have a head now.
+                self._wave_links = list(heads)
                 self._wave_n = counts.pop()
-                self._wave_pos = 0
                 return self._release_next_chunk()
-        return self._release_reassembled(links)
+        return self._release_reassembled(list(heads))
 
     def _release_next_chunk(self) -> Optional[List[Packet]]:
         """Release fragment ``_wave_pos`` of the in-flight aligned wave."""
         index, n = self._wave_pos, self._wave_n
-        inner: List[Packet] = []
         for lid in self._wave_links:
-            q = self._chunk_queues.get(lid)
-            if q is None:  # participant vanished: drop_link aborts first
-                self._abort_wave()
-                return []
+            q = self.sync.queue(lid)
             if not q:
                 return None  # wait for this link's fragment
-            head = q[0]
-            if not is_chunk(head) or chunk_meta(head)[1:3] != (index, n):
+            if not is_chunk(q[0]) or chunk_meta(q[0])[1:3] != (index, n):
                 # Truncated/restarted sequence (mid-wave fault below us):
                 # poison the whole in-flight wave and realign.
                 self._abort_wave()
                 return []
-            inner.append(strip_chunk(head))
-        for lid in self._wave_links:
-            self._chunk_queues[lid].popleft()
+        last = index + 1 >= n
+        heads = self.sync.pop_wave(self._wave_links, graduate=last)
         tracer = self._owner.tracer if self._owner is not None else None
-        if tracer is None:
-            outputs = self.transform(inner, self.transform_state)
-        else:
-            t0 = tracer.span_start()
-            outputs = self.transform(inner, self.transform_state)
-            tracer.span_end(
-                "filter", t0, self.stream_id, detail=f"{self.transform.name}#{index}"
-            )
-        if index == 0 and tracer is not None and self._fill_t0 is not None:
+        outputs = self._filter(
+            [strip_chunk(head) for head in heads], tracer, f"#{index}"
+        )
+        if index == 0 and tracer is not None and self._wave_t0 is not None:
             # The pipeline is primed: first partial result leaves while
             # later fragments are still arriving (Figure 3 hop overlap).
             tracer.span(
                 "pipeline_fill",
-                self._fill_t0,
+                self._wave_t0,
                 self._clock(),
                 self.stream_id,
                 detail=f"n={n}",
             )
         self._state_dirty = True
-        out = self._record_out(
-            [wrap_chunk(p, self._out_wave, index, n) for p in outputs]
-        )
-        if index + 1 >= n:
-            released = self._clock()
+        out = [wrap_chunk(p, self._out.wave, index, n) for p in outputs]
+        for p in out:
+            self._out.record(p.materialize())
+        if last:
             if self._wave_t0 is not None:
-                self._h_wave_latency.observe(released - self._wave_t0)
+                self._h_wave_latency.observe(self._clock() - self._wave_t0)
                 self._wave_t0 = None
             self._note_wave_released()
-            self._out_wave += 1
+            for lid, head in zip(self._wave_links, heads):
+                self._note_aggregated(lid, chunk_meta(head)[0])
+            self._out.wave += 1
             self._wave_pos = 0
             self._wave_n = 0
             self._wave_links = []
-            self._fill_t0 = None
-            self._chunk_joining.clear()
         else:
             self._wave_pos = index + 1
         return out
@@ -695,120 +561,81 @@ class StreamManager:
     def _release_reassembled(self, links: List[object]) -> Optional[List[Packet]]:
         """Boundary fallback: mixed whole/fragment (or unevenly
         fragmented) heads.  Wait until every participant has one
-        complete unit queued, rebuild the fragmented ones, and run the
-        classic whole-wave path."""
-        units: List[Packet] = []
-        consume: List[int] = []
+        complete unit queued, the fragmented ones rebuilt in place,
+        then pop a classic whole wave."""
         for lid in links:
-            q = self._chunk_queues[lid]
-            unit = None
-            while q:
-                head = q[0]
-                if not is_chunk(head):
-                    unit = head
-                    consume.append(1)
-                    break
-                wave_id, _index, n, _tag = chunk_meta(head)
-                # Queues are FIFO, so any already-arrived fragment that
+            if not self._whole_head(lid):
+                return None
+        return self._emit_up(self._run_waves([self.sync.pop_wave(links)]))
+
+    def _whole_head(self, link_id: object) -> bool:
+        """Make *link_id*'s head unit whole, rebuilding a complete
+        fragment run in place; ``False`` while the run is still arriving."""
+        q = self.sync.queue(link_id)
+        while q and is_chunk(q[0]):
+            wave_id, _index, n, _tag = chunk_meta(q[0])
+            have = min(n, len(q))
+            run = 1
+            while (
+                run < have
+                and is_chunk(q[run])
+                and chunk_meta(q[run])[:2] == (wave_id, run)
+            ):
+                run += 1
+            if run < have:
+                # Queues are FIFO, so an already-arrived fragment that
                 # breaks the sequence means the sender restarted — the
                 # partial prefix can never complete.  Drop it eagerly
                 # (waiting on it would deadlock behind a finished new
                 # wave) and re-examine the new head.
-                broken_at = None
-                for pos in range(1, min(n, len(q))):
-                    p = q[pos]
-                    if not is_chunk(p) or chunk_meta(p)[:2] != (wave_id, pos):
-                        broken_at = pos
-                        break
-                if broken_at is not None:
-                    for _ in range(broken_at):
-                        q.popleft()
-                    if self._c_chunk_aborts is not None:
-                        self._c_chunk_aborts.value += 1
-                    continue
-                if len(q) < n:
-                    return None  # complete set not yet arrived
-                unit = reassemble([q[pos] for pos in range(n)])
-                consume.append(n)
-                break
-            if unit is None:
-                return None
-            units.append(unit)
-        for lid, count in zip(links, consume):
-            q = self._chunk_queues[lid]
-            for _ in range(count):
-                q.popleft()
-        self._chunk_joining.clear()
-        self._fill_t0 = None
-        return self._emit_up(self._run_waves([units]))
+                for _ in range(run):
+                    q.popleft()
+                if self._c_chunk_aborts is not None:
+                    self._c_chunk_aborts.value += 1
+            elif run < n:
+                return False  # complete set not yet arrived
+            else:
+                whole = reassemble([q.popleft() for _ in range(n)])
+                self._sequenced[id(whole)] = (link_id, wave_id)
+                q.appendleft(whole)
+        return bool(q)
 
     def _abort_wave(self) -> None:
         """Poison the in-flight aligned wave: drop every participant's
         remaining fragments for it and realign at the next boundary."""
         if self._c_chunk_aborts is not None:
             self._c_chunk_aborts.value += 1
-        for q in self._chunk_queues.values():
-            while q and is_chunk(q[0]) and chunk_meta(q[0])[1] != 0:
-                q.popleft()
+        self._drop_stale_tails()
         self._wave_pos = 0
         self._wave_n = 0
         self._wave_links = []
         self._wave_t0 = None
-        self._fill_t0 = None
         # The node's own output sequence restarts too: bump the output
         # wave id so downstream reassembly discards the truncated wave.
-        self._out_wave += 1
+        self._out.wave += 1
 
     def _emit_up(self, packets: List[Packet]) -> List[Packet]:
-        """Split oversized whole outputs so upstream hops stay pipelined."""
+        """Split oversized whole outputs so upstream hops stay pipelined,
+        parking the fragments in the send window (whole packets carry no
+        wire sequence number and are not replayable)."""
         if not self.chunk_bytes:
             return packets
         out: List[Packet] = []
         for p in packets:
-            if is_chunk(p):
-                out.append(p)
-                continue
-            chunks = split_packet(p, self.chunk_bytes, self._out_wave)
+            chunks = self._out.split(p, self.chunk_bytes)
             if chunks is None:
                 out.append(p)
-            else:
-                self._out_wave += 1
-                out.extend(chunks)
-        return self._record_out(out)
-
-    def _record_out(self, packets: List[Packet]) -> List[Packet]:
-        """Append emitted fragments to the bounded retransmit history.
-
-        Fragments are grouped by their output wave id; whole (unchunked)
-        packets carry no wire sequence number and are not replayable.
-        Packets are materialized before parking — a zero-copy shm frame
-        aliases ring memory that the transport recycles after send.
-        """
-        for p in packets:
-            if not is_chunk(p):
                 continue
-            wave_id = chunk_meta(p)[0]
-            if self._out_history and self._out_history[-1][0] == wave_id:
-                self._out_history[-1][1].append(p.materialize())
-            else:
-                self._out_history.append((wave_id, [p.materialize()]))
-            self._history_bytes += p.nbytes
-        while self._out_history and (
-            len(self._out_history) > HISTORY_MAX_WAVES
-            or self._history_bytes > HISTORY_MAX_BYTES
-        ):
-            _seq, chunks = self._out_history.popleft()
-            self._history_bytes -= sum(c.nbytes for c in chunks)
-        return packets
+            for chunk in chunks:
+                # Own the bytes before parking — a zero-copy shm frame
+                # aliases ring memory the transport recycles after send.
+                self._out.record(chunk.materialize())
+            out.extend(chunks)
+        return out
 
     def ack_output(self, wave_seq: int) -> None:
-        """``TAG_WAVE_ACK``: the parent delivered through *wave_seq*.
-
-        Prunes the retransmit history up to and including that wave.
-        """
-        while self._out_history and self._out_history[0][0] <= wave_seq:
-            _seq, chunks = self._out_history.popleft()
-            self._history_bytes -= sum(c.nbytes for c in chunks)
+        """``TAG_WAVE_ACK``: the parent aggregated through *wave_seq*."""
+        self._out.ack(wave_seq)
 
     def resend_since(self, wave_seq: int = -1) -> List[Packet]:
         """Replay every buffered output wave newer than *wave_seq*.
@@ -820,16 +647,9 @@ class StreamManager:
         reassembler realigns on the next boundary and the loss shows
         up in ``chunk_waves_aborted`` there instead.
         """
-        out: List[Packet] = []
-        waves = 0
-        for seq, chunks in self._out_history:
-            if seq <= wave_seq:
-                continue
-            out.extend(chunks)
-            waves += 1
-        if waves:
-            self._c_waves_recovered.value += waves
-            self._c_chunks_retx.value += len(out)
+        out = self._out.resend_since(wave_seq)
+        self._c_waves_recovered.value = self._out.waves_replayed
+        self._c_chunks_retx.value = self._out.chunks_replayed
         return out
 
     def checkpoint_state(self) -> dict:
@@ -837,15 +657,16 @@ class StreamManager:
 
         ``watermarks`` is keyed by child link id — the owner translates
         link identities into rank sets before shipping, since a link id
-        is meaningless outside this process.  ``transform`` (and
-        ``sync``, when contributions are parked) appear only when the
-        filter's state serializes cleanly; checkpointing is always
-        best-effort and never fails the data path.
+        is meaningless outside this process.  ``transform`` appears
+        only when the filter's state serializes cleanly; checkpointing
+        is always best-effort and never fails the data path.  Units
+        parked in the aligner are not shipped: the sequenced ones are
+        below no watermark, so their senders replay them.
         """
         doc = {
-            "out_wave": self._out_wave,
+            "out_wave": self._out.wave,
             "epoch": self.membership_epoch,
-            "watermarks": dict(self._in_high),
+            "watermarks": dict(self._in.watermarks),
         }
         try:
             doc["transform"] = self.transform.get_state(self.transform_state)
@@ -854,14 +675,6 @@ class StreamManager:
                 "stream %d: transform state not checkpointable: %s",
                 self.stream_id, exc,
             )
-        if self.sync.pending:
-            try:
-                doc["sync"] = self.sync.get_state()
-            except Exception as exc:  # noqa: BLE001
-                log.debug(
-                    "stream %d: sync state not checkpointable: %s",
-                    self.stream_id, exc,
-                )
         return doc
 
     def restore_state(self, snapshot: dict) -> None:
@@ -888,17 +701,21 @@ class StreamManager:
             )
 
     def _count_chunks_in_flight(self) -> int:
-        n = sum(
-            1 for q in self._chunk_queues.values() for p in q if is_chunk(p)
+        parked = sum(
+            is_chunk(p) for lid in self.child_links for p in self.sync.queue(lid)
         )
-        n += sum(ra.pending for ra in self._reassemblers.values())
-        return n
+        return parked + self._in.pending
 
     def _run_waves(self, waves) -> List[Packet]:
         out: List[Packet] = []
         tracer = self._owner.tracer if self._owner is not None else None
         for wave in waves:
             self._state_dirty = True
+            if self._sequenced:
+                for p in wave:
+                    sequenced = self._sequenced.pop(id(p), None)
+                    if sequenced is not None:
+                        self._note_aggregated(*sequenced)
             released = self._clock()
             if self._wave_t0 is not None:
                 self._h_wave_latency.observe(released - self._wave_t0)
@@ -911,16 +728,20 @@ class StreamManager:
                         detail=self.sync.name,
                     )
                 self._wave_t0 = None
-            if tracer is None:
-                out.extend(self.transform(wave, self.transform_state))
-            else:
-                t0 = tracer.span_start()
-                out.extend(self.transform(wave, self.transform_state))
-                tracer.span_end(
-                    "filter", t0, self.stream_id, detail=self.transform.name
-                )
+            out.extend(self._filter(wave, tracer))
             self._note_wave_released()
         return out
+
+    def _filter(self, wave, tracer, part: str = ""):
+        """Run the upstream transform on *wave* (one ``filter`` span)."""
+        if tracer is None:
+            return self.transform(wave, self.transform_state)
+        t0 = tracer.span_start()
+        outputs = self.transform(wave, self.transform_state)
+        tracer.span_end(
+            "filter", t0, self.stream_id, detail=self.transform.name + part
+        )
+        return outputs
 
     # -- downstream --------------------------------------------------------
 
@@ -939,13 +760,9 @@ class StreamManager:
 
     @property
     def pending(self) -> int:
-        """Packets currently held back (sync filter, chunk queues and
-        per-link fragment reassembly)."""
-        if self.incremental:
-            return sum(len(q) for q in self._chunk_queues.values())
-        return self.sync.pending + sum(
-            ra.pending for ra in self._reassemblers.values()
-        )
+        """Units currently held back (parked in the aligner, plus
+        fragments in per-link reassembly)."""
+        return self.sync.pending + self._in.pending
 
     def next_deadline(self) -> Optional[float]:
         """Earliest clock time a time-based criterion could fire."""

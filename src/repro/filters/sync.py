@@ -151,44 +151,26 @@ class SynchronizationFilter:
         """Number of packets currently held back."""
         return sum(len(q) for q in self._queues.values())
 
-    # -- checkpointing ------------------------------------------------------
+    # -- parked units (the fragment pipeline) ------------------------------
 
-    def get_state(self) -> dict:
-        """Serialize the buffered partial-wave contributions (JSON-able).
+    def queue(self, child: object) -> Deque[Packet]:
+        """*child*'s FIFO of parked units, oldest first.
 
-        Each child's queued packets are wire-encoded and base64'd;
-        children are keyed by ``str()`` of their identity (link ids in
-        practice).  Shipped in ``TAG_CHECKPOINT`` payloads so a dead
-        node's partially synchronized wave is not silently lost.
+        A pipeline fragment is a unit like any other, but whether it
+        may leave depends on how its siblings' heads are framed: the
+        stream manager appends it here without evaluating the criterion
+        (the joining grace ends at a wave boundary, not at a first
+        fragment), decides from :meth:`heads`, trims stale fragments,
+        and pops whole waves through :meth:`pop_wave`.
         """
-        from base64 import b64encode
+        return self._queues[child]
 
-        from ..core.batching import encode_batch
-
-        pending = {}
-        for child, q in self._queues.items():
-            if q:
-                pending[str(child)] = b64encode(encode_batch(q)).decode("ascii")
-        return {"sync": self.name, "pending": pending}
-
-    def set_state(self, snapshot: dict) -> None:
-        """Re-queue contributions from a :meth:`get_state` snapshot.
-
-        Children are matched by ``str()`` of their identity; entries
-        for children this filter does not know are ignored (the dead
-        node's links do not exist at the adopter).
-        """
-        from base64 import b64decode
-
-        from ..core.batching import decode_batch
-
-        by_name = {str(child): child for child in self._queues}
-        for key, blob in snapshot.get("pending", {}).items():
-            child = by_name.get(key)
-            if child is None:
-                continue
-            for packet in decode_batch(b64decode(blob), lazy=False):
-                self._queues[child].append(packet)
+    def heads(self) -> Optional[Dict[object, Packet]]:
+        """What :meth:`pop_wave` would release, without popping:
+        ``{child: head unit}``, or ``None`` while a full member's queue
+        is empty."""
+        ready = self._ready()
+        return {c: q[0] for c, q in self._queues.items() if q} if ready else None
 
     def next_deadline(self) -> Optional[float]:
         """Clock time at which :meth:`poll` could release a wave.
@@ -207,24 +189,52 @@ class SynchronizationFilter:
     def _reset_criterion(self) -> None:
         """Hook for subclasses holding extra criterion state."""
 
-    def _pop_full_wave(self) -> Optional[Wave]:
-        """Pop one packet per contributing child once every *full*
-        member's queue is non-empty (joining children never block; any
-        queued packet of theirs still rides along)."""
-        if not self._queues:
+    def _ready(self) -> bool:
+        """True once every *full* member has a unit queued (joining and
+        leaving children never block)."""
+        queues = self._queues
+        if self._joining or self._leaving:
+            exempt = self._joining | self._leaving
+            required = [q for c, q in queues.items() if c not in exempt]
+            return bool(required) and all(required)
+        return bool(queues) and all(queues.values())
+
+    def pop_wave(
+        self, members: Optional[Sequence[object]] = None, graduate: bool = True
+    ) -> Optional[Wave]:
+        """Pop one unit per contributing child once every full member's
+        queue is non-empty (any queued unit of a joining or leaving
+        child rides along).
+
+        *members* restricts the pop to the children of an in-flight
+        fragmented wave, whose membership was fixed at its first
+        fragment: a child adopted since keeps waiting for the boundary.
+        ``graduate=False`` keeps the joining grace open between the
+        fragments of one wave.
+        """
+        if members is not None:
+            queues = [self._queues[c] for c in members]
+            if not all(queues):
+                return None
+            wave = [q.popleft() for q in queues]
+        elif self._ready():
+            wave = [q.popleft() for q in self._queues.values() if q]
+        else:
             return None
-        required = [
-            q
-            for c, q in self._queues.items()
-            if c not in self._joining and c not in self._leaving
-        ]
-        if not required or not all(required):
-            return None
-        wave = [q.popleft() for q in self._queues.values() if q]
-        # A released wave ends the joining grace period: from the next
-        # wave on, adopted children are full members.
-        self._joining.clear()
+        if graduate:
+            # A released wave ends the joining grace period: from the
+            # next wave on, adopted children are full members.
+            self._joining.clear()
         return wave
+
+    def _full_waves(self) -> List[Wave]:
+        """Pop every wave whose full members have all contributed."""
+        waves: List[Wave] = []
+        while True:
+            wave = self.pop_wave()
+            if wave is None:
+                return waves
+            waves.append(wave)
 
 
 class WaitForAllFilter(SynchronizationFilter):
@@ -232,13 +242,7 @@ class WaitForAllFilter(SynchronizationFilter):
 
     name = "sync-wait-for-all"
 
-    def _ready_waves(self) -> List[Wave]:
-        waves: List[Wave] = []
-        while True:
-            wave = self._pop_full_wave()
-            if wave is None:
-                return waves
-            waves.append(wave)
+    _ready_waves = SynchronizationFilter._full_waves
 
 
 class TimeOutFilter(SynchronizationFilter):
@@ -277,12 +281,7 @@ class TimeOutFilter(SynchronizationFilter):
         return self._wave_started + self.timeout
 
     def _ready_waves(self) -> List[Wave]:
-        waves: List[Wave] = []
-        while True:
-            wave = self._pop_full_wave()
-            if wave is None:
-                break
-            waves.append(wave)
+        waves = self._full_waves()
         if waves:
             # Completed waves consume the timer; restart it if packets
             # toward the next wave are already queued.
@@ -292,9 +291,7 @@ class TimeOutFilter(SynchronizationFilter):
             and self.pending
             and self._clock() - self._wave_started >= self.timeout
         ):
-            partial = [q.popleft() for q in self._queues.values() if q]
-            waves.append(partial)
-            self._joining.clear()
+            waves.append(self.pop_wave([c for c, q in self._queues.items() if q]))
             self._wave_started = self._clock() if self.pending else None
         return waves
 

@@ -168,12 +168,12 @@ def _repair_fn_eventloop(loop, ancestors, accept_timeout: float):
     live entry — grandparent first, front-end last — so adoption
     needs no coordinator round-trip.
     """
-    from .transport.tcp import tcp_connect_socket_retry
+    from .transport.tcp import tcp_dial
 
     def repair():
         for addr in reversed(ancestors):
             try:
-                sock = tcp_connect_socket_retry(
+                sock, _ = tcp_dial(
                     addr, attempts=3, timeout=min(accept_timeout, 5.0)
                 )
             except Exception:
@@ -335,7 +335,7 @@ def run_commnode_recursive(
     separate processes, except that it costs one thread instead of N.
     """
     from .transport.eventloop import EventLoop
-    from .transport.tcp import tcp_connect_socket_retry_ex
+    from .transport.tcp import tcp_dial
 
     registry = default_registry()
     for path, func, fmt in opts.filter_specs:
@@ -352,7 +352,7 @@ def run_commnode_recursive(
                 close_in_child=listeners, child_ancestors=member.ancestors,
             )
 
-        sock, pair = tcp_connect_socket_retry_ex(
+        sock, pair = tcp_dial(
             parent_addr, attempts=6, timeout=opts.accept_timeout,
             shm=spec["k"] == "shm",
         )
@@ -382,7 +382,7 @@ def run_commnode_recursive(
         for member in group:
             core = member.core
             for _ in member.remote:
-                sock_c, pair_c = member.listener.accept_socket_ex(
+                sock_c, pair_c = member.listener.accept_socket(
                     timeout=opts.accept_timeout
                 )
                 if pair_c is not None:

@@ -58,7 +58,7 @@ def simulate_instantiation(
     """Simulate creating the whole MRNet process tree.
 
     ``launch_failure_rate`` models flaky process creation (the runtime
-    counterpart is :func:`~repro.transport.tcp.tcp_connect_socket_retry`):
+    counterpart is :func:`~repro.transport.tcp.tcp_dial`):
     each launch attempt independently fails with that probability on a
     ``seed``-determined schedule, and the launcher retries with the
     same capped-backoff policy the real transport uses, up to

@@ -401,7 +401,7 @@ class _Acceptor:
         """Readable listener: accept + hello + (maybe) shm upgrade."""
         loop = self.loop
         try:
-            sock, pair = self.listener.accept_socket_ex(
+            sock, pair = self.listener.accept_socket(
                 timeout=5.0, allow_shm=self.allow_shm
             )
         except (OSError, ConnectionError, ValueError) as exc:

@@ -8,8 +8,10 @@ payloads and deliver inbound payloads into an
 socket with a 4-byte big-endian length frame.
 
 Use :func:`tcp_pair` for an in-process connected pair (tests, single
-host), or :class:`TcpListener` + :func:`tcp_connect` for genuinely
-separate endpoints (e.g. one process tree per terminal on localhost).
+host), or :class:`TcpListener` + :func:`tcp_connect_retry` for
+genuinely separate endpoints (e.g. one process tree per terminal on
+localhost); both are the raw handshake (:func:`tcp_dial`,
+:meth:`TcpListener.accept_socket`) plus this module's passive end.
 Each end runs a small reader thread that feeds its inbox, mirroring
 how a comm node's event loop owns its socket set — and its receive
 rule: a payload is what one ``recv`` returned, or a read-only view of
@@ -33,11 +35,7 @@ __all__ = [
     "TcpChannelEnd",
     "TcpListener",
     "tcp_pair",
-    "tcp_connect",
-    "tcp_connect_socket",
-    "tcp_connect_socket_ex",
-    "tcp_connect_socket_retry",
-    "tcp_connect_socket_retry_ex",
+    "tcp_dial",
     "tcp_connect_retry",
     "HELLO_SHM_FLAG",
 ]
@@ -234,6 +232,16 @@ def tcp_pair(inbox_a: Inbox, inbox_b: Inbox) -> Tuple[TcpChannelEnd, TcpChannelE
     )
 
 
+def _passive_end(sock: socket.socket, rings, inbox: Inbox):
+    """Wrap a handshaken socket in this module's reader-thread end (a
+    :class:`~repro.transport.shm.ShmChannelEnd` over negotiated rings)."""
+    if rings is not None:
+        from .shm import ShmChannelEnd
+
+        return ShmChannelEnd(sock, rings[0], rings[1], _alloc_link_id(), inbox)
+    return TcpChannelEnd(sock, _alloc_link_id(), inbox)
+
+
 class TcpListener:
     """Accepts connections, producing TcpChannelEnds for a local inbox."""
 
@@ -257,36 +265,20 @@ class TcpListener:
         then a :class:`~repro.transport.shm.ShmChannelEnd` — same
         interface, same inbox deliveries.
         """
-        sock, pair = self.accept_socket_ex(timeout)
-        if pair is not None:
-            from .shm import ShmChannelEnd
+        return _passive_end(*self.accept_socket(timeout), self._inbox)
 
-            return ShmChannelEnd(
-                sock, pair[0], pair[1], _alloc_link_id(), self._inbox
-            )
-        return TcpChannelEnd(sock, _alloc_link_id(), self._inbox)
-
-    def accept_socket(self, timeout: Optional[float] = None) -> socket.socket:
-        """Accept one connection and return the raw connected socket.
-
-        The link handshake is consumed, but no reader thread is
-        started — callers that register the socket with an event loop
-        use this instead of :meth:`accept`.  Shared-memory offers are
-        refused (NAK), so the connector transparently stays on TCP;
-        use :meth:`accept_socket_ex` to take the upgrade.
-        """
-        sock, _ = self.accept_socket_ex(timeout, allow_shm=False)
-        return sock
-
-    def accept_socket_ex(
+    def accept_socket(
         self, timeout: Optional[float] = None, allow_shm: bool = True
     ):
         """Accept one connection; returns ``(socket, shm_rings_or_None)``.
 
-        Consumes the hello and, when the connector offered a
-        shared-memory upgrade, completes the negotiation: the second
-        element is the acceptor-side ``(tx, rx)`` ring pair on
-        success, ``None`` after a NAK or a plain hello.
+        Consumes the hello but starts no reader thread — event loops
+        register the socket themselves.  When the connector offered a
+        shared-memory upgrade the negotiation completes here: the
+        second element is the acceptor-side ``(tx, rx)`` ring pair on
+        success, ``None`` after a plain hello or a NAK
+        (``allow_shm=False`` refuses every offer, so the connector
+        transparently stays on TCP).
         """
         self._server.settimeout(timeout)
         sock, _ = self._server.accept()
@@ -312,31 +304,7 @@ class TcpListener:
         self._server.close()
 
 
-def tcp_connect_socket(
-    address: Tuple[str, int], timeout: Optional[float] = None
-) -> socket.socket:
-    """Connect to a :class:`TcpListener`, returning the raw socket.
-
-    Performs the hello handshake but starts no reader thread; pair
-    with an event loop (or wrap in :class:`TcpChannelEnd` manually).
-    """
-    sock, _ = tcp_connect_socket_ex(address, timeout=timeout)
-    return sock
-
-
-def tcp_connect_socket_ex(
-    address: Tuple[str, int],
-    timeout: Optional[float] = None,
-    shm: bool = False,
-    capacity: Optional[int] = None,
-):
-    """Connect with an optional shared-memory offer.
-
-    Returns ``(socket, shm_rings_or_None)``: the second element is the
-    connector-side ``(tx, rx)`` ring pair when ``shm=True`` and the
-    acceptor took the upgrade, else ``None`` (the socket is then an
-    ordinary framed TCP link — transparent fallback).
-    """
+def _dial_once(address, timeout, shm: bool, capacity: Optional[int]):
     sock = socket.create_connection(address, timeout=timeout)
     pair = None
     try:
@@ -357,42 +325,7 @@ def tcp_connect_socket_ex(
     return sock, pair
 
 
-def tcp_connect(
-    address: Tuple[str, int], inbox: Inbox, timeout: Optional[float] = None
-) -> TcpChannelEnd:
-    """Connect to a :class:`TcpListener` and build this side's end."""
-    return TcpChannelEnd(
-        tcp_connect_socket(address, timeout), _alloc_link_id(), inbox
-    )
-
-
-def tcp_connect_socket_retry(
-    address: Tuple[str, int],
-    attempts: int = 5,
-    timeout: Optional[float] = 5.0,
-    base: float = 0.1,
-    cap: float = 2.0,
-    sleep: Callable[[float], None] = time.sleep,
-) -> socket.socket:
-    """Connect with capped exponential backoff (tree instantiation).
-
-    One long blocking connect penalizes the common failure (the peer
-    is simply not listening *yet* — launch races during §2.5
-    instantiation) with a full connect timeout per try and gives the
-    caller a bare ``OSError`` with no MRNet context.  Retrying with
-    short per-attempt timeouts and jittered backoff converges fast
-    when the peer comes up, and a final failure raises
-    :class:`~repro.core.failure.InstantiationError` naming the
-    unreachable address and attempt count.
-    """
-    sock, _ = tcp_connect_socket_retry_ex(
-        address, attempts=attempts, timeout=timeout, base=base, cap=cap,
-        sleep=sleep,
-    )
-    return sock
-
-
-def tcp_connect_socket_retry_ex(
+def tcp_dial(
     address: Tuple[str, int],
     attempts: int = 5,
     timeout: Optional[float] = 5.0,
@@ -402,9 +335,21 @@ def tcp_connect_socket_retry_ex(
     shm: bool = False,
     capacity: Optional[int] = None,
 ):
-    """Retrying :func:`tcp_connect_socket_ex`; same backoff policy.
+    """Connect to a :class:`TcpListener`; ``(socket, shm_rings_or_None)``.
 
-    Returns ``(socket, shm_rings_or_None)``.
+    Performs the hello handshake but starts no reader thread; pair the
+    socket with an event loop.  With ``shm=True`` the hello offers the
+    shared-memory upgrade: the second element is the connector-side
+    ``(tx, rx)`` ring pair when the acceptor took it, else ``None``
+    (an ordinary framed TCP link — transparent fallback).
+
+    Retries with capped exponential backoff (``attempts=1`` is a single
+    try).  The common failure is a peer that is not listening *yet* —
+    launch races during §2.5 instantiation — so short per-attempt
+    timeouts and jittered backoff converge fast when it comes up, and
+    a final failure raises
+    :class:`~repro.core.failure.InstantiationError` naming the
+    unreachable address and attempt count instead of a bare ``OSError``.
     """
     from ..core.failure import InstantiationError, backoff_delays
 
@@ -414,9 +359,7 @@ def tcp_connect_socket_retry_ex(
     last: Optional[Exception] = None
     for k in range(attempts):
         try:
-            return tcp_connect_socket_ex(
-                address, timeout=timeout, shm=shm, capacity=capacity
-            )
+            return _dial_once(address, timeout, shm, capacity)
         except OSError as exc:
             last = exc
             if k < len(delays):
@@ -424,28 +367,12 @@ def tcp_connect_socket_retry_ex(
     raise InstantiationError(address, attempts, str(last))
 
 
-def tcp_connect_retry(
-    address: Tuple[str, int],
-    inbox: Inbox,
-    attempts: int = 5,
-    timeout: Optional[float] = 5.0,
-    shm: bool = False,
-    capacity: Optional[int] = None,
-    **kwargs,
-):
-    """Retrying variant of :func:`tcp_connect` (same backoff policy).
+def tcp_connect_retry(address: Tuple[str, int], inbox: Inbox, **kwargs):
+    """:func:`tcp_dial` (same arguments), wrapped in a passive end.
 
     With ``shm=True`` the connect offers the shared-memory upgrade;
     the returned end is then a
     :class:`~repro.transport.shm.ShmChannelEnd` when the peer accepts,
     else a plain :class:`TcpChannelEnd`.
     """
-    sock, pair = tcp_connect_socket_retry_ex(
-        address, attempts=attempts, timeout=timeout, shm=shm,
-        capacity=capacity, **kwargs,
-    )
-    if pair is not None:
-        from .shm import ShmChannelEnd
-
-        return ShmChannelEnd(sock, pair[0], pair[1], _alloc_link_id(), inbox)
-    return TcpChannelEnd(sock, _alloc_link_id(), inbox)
+    return _passive_end(*tcp_dial(address, **kwargs), inbox)

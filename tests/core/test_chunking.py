@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.chunking import (
+    ACK_STRIDE,
     CHUNK_PREFIX_FMT,
+    HISTORY_MAX_BYTES,
+    HISTORY_MAX_WAVES,
     ChunkReassembler,
+    ReceiveWindow,
+    SendWindow,
     chunk_meta,
     chunkable_bytes,
     is_chunk,
@@ -147,3 +152,173 @@ class TestPrefixFormat:
         wired = [Packet.from_bytes(c.to_bytes()) for c in chunks]
         whole = reassemble(wired)
         assert whole.values == (tuple(range(500)),)
+
+
+# -- the link protocol's two halves, alone: no threads, no sleeps ---------
+
+
+def wave_of(wave_id, n_elems=1000, chunk_bytes=2048):
+    """The fragments of one sender wave (4 fragments by default)."""
+    return split_packet(make_packet(n_elems), chunk_bytes, wave_id)
+
+
+def history_of(window):
+    return [seq for seq, _chunks in window._history]
+
+
+class TestSendWindow:
+    def test_split_numbers_waves_and_skips_small_packets(self):
+        w = SendWindow()
+        assert w.split(make_packet(4), 2048) is None and w.wave == 0
+        assert w.split(make_packet(1000), 0) is None and w.wave == 0
+        for expect in (0, 1):
+            chunks = w.split(make_packet(1000), 2048)
+            assert {chunk_meta(c)[0] for c in chunks} == {expect}
+        assert w.wave == 2
+
+    @pytest.mark.parametrize(
+        "n_waves, n_elems, chunk_bytes, kept",
+        [
+            # Wave bound: the oldest waves go first, one whole wave at a time.
+            (HISTORY_MAX_WAVES + 3, 1000, 2048, HISTORY_MAX_WAVES),
+            # Byte bound: ~1 MiB waves, so only 3 fit under 4 MiB.
+            (6, 1 << 17, 1 << 18, 3),
+        ],
+        ids=["waves", "bytes"],
+    )
+    def test_history_never_exceeds_either_bound(
+        self, n_waves, n_elems, chunk_bytes, kept
+    ):
+        w = SendWindow()
+        for _ in range(n_waves):
+            for chunk in w.split(make_packet(n_elems), chunk_bytes):
+                w.record(chunk)
+                assert len(w._history) <= HISTORY_MAX_WAVES
+                assert w._bytes <= HISTORY_MAX_BYTES
+        assert history_of(w) == list(range(n_waves - kept, n_waves))
+        assert w._bytes == sum(c.nbytes for _s, cs in w._history for c in cs)
+
+    def test_ack_is_cumulative_and_a_stale_ack_is_a_noop(self):
+        w = SendWindow()
+        for _ in range(5):
+            for chunk in w.split(make_packet(1000), 2048):
+                w.record(chunk)
+        w.ack(2)
+        assert history_of(w) == [3, 4]
+        w.ack(0)  # reordered / duplicate ACK for an older wave
+        w.ack(2)
+        assert history_of(w) == [3, 4]
+        w.ack(99)
+        assert history_of(w) == [] and w._bytes == 0
+
+    def test_resend_skips_aged_out_waves_and_counts_replays(self):
+        w = SendWindow()
+        n = HISTORY_MAX_WAVES + 2  # waves 0 and 1 age out
+        for _ in range(n):
+            for chunk in w.split(make_packet(1000), 2048):
+                w.record(chunk)
+        replay = w.resend_since(-1)  # asks for everything; gets what is left
+        assert [chunk_meta(c)[:2] for c in replay] == [
+            (seq, i) for seq in range(2, n) for i in range(4)
+        ]
+        assert (w.waves_replayed, w.chunks_replayed) == (HISTORY_MAX_WAVES, len(replay))
+        assert len(w.resend_since(n - 2)) == 4  # just the newest wave
+        assert w.resend_since(n) == []
+        assert w.waves_replayed == HISTORY_MAX_WAVES + 1
+
+    def test_aborted_wave_leaves_a_gap_not_an_entry(self):
+        w = SendWindow()
+        w.record(w.split(make_packet(1000), 2048)[0])
+        w.wave += 1  # a wave aborted before emitting anything
+        w.record(w.split(make_packet(1000), 2048)[0])
+        assert history_of(w) == [0, 2]
+
+
+class TestReceiveWindow:
+    def feed(self, window, key, chunks):
+        """Admit then reassemble; returns (wholes, nacks)."""
+        wholes, nacks = [], []
+        for chunk in chunks:
+            accept, nack = window.admit(key, chunk)
+            if nack is not None:
+                nacks.append(nack)
+            if accept:
+                whole = window.add(key, chunk)
+                if whole is not None:
+                    wholes.append(whole)
+        return wholes, nacks
+
+    def test_in_order_waves_pass_and_watermark_follows_release(self):
+        w = ReceiveWindow()
+        wholes, nacks = self.feed(w, "a", wave_of(0) + wave_of(1))
+        assert len(wholes) == 2 and nacks == []
+        # Arrived is not aggregated: nothing is watermarked (or ACKed)
+        # until the aligner reports the release.
+        assert w.watermarks == {}
+        assert w.release("a", 0) is None
+        assert w.watermarks == {"a": 0}
+
+    @pytest.mark.parametrize("replayed", [0, 1], ids=["aggregated", "parked"])
+    def test_duplicate_wave_dropped_and_counted(self, replayed):
+        w = ReceiveWindow()
+        self.feed(w, "a", wave_of(0) + wave_of(1))
+        w.release("a", 0)  # wave 1 still parked in the aligner
+        wholes, nacks = self.feed(w, "a", wave_of(replayed))
+        assert wholes == [] and nacks == []
+        assert w.duplicates_dropped == 4
+        assert w.pending == 0
+
+    def test_gap_yields_one_nack_however_many_fragments_follow(self):
+        w = ReceiveWindow()
+        self.feed(w, "a", wave_of(0))
+        wholes, nacks = self.feed(w, "a", wave_of(3) + wave_of(4))
+        assert nacks == [1]  # once per (key, expected)
+        assert len(wholes) == 2  # gaps are normal: later waves still pass
+        # A second gap further on is a new (key, expected) pair.
+        assert self.feed(w, "a", wave_of(7))[1] == [5]
+        # Another sender has its own sequence space.
+        assert self.feed(w, "b", wave_of(2))[1] == [0]
+
+    def test_replay_after_nack_is_deduplicated_per_wave(self):
+        w = ReceiveWindow()
+        self.feed(w, "a", wave_of(0))
+        self.feed(w, "a", wave_of(3))  # NACK(1) went out
+        wholes, nacks = self.feed(w, "a", wave_of(3) + wave_of(4))
+        assert len(wholes) == 1 and nacks == []  # 3 again: dropped; 4: new
+        assert w.duplicates_dropped == 4
+
+    def test_mid_sequence_restart_discards_the_partial_wave_once(self):
+        w = ReceiveWindow()
+        wholes, _ = self.feed(w, "a", wave_of(0)[:2] + wave_of(1))
+        assert len(wholes) == 1 and w.discarded_waves == 1
+        wholes, _ = self.feed(w, "a", wave_of(2))
+        assert len(wholes) == 1 and w.discarded_waves == 1
+
+    def test_ack_every_stride_of_aggregated_waves(self):
+        w = ReceiveWindow()
+        acks = [w.release("a", seq) for seq in range(2 * ACK_STRIDE)]
+        assert [a for a in acks if a is not None] == [
+            ACK_STRIDE - 1, 2 * ACK_STRIDE - 1
+        ]
+
+    def test_seeded_watermark_is_monotonic_and_drops_the_prefix(self):
+        w = ReceiveWindow()
+        w.seed_watermark("a", 5)
+        w.seed_watermark("a", 3)  # a stale seed never moves it back
+        assert w.watermarks == {"a": 5}
+        wholes, nacks = self.feed(w, "a", wave_of(5) + wave_of(6))
+        assert len(wholes) == 1 and nacks == []
+
+    def test_drop_and_drop_stream_prune_every_table(self):
+        w = ReceiveWindow()
+        for key in [(7, 0), (7, 1), (8, 0)]:
+            w.admit(key, wave_of(0)[0])
+            w.add(key, wave_of(0)[0])
+        assert len(w) == 3 and w.pending == 3
+        w.drop_stream(7)
+        assert len(w) == 1 and w.pending == 1
+        w.release((8, 0), 0)
+        w.drop((8, 0))
+        assert len(w) == 0 and w.watermarks == {}
+        # A dropped key starts from scratch: wave 0 is new again.
+        assert w.admit((8, 0), wave_of(0)[0]) == (True, None)

@@ -3,25 +3,27 @@
 Comm nodes with ``checkpoint_interval`` set periodically ship a
 ``TAG_CHECKPOINT`` deposit per stream to their parent: the output wave
 sequence, per-child dedup watermarks (re-keyed by rank set), and the
-serialized transform/sync filter state.  When the depositor dies, the
+serialized transform filter state.  When the depositor dies, the
 parent seeds the adopted orphans' links from that deposit — replayed
 waves the dead node had already forwarded are dropped, and a partial
 reduction resumes instead of silently restarting.
 
 This file covers the pieces in isolation: the ``get_state`` /
-``set_state`` round-trips (scalar state, bounded deques of arrays,
-parked sync contributions), the pristine-only restore rule, watermark
-seeding monotonicity, and the deposit flow itself.
+``set_state`` round-trips (scalar state, bounded deques of arrays),
+the pristine-only restore rule, watermark seeding monotonicity, the
+"watermarked means aggregated" rule, and the deposit flow itself.
 """
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.core import REPAIR, Network
+from repro.core.chunking import reassemble, split_packet
 from repro.core.packet import Packet
 from repro.core.stream_manager import StreamManager
-from repro.filters import TFILTER_SUM, window_filter
+from repro.filters import TFILTER_CONCAT, TFILTER_SUM, window_filter
 from repro.filters.base import FilterState, make_filter
 from repro.filters.registry import (
     SFILTER_DONTWAIT,
@@ -101,39 +103,6 @@ class TestFilterStateRoundTrip:
         (b,) = window_filter([apkt([5.0, 6.0])], restored)
         assert a.values == b.values
 
-    def test_parked_sync_contributions_resume(self, registry):
-        """Wait-for-all parked one child's contribution when the node
-        died; the adopter re-queues it and the wave completes with
-        nothing lost."""
-        mgr1 = StreamManager.create(
-            5, [0, 1], [10, 11], registry, SFILTER_WAITFORALL, TFILTER_SUM
-        )
-        assert mgr1.push_upstream(10, ipkt(3)) == []
-        doc = mgr1.checkpoint_state()
-        assert "sync" in doc and doc["sync"]["pending"]
-
-        mgr2 = StreamManager.create(
-            5, [0, 1], [10, 11], registry, SFILTER_WAITFORALL, TFILTER_SUM
-        )
-        mgr2.sync.set_state(doc["sync"])
-        out = mgr2.push_upstream(11, ipkt(4))
-        assert len(out) == 1 and out[0].values == (7,)
-
-    def test_unknown_children_in_snapshot_ignored(self, registry):
-        mgr1 = StreamManager.create(
-            5, [0, 1], [10, 11], registry, SFILTER_WAITFORALL, TFILTER_SUM
-        )
-        mgr1.push_upstream(10, ipkt(3))
-        doc = mgr1.checkpoint_state()
-
-        # The adopter's link ids differ: entries that match nothing
-        # must be dropped silently, not crash the restore.
-        mgr2 = StreamManager.create(
-            5, [0, 1], [20, 21], registry, SFILTER_WAITFORALL, TFILTER_SUM
-        )
-        mgr2.sync.set_state(doc["sync"])
-        assert mgr2.sync.pending == 0
-
 
 class TestWatermarks:
     def test_seed_is_monotonic(self, registry):
@@ -156,6 +125,55 @@ class TestWatermarks:
         assert doc["watermarks"] == {10: 2}
         assert doc["out_wave"] == 0
         assert doc["epoch"] == mgr.membership_epoch
+
+
+class TestWatermarkedMeansAggregated:
+    """A wave that arrived but is still parked behind a sibling is not
+    below the watermark, so its sender's post-repair replay is taken —
+    the repaired wave equals the fault-free one (12.0, not 9.0)."""
+
+    N_ELEMS = 1024
+    CHUNK = 2048  # 4 fragments per contribution
+
+    def fragments(self, value, wave=0):
+        whole = Packet(5, 100, "%alf", (np.full(self.N_ELEMS, value),))
+        return split_packet(whole, self.CHUNK, wave)
+
+    def manager(self, registry, transform, ranks, links):
+        return StreamManager.create(
+            5, ranks, links, registry, SFILTER_WAITFORALL, transform,
+            chunk_bytes=self.CHUNK,
+        )
+
+    @pytest.mark.parametrize(
+        "transform", [TFILTER_SUM, TFILTER_CONCAT], ids=["incremental", "reassembled"]
+    )
+    def test_parked_wave_is_replayed_to_the_adopter(self, registry, transform):
+        # The depositor: A's wave 0 fully arrived on link 10, B's (link
+        # 11) has not, so nothing was aggregated when it checkpoints.
+        depositor = self.manager(registry, transform, [0, 1], [10, 11])
+        for frag in self.fragments(3.0):
+            assert depositor.push_upstream(10, frag) == []
+        doc = depositor.checkpoint_state()
+        assert doc["watermarks"] == {} and "sync" not in doc
+
+        # The adopter loses the depositor (link 30), adopts A and B on
+        # fresh links seeded from the deposit, and keeps C (link 31).
+        adopter = self.manager(registry, transform, [0, 1, 2], [30, 31])
+        assert adopter.drop_link(30) == []
+        for new_link, old_link in ((20, 10), (21, 11)):
+            adopter.add_link(new_link)
+            if old_link in doc["watermarks"]:
+                adopter.seed_watermark(new_link, doc["watermarks"][old_link])
+        out = []
+        for link, value in ((20, 3.0), (21, 4.0), (31, 5.0)):  # A replays
+            for frag in self.fragments(value):
+                out += adopter.push_upstream(link, frag)
+        (result,) = reassemble(out).raw_values
+        assert float(np.sum(result)) / self.N_ELEMS == 12.0
+        assert adopter.pending == 0
+        # Now they are aggregated, and say so.
+        assert adopter.checkpoint_state()["watermarks"] == {20: 0, 21: 0, 31: 0}
 
 
 class TestCheckpointFlow:

@@ -20,7 +20,6 @@ import time
 import pytest
 
 from repro.core import DEGRADE, REPAIR, Network
-from repro.core.chunking import split_packet
 from repro.core.packet import Packet
 from repro.faultinject import FaultInjector
 from repro.filters import TFILTER_SUM
@@ -93,7 +92,7 @@ class TestMidWaveBackendDeath:
                 whole = Packet(
                     st.stream_id, packet.tag, "%alf", (payload,), origin_rank=0
                 )
-                frags = split_packet(whole, CHUNK_BYTES, bstream._send_wave)
+                frags = bstream._window.split(whole, CHUNK_BYTES)
                 assert frags is not None and len(frags) == 4
                 for frag in frags[:2]:
                     bstream.send_packet(frag)
@@ -186,17 +185,16 @@ class TestMidChunkCommNodeDeath:
     def _send_half_sequence(self, bstream, tag, stream_id):
         """Rank 0 ships exactly the first half of its fragment wave.
 
-        Fragments are pre-split and recorded by hand (the replay
-        history normally fills in ``_send_maybe_chunked``) so the kill
-        lands deterministically *inside* one ``TAG_CHUNK`` sequence.
+        Fragments are pre-split and recorded by hand (the send window
+        normally fills in ``_send_maybe_chunked``) so the kill lands
+        deterministically *inside* one ``TAG_CHUNK`` sequence.
         """
         whole = Packet(stream_id, tag, "%alf", (self.PAYLOAD,), origin_rank=0)
-        frags = split_packet(whole, CHUNK_BYTES, bstream._send_wave)
+        frags = bstream._window.split(whole, CHUNK_BYTES)
         assert frags is not None and len(frags) == 4
-        bstream._send_wave += 1
         for frag in frags[:2]:
             bstream.send_packet(frag)
-            bstream._record(frag)
+            bstream._window.record(frag)
         return frags
 
     @pytest.mark.parametrize("mode", ["tcp", "process", "colocated"])
@@ -263,7 +261,7 @@ class TestMidChunkCommNodeDeath:
         # prefix plus this tail form one contiguous fragment wave.
         for frag in frags[2:]:
             handles[0].send_packet(frag)
-            handles[0]._record(frag)
+            handles[0]._window.record(frag)
         for rank in (1, 2, 3):
             handles[rank].send("%alf", self.PAYLOAD)
 

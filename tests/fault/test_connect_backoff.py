@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.failure import InstantiationError, backoff_delays
 from repro.transport.channel import Inbox
-from repro.transport.tcp import tcp_connect_retry, tcp_connect_socket_retry
+from repro.transport.tcp import tcp_connect_retry, tcp_dial
 
 
 def dead_address():
@@ -40,9 +40,7 @@ class TestConnectRetry:
         addr = dead_address()
         slept = []
         with pytest.raises(InstantiationError) as exc:
-            tcp_connect_socket_retry(
-                addr, attempts=3, timeout=0.2, sleep=slept.append
-            )
+            tcp_dial(addr, attempts=3, timeout=0.2, sleep=slept.append)
         err = exc.value
         assert err.address == addr
         assert err.attempts == 3
@@ -62,7 +60,7 @@ class TestConnectRetry:
 
     def test_attempts_must_be_positive(self):
         with pytest.raises(ValueError):
-            tcp_connect_socket_retry(dead_address(), attempts=0)
+            tcp_dial(dead_address(), attempts=0)
 
     def test_succeeds_once_listener_appears(self):
         """The retry loop converges when the peer shows up late —
@@ -72,7 +70,8 @@ class TestConnectRetry:
         inbox = Inbox()
         listener = TcpListener(inbox)
         try:
-            sock = tcp_connect_socket_retry(listener.address, attempts=2)
+            sock, rings = tcp_dial(listener.address, attempts=2)
+            assert rings is None
             sock.close()
         finally:
             listener.close()

@@ -6,7 +6,7 @@ Covers the PR's acceptance bars directly:
   built-in numeric filter (min/max/sum/avg/concat/scan);
 * ``chunk_bytes=None`` reproduces the legacy whole-packet behaviour
   (single packet, original tag, no chunk machinery engaged);
-* reduce-to-all and dual-root streams deliver the reduced wave both to
+* reduce-to-all streams deliver the reduced wave both to
   the front-end (``Stream.allreduce``) and to every back-end;
 * the windowed-aggregation filter smooths across waves.
 """
@@ -15,12 +15,9 @@ import numpy as np
 import pytest
 
 from repro.core import FormatError, Network, NetworkError, StreamClosed
-from repro.core.protocol import (
-    TAG_CHUNK,
-    WAVE_DUAL_ROOT,
-    WAVE_REDUCE,
-    WAVE_REDUCE_TO_ALL,
-)
+from repro.core.chunking import split_packet
+from repro.core.packet import Packet
+from repro.core.protocol import TAG_CHUNK, WAVE_REDUCE, WAVE_REDUCE_TO_ALL
 from repro.filters import (
     TFILTER_AVG,
     TFILTER_CONCAT,
@@ -155,16 +152,18 @@ class TestChunkBytesNone:
             net.new_stream(comm, transform=TFILTER_SUM, chunk_bytes=-1)
         with pytest.raises(NetworkError):
             net.new_stream(comm, transform=TFILTER_SUM, pattern=99)
+        with pytest.raises(NetworkError, match="unknown wave pattern 2"):
+            net.new_stream(comm, transform=TFILTER_SUM, pattern=2)  # was dual-root
 
 
 class TestReduceToAll:
-    @pytest.mark.parametrize(
-        "pattern", [WAVE_REDUCE_TO_ALL, WAVE_DUAL_ROOT], ids=["single-root", "dual-root"]
-    )
-    def test_allreduce_reaches_frontend_and_backends(self, net, pattern):
+    def test_allreduce_reaches_frontend_and_backends(self, net):
         comm = net.get_broadcast_communicator()
         st = net.new_stream(
-            comm, transform=TFILTER_SUM, chunk_bytes=CHUNK_BYTES, pattern=pattern
+            comm,
+            transform=TFILTER_SUM,
+            chunk_bytes=CHUNK_BYTES,
+            pattern=WAVE_REDUCE_TO_ALL,
         )
         st.send("%d", 0)
         for rank in sorted(net.backends):
@@ -203,6 +202,21 @@ class TestReduceToAll:
         assert st.pattern == WAVE_REDUCE
         with pytest.raises(StreamClosed):
             st.allreduce(timeout=1)
+
+
+class TestFrontEndReassemblyPruned:
+    def test_closing_a_stream_drops_its_partial_waves(self, net):
+        """A gateway that opens and closes chunked streams must not keep
+        one reassembler (and its buffered fragments) per stream ever."""
+        comm = net.get_broadcast_communicator()
+        for _ in range(5):
+            st = net.new_stream(comm, transform=TFILTER_SUM, chunk_bytes=CHUNK_BYTES)
+            whole = Packet(st.stream_id, 100, "%alf", (rank_array(0),))
+            for frag in split_packet(whole, CHUNK_BYTES, 0)[:3]:
+                net._core.deliver_local(frag)  # a wave cut short at the root
+            assert net._core.reassembly.pending == 3
+            st.close()
+            assert len(net._core.reassembly) == 0
 
 
 class TestWindowFilter:

@@ -23,11 +23,7 @@ from repro.transport.shm import (
     offer_shm,
     shm_available,
 )
-from repro.transport.tcp import (
-    TcpListener,
-    tcp_connect_retry,
-    tcp_connect_socket_ex,
-)
+from repro.transport.tcp import TcpListener, tcp_connect_retry, tcp_dial
 
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="POSIX shared memory unavailable"
@@ -373,20 +369,22 @@ class TestNegotiation:
             listener.close()
 
     def test_connect_ex_refused_by_accept_socket(self):
-        # accept_socket (event-loop path without shm) NAKs the offer;
-        # the connector must come out with a plain TCP socket.
+        # accept_socket(allow_shm=False) (event-loop path without shm)
+        # NAKs the offer; the connector must come out with a plain TCP
+        # socket.
         inbox = Inbox()
         listener = TcpListener(inbox)
         try:
             result = {}
             t = threading.Thread(
                 target=lambda: result.update(
-                    pair=tcp_connect_socket_ex(listener.address, shm=True)
+                    pair=tcp_dial(listener.address, attempts=1, shm=True)
                 )
             )
             t.start()
-            sock = listener.accept_socket(timeout=10)
+            sock, refused = listener.accept_socket(timeout=10, allow_shm=False)
             t.join()
+            assert refused is None
             conn_sock, rings = result["pair"]
             assert rings is None
             conn_sock.close()

@@ -5,7 +5,7 @@ import pytest
 from repro.core.batching import decode_batch, encode_batch
 from repro.core.packet import Packet
 from repro.transport.channel import Inbox
-from repro.transport.tcp import TcpListener, tcp_connect, tcp_pair
+from repro.transport.tcp import TcpListener, tcp_connect_retry, tcp_pair
 
 
 class TestTcpPair:
@@ -85,7 +85,9 @@ class TestListener:
         server_inbox, client_inbox = Inbox(), Inbox()
         listener = TcpListener(server_inbox)
         try:
-            client_end = tcp_connect(listener.address, client_inbox, timeout=2)
+            client_end = tcp_connect_retry(
+                listener.address, client_inbox, attempts=1, timeout=2
+            )
             server_end = listener.accept(timeout=2)
             # Ids are per-process local names and need not agree across
             # the socket (they must be unique per receiving process).
@@ -106,7 +108,9 @@ class TestListener:
             clients = []
             server_ends = []
             for i in range(3):
-                c = tcp_connect(listener.address, Inbox(), timeout=2)
+                c = tcp_connect_retry(
+                    listener.address, Inbox(), attempts=1, timeout=2
+                )
                 clients.append(c)
                 server_ends.append(listener.accept(timeout=2))
             for i, c in enumerate(clients):

@@ -1,7 +1,7 @@
-"""Documentation lint: links, public-API docstrings, code fences, and
-the ``Network(...)`` parameter table.
+"""Documentation lint: links, public-API docstrings, code fences, the
+``Network(...)`` parameter table, and protocol/filter constant names.
 
-Four checks, all cheap enough for every CI run:
+Five checks, all cheap enough for every CI run:
 
 1. **Links** — every relative Markdown link in ``README.md`` and
    ``docs/*.md`` must resolve to a file in the repo, and a ``#anchor``
@@ -26,6 +26,12 @@ Four checks, all cheap enough for every CI run:
    table in ``docs/api.md`` are exactly the keyword parameters of
    ``Network.__init__`` (read from the source with ``ast``), so adding
    or deleting a parameter without touching the table fails CI.
+
+5. **Constant names** — every back-ticked ``TAG_*`` / ``WAVE_*`` /
+   ``SFILTER_*`` / ``TFILTER_*`` name in ``README.md`` and ``docs/*.md``
+   is exported (``__all__``, read with ``ast``) by
+   ``repro.core.protocol`` or ``repro.filters.registry``, so deleting or
+   renaming a constant without touching the docs fails CI.
 
 Usage::
 
@@ -61,6 +67,7 @@ DOCSTRING_MODULES = [
     "src/repro/obs/snapshot.py",
     "src/repro/obs/tracing.py",
     "src/repro/core/network.py",
+    "src/repro/core/chunking.py",
     "src/repro/gateway/__init__.py",
     "src/repro/gateway/admission.py",
     "src/repro/gateway/coalesce.py",
@@ -75,6 +82,10 @@ _LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 _CODE_FENCE_RE = re.compile(r"```.*?```", re.DOTALL)
 _PY_FENCE_RE = re.compile(r"^```python[^\n]*\n(.*?)^```", re.DOTALL | re.MULTILINE)
+_CONSTANT_RE = re.compile(r"`((?:TAG|WAVE|SFILTER|TFILTER)_[A-Z0-9_]+)`")
+
+#: Modules whose ``__all__`` defines the constant names docs may cite.
+CONSTANT_MODULES = ["src/repro/core/protocol.py", "src/repro/filters/registry.py"]
 
 
 def github_slug(heading: str) -> str:
@@ -219,21 +230,48 @@ def check_network_table(repo: Path) -> List[str]:
     ]
 
 
+def _exported_names(path: Path) -> set:
+    """The string entries of a module's ``__all__`` list literal."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def check_constant_names(repo: Path) -> List[str]:
+    """Report lines for back-ticked protocol/filter constants that no
+    module in ``CONSTANT_MODULES`` exports (ROADMAP.md is exempt: it
+    names constants that do not exist yet)."""
+    exported = set().union(*(_exported_names(repo / m) for m in CONSTANT_MODULES))
+    problems: List[str] = []
+    for rel in DOC_FILES:
+        doc = repo / rel
+        if rel == "ROADMAP.md" or not doc.exists():
+            continue
+        for name in sorted(set(_CONSTANT_RE.findall(doc.read_text())) - exported):
+            problems.append(f"{rel}: `{name}` is not an exported constant")
+    return problems
+
+
 def main() -> int:
-    """Run all four checks; print violations; exit non-zero on any."""
+    """Run all five checks; print violations; exit non-zero on any."""
     problems = (
         check_links(REPO_ROOT)
         + check_docstrings(REPO_ROOT)
         + check_python_fences(REPO_ROOT)
         + check_network_table(REPO_ROOT)
+        + check_constant_names(REPO_ROOT)
     )
     for line in problems:
         print(line)
     if problems:
         print(f"FAIL: {len(problems)} documentation problem(s)", file=sys.stderr)
         return 1
-    print(f"OK: links + docstrings + python fences + Network table clean "
-          f"across {len(DOC_FILES)} docs, {len(DOCSTRING_MODULES)} modules")
+    print(f"OK: links + docstrings + python fences + Network table + "
+          f"constant names clean across {len(DOC_FILES)} docs, "
+          f"{len(DOCSTRING_MODULES)} modules")
     return 0
 
 
