@@ -8,14 +8,22 @@ while every MRNet fan-out processes the entire offered load at every
 tested configuration (§4.2.2).
 """
 
+import time
+
 import pytest
 
+from repro.core import Network
+from repro.filters import TFILTER_SUM
+from repro.gateway import BackendResponder, Gateway, Overloaded, Query
 from repro.sim.frontend_load import frontend_load_fraction, offered_rate
-from repro.topology import balanced_tree_for
+from repro.topology import balanced_tree, balanced_tree_for
 
 DAEMONS = [4, 16, 64, 128, 256]
 METRICS = [1, 8, 16, 32]
 FANOUTS = [4, 8, 16]
+
+WAIT = 60.0
+SERVICED_FLOOR_2X = 0.30
 
 
 def run_sweep():
@@ -64,6 +72,103 @@ def test_fig9_fraction_of_offered_load(benchmark, report):
             assert row[2] == row[3] == row[4] == 1.0
 
 
+def sum_query(value: int) -> Query:
+    return Query("%d", (value,), transform=TFILTER_SUM)
+
+
+def build_tree(fanout: int, depth: int):
+    """A colocated tree with echo daemons behind every leaf."""
+    net = Network(balanced_tree(fanout, depth), colocate=True)
+    responder = BackendResponder(net.backends)
+    return net, responder
+
+
+def calibrate_capacity(net, window_s: float) -> float:
+    """Waves/second the tree services for distinct (uncoalescable)
+    queries — the saturation point the offered-load sweep is scaled
+    against."""
+    gw = Gateway(net, cache_ttl=0.0)
+    try:
+        session = gw.session("calibrate")
+        # Warm-up: stream opened, routes learned.
+        session.submit(sum_query(0)).result(timeout=WAIT)
+        waves = 0
+        seq = 1
+        start = time.perf_counter()
+        while time.perf_counter() - start < window_s:
+            session.submit(sum_query(seq)).result(timeout=WAIT)
+            waves += 1
+            seq += 1
+        elapsed = time.perf_counter() - start
+        return waves / elapsed
+    finally:
+        gw.close()
+
+
+def bench_offered_load(
+    net, capacity: float, multiplier: float, duration_s: float
+) -> dict:
+    """Offer ``multiplier × capacity`` distinct queries/s for
+    *duration_s*; count serviced vs. typed sheds, time each shed
+    decision, and watch the pending queue stay bounded."""
+    max_pending = 64
+    gw = Gateway(
+        net,
+        rate=capacity,
+        burst=max(8.0, capacity / 4),
+        max_pending=max_pending,
+        cache_ttl=0.0,
+    )
+    try:
+        sessions = [gw.session(f"client-{i}") for i in range(32)]
+        interval = 1.0 / (capacity * multiplier)
+        offered = 0
+        admitted = []
+        sheds = {"rate": 0, "queue": 0, "backpressure": 0}
+        shed_timings = []
+        max_pending_seen = 0
+        seq = 0
+        start = time.perf_counter()
+        next_at = start
+        while True:
+            now = time.perf_counter()
+            if now - start >= duration_s:
+                break
+            if now < next_at:
+                time.sleep(min(next_at - now, interval))
+                continue
+            next_at += interval
+            session = sessions[seq % len(sessions)]
+            seq += 1
+            offered += 1
+            t0 = time.perf_counter()
+            try:
+                admitted.append(session.submit(sum_query(seq)))
+            except Overloaded as exc:
+                shed_timings.append(time.perf_counter() - t0)
+                sheds[exc.reason] += 1
+                assert exc.retry_after >= 0.0
+            max_pending_seen = max(max_pending_seen, gw.stats()["pending"])
+        # Drain: everything admitted must complete (no tree stall).
+        for ticket in admitted:
+            ticket.result(timeout=WAIT)
+        serviced = len(admitted)
+        assert serviced + sum(sheds.values()) == offered
+        assert max_pending_seen <= max_pending, "unbounded queue growth"
+        shed_mean_ms = (
+            sum(shed_timings) / len(shed_timings) * 1e3 if shed_timings else 0.0
+        )
+        return {
+            "offered": offered,
+            "serviced": serviced,
+            "shed": sheds,
+            "serviced_fraction": round(serviced / max(offered, 1), 4),
+            "shed_mean_ms": round(shed_mean_ms, 4),
+        }
+    finally:
+        gw.close()
+
+
 @pytest.mark.benchmark(group="fig9")
 def test_fig9_live_gateway_offered_load(benchmark, report):
     """Figure 9's question asked of the LIVE gateway, not the simulator:
@@ -75,16 +180,14 @@ def test_fig9_live_gateway_offered_load(benchmark, report):
     overload into *typed* ``Overloaded`` rejections while servicing at
     least the gated floor — bounded queue, no tree stall.
     """
-    import bench_gateway
-
-    net, responder = bench_gateway.build_tree(2, 2)
+    net, responder = build_tree(2, 2)
     try:
-        capacity = bench_gateway.calibrate_capacity(net, window_s=0.6)
+        capacity = calibrate_capacity(net, window_s=0.6)
         rows = []
 
         def sweep():
             for multiplier in (0.5, 1.0, 2.0):
-                row = bench_gateway.bench_offered_load(
+                row = bench_offered_load(
                     net, capacity, multiplier, duration_s=0.8
                 )
                 rows.append(
@@ -117,4 +220,4 @@ def test_fig9_live_gateway_offered_load(benchmark, report):
     # At 2x the overload is shed as typed rejections, never queued
     # unboundedly — and the serviced fraction holds the gated floor.
     assert by_mult["2x"][3] > 0, "2x offered load produced no sheds"
-    assert by_mult["2x"][4] >= bench_gateway.SERVICED_FLOOR_2X
+    assert by_mult["2x"][4] >= SERVICED_FLOOR_2X

@@ -456,8 +456,8 @@ class NodeCore:
         straight to the parent buffer.  Counting rides local
         accumulators folded into the registry once per message, so
         per-packet instrumentation cost is two integer adds and one
-        slot read (the inline ``Packet.values_decoded`` check) —
-        measured <5% of the hop by ``benchmarks/bench_observability.py``.
+        slot read (the inline ``Packet.values_decoded`` check); the hop
+        is held under a per-packet budget by ``benchmarks/test_budgets.py``.
         """
         n = 0
         if self.parent is not None and link_id == self.parent_link_id:

@@ -1580,6 +1580,9 @@ class Network:
             return
         self._core.handle_control_down(make_close_stream(stream_id))
         self._core.reassembly.drop_stream(stream_id)
+        self._core.stream_queues.pop(stream_id, None)
+        self._core.delivery_sinks.pop(stream_id, None)
+        self._streams.pop(stream_id, None)
         self._core.flush()
 
     # -- pumping ----------------------------------------------------------

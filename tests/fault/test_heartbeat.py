@@ -23,11 +23,11 @@ WAVE_TIMEOUT = 10.0
 INTERVAL = 0.05
 
 
-def heartbeat_net(shutdown_nets, depth=3, fanout=2, **kwargs):
+def heartbeat_net(shutdown_nets, depth=3, fanout=2, interval=INTERVAL, **kwargs):
     net = Network(
         balanced_tree(fanout, depth),
         transport="tcp",
-        heartbeat_interval=INTERVAL,
+        heartbeat_interval=interval,
         heartbeat_miss_threshold=3,
         **kwargs,
     )
@@ -39,15 +39,20 @@ class TestWedgeDetection:
     def test_wedged_node_declared_dead_by_parent(self, shutdown_nets):
         """Depth-3 tree so comm nodes probe each other; wedging a
         level-2 node leaves its sockets open, yet its parent's
-        deadline fires and the front-end learns which ranks died."""
-        net = heartbeat_net(shutdown_nets)
+        deadline fires and the front-end learns which ranks died.
+
+        The 0.6 s deadline (3 x 0.2 s) is one a healthy node's loop
+        meets on a busy two-CPU machine; at 3 x 0.05 s healthy links
+        were declared dead about two runs in ten."""
+        interval = 0.2
+        net = heartbeat_net(shutdown_nets, interval=interval)
         stream = net.new_stream(
             net.get_broadcast_communicator(), transform=TFILTER_SUM
         )
         assert drive_wave(net, stream, WAVE_TIMEOUT).values == (8,)
 
         # Let probes establish the mutual-monitoring sets.
-        time.sleep(4 * INTERVAL)
+        time.sleep(4 * interval)
         inj = FaultInjector(net)
         # Last-built comm node is on the deepest internal level; its
         # parent is another comm node (not the passive front-end).

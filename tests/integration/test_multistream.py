@@ -108,6 +108,26 @@ class TestBulkStreams:
         # SHRUNK membership, so it completes with three members.
         assert drive_wave(net, lazy, WAVE_TIMEOUT).values == (3,)
 
+    def test_closed_streams_are_released_and_joins_skip_them(self, shutdown_nets):
+        """Closing a stream frees its front-end handle, delivery queue
+        and sink, and a back-end that joins later enters open streams
+        only."""
+        net = Network(balanced_tree(2, 2), colocate=True)
+        shutdown_nets.append(net)
+        comm = net.get_broadcast_communicator()
+        for _ in range(500):
+            with net.new_stream(comm, transform=TFILTER_SUM) as stream:
+                stream.set_sink(lambda packet: None)
+        keeper = net.new_stream(comm, transform=TFILTER_SUM)
+
+        assert set(net._streams) == {keeper.stream_id}
+        assert set(net._core.stream_queues) == {keeper.stream_id}
+        assert net._core.delivery_sinks == {}
+
+        joiner = net.attach_backend()
+        assert joiner.stream_ids == (keeper.stream_id,)
+        waves_until_sum(net, keeper, 5, allowed={4, 5})
+
     def test_new_streams_validation(self, shutdown_nets):
         net = Network(balanced_tree(2, 2), colocate=True)
         shutdown_nets.append(net)

@@ -1,7 +1,8 @@
 """Documentation lint: links, public-API docstrings, code fences, the
-``Network(...)`` parameter table, and protocol/filter constant names.
+``Network(...)`` parameter table, protocol/filter constant names, and
+back-ticked file paths.
 
-Five checks, all cheap enough for every CI run:
+Six checks, all cheap enough for every CI run:
 
 1. **Links** — every relative Markdown link in ``README.md`` and
    ``docs/*.md`` must resolve to a file in the repo, and a ``#anchor``
@@ -33,6 +34,13 @@ Five checks, all cheap enough for every CI run:
    ``repro.core.protocol`` or ``repro.filters.registry``, so deleting or
    renaming a constant without touching the docs fails CI.
 
+6. **File paths** — every back-ticked path ending in ``.py``, ``.json``,
+   ``.md`` or ``.yml`` in ``README.md``, ``docs/*.md`` and
+   ``EXPERIMENTS.md`` names a file that exists: one with a ``/`` under
+   the repo root or ``src/``, a bare file name anywhere in the repo.  A
+   ``::test`` suffix is ignored.  Deleting or renaming a file without
+   touching the docs fails CI.
+
 Usage::
 
     python tools/check_docs.py
@@ -43,6 +51,7 @@ Exits 1 with one line per violation, 0 when clean.
 from __future__ import annotations
 
 import ast
+import os
 import re
 import sys
 import textwrap
@@ -86,6 +95,11 @@ _CONSTANT_RE = re.compile(r"`((?:TAG|WAVE|SFILTER|TFILTER)_[A-Z0-9_]+)`")
 
 #: Modules whose ``__all__`` defines the constant names docs may cite.
 CONSTANT_MODULES = ["src/repro/core/protocol.py", "src/repro/filters/registry.py"]
+
+#: Docs whose back-ticked file paths must exist (ROADMAP.md and
+#: CHANGES.md name files that are gone or not written yet).
+PATH_DOC_FILES = [f for f in DOC_FILES if f != "ROADMAP.md"] + ["EXPERIMENTS.md"]
+_PATH_RE = re.compile(r"`([\w./-]+\.(?:py|json|md|yml))(?:::[^`]*)?`")
 
 
 def github_slug(heading: str) -> str:
@@ -255,14 +269,38 @@ def check_constant_names(repo: Path) -> List[str]:
     return problems
 
 
+def check_file_paths(repo: Path) -> List[str]:
+    """Report lines for back-ticked file paths that name no file."""
+    names: set = set()
+    for _dir, subdirs, files in os.walk(repo):
+        if ".git" in subdirs:
+            subdirs.remove(".git")
+        names.update(files)
+    problems: List[str] = []
+    for rel in PATH_DOC_FILES:
+        doc = repo / rel
+        if not doc.exists():
+            continue
+        body = _CODE_FENCE_RE.sub("", doc.read_text())
+        for path in sorted(set(_PATH_RE.findall(body))):
+            if "/" in path:
+                found = (repo / path).exists() or (repo / "src" / path).exists()
+            else:
+                found = path in names
+            if not found:
+                problems.append(f"{rel}: `{path}` names no file in the repo")
+    return problems
+
+
 def main() -> int:
-    """Run all five checks; print violations; exit non-zero on any."""
+    """Run all six checks; print violations; exit non-zero on any."""
     problems = (
         check_links(REPO_ROOT)
         + check_docstrings(REPO_ROOT)
         + check_python_fences(REPO_ROOT)
         + check_network_table(REPO_ROOT)
         + check_constant_names(REPO_ROOT)
+        + check_file_paths(REPO_ROOT)
     )
     for line in problems:
         print(line)
@@ -270,7 +308,7 @@ def main() -> int:
         print(f"FAIL: {len(problems)} documentation problem(s)", file=sys.stderr)
         return 1
     print(f"OK: links + docstrings + python fences + Network table + "
-          f"constant names clean across {len(DOC_FILES)} docs, "
+          f"constant names + file paths clean across {len(DOC_FILES)} docs, "
           f"{len(DOCSTRING_MODULES)} modules")
     return 0
 

@@ -14,6 +14,14 @@ failed/attempted operations per side.  A gain may be claimed when the
 change wins at least nine tenths of the pairs and the medians differ by
 more than the parent's quartile distance.
 
+This VM's CPU runs at two speeds about 25 % apart and flips between
+them every few seconds, and every CPU-bound workload follows it.  So a
+fixed pure-Python loop is timed before and after every run, pinned to
+the CPU the benchmark pins itself to; each raw throughput is printed
+with throughput x loop time beside it, and a pair whose two sides' loop
+times differ by more than 10 % compared the two speeds, not the two
+commits: it is reported as "mode-split" and left out of won/lost/tied.
+
 Reads only ``BENCHMARK.json`` and the last stdout line of ``run.py``;
 never two runs at once (the benchmark pins itself to one CPU).
 """
@@ -22,14 +30,41 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: Two runs whose calibration-loop times differ by more than this ran
+#: at different CPU speeds.
+MODE_SPLIT = 0.10
+
+
+def loop_ms() -> float:
+    """Milliseconds for 300 k dict stores on the CPU the benchmark uses.
+
+    Imports nothing from the repo, so it reads the machine, not the
+    program.
+    """
+    pin = hasattr(os, "sched_setaffinity")
+    if pin:
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {max(cpus)})
+    try:
+        d = {}
+        t0 = time.perf_counter()
+        for i in range(300_000):
+            d[i & 1023] = i
+        return (time.perf_counter() - t0) * 1e3
+    finally:
+        if pin:
+            os.sched_setaffinity(0, cpus)
 
 
 def extract(ref: str, into: pathlib.Path) -> None:
@@ -44,7 +79,9 @@ def extract(ref: str, into: pathlib.Path) -> None:
 
 
 def run_once(root: pathlib.Path, command, workload, seed, seconds) -> dict:
-    """One driver-form run under *root*; the parsed last stdout line."""
+    """One driver-form run under *root*: the parsed last stdout line,
+    plus ``loop_ms``, the mean of the calibration loop before and after."""
+    before = loop_ms()
     proc = subprocess.run(
         [*command, "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -52,14 +89,24 @@ def run_once(root: pathlib.Path, command, workload, seed, seconds) -> dict:
     )
     lines = proc.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        run = json.loads(lines[-1])
     except (IndexError, ValueError):
         sys.stderr.write(proc.stderr[-2000:])
-        return {"attempted": 1, "failed": 1, "metrics": {}}
+        run = {"attempted": 1, "failed": 1, "metrics": {}}
+    run["loop_ms"] = (before + loop_ms()) / 2
+    return run
 
 
 def value(run: dict, name: str) -> float:
     return run["metrics"].get(name, {}).get("value", float("nan"))
+
+
+def shown(run: dict, metric: dict) -> str:
+    """A raw value; a rate also as rate x loop time (work per unit of CPU speed)."""
+    raw = value(run, metric["name"])
+    if metric["better"] != "higher":
+        return f"{raw:.4g}"
+    return f"{raw:.4g} (x loop {raw * run['loop_ms'] / 1e3:.4g})"
 
 
 def quartile_distance(values) -> float:
@@ -69,13 +116,23 @@ def quartile_distance(values) -> float:
     return q3 - q1
 
 
+def mode_split(parent_run: dict, change_run: dict) -> bool:
+    """True when the two sides of a pair ran at different CPU speeds."""
+    a, b = parent_run["loop_ms"], change_run["loop_ms"]
+    return abs(a - b) > MODE_SPLIT * min(a, b)
+
+
 def summarise(spec: dict, parent_runs, change_runs) -> list:
+    """One row per end-to-end metric over the pairs that ran at one speed."""
+    same_mode = [
+        (p, c) for p, c in zip(parent_runs, change_runs) if not mode_split(p, c)
+    ]
     rows = []
     for metric in spec["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
         pairs = [
             (value(p, name), value(c, name))
-            for p, c in zip(parent_runs, change_runs)
+            for p, c in same_mode
             if name in p["metrics"] and name in c["metrics"]
         ]
         if not pairs:
@@ -91,6 +148,7 @@ def summarise(spec: dict, parent_runs, change_runs) -> list:
             "parent_iqr": quartile_distance(old),
             "change_iqr": quartile_distance(new),
             "won": won, "lost": len(pairs) - won - tied, "tied": tied,
+            "mode_split": len(parent_runs) - len(same_mode),
             "parent_values": old, "change_values": new,
         })
     return rows
@@ -125,14 +183,18 @@ def main(argv=None) -> int:
                 runs.append(
                     run_once(root, spec["command"], args.workload, args.seed + k, seconds)
                 )
+            p, c = parent_runs[-1], change_runs[-1]
             print(f"pair {k} seed {args.seed + k}: " + "  ".join(
-                f"{m['name']} {value(parent_runs[-1], m['name']):.4g}"
-                f" -> {value(change_runs[-1], m['name']):.4g}"
+                f"{m['name']} {shown(p, m)} -> {shown(c, m)}"
                 for m in spec["end_to_end"]
-            ), flush=True)
+            ) + f"  loop {p['loop_ms']:.1f} -> {c['loop_ms']:.1f} ms"
+              + ("  MODE-SPLIT" if mode_split(p, c) else ""), flush=True)
 
     rows = summarise(spec, parent_runs, change_runs)
     print(f"\n{args.workload}: {args.pairs} pairs of {seconds:g} s, parent {args.parent}")
+    split = sum(mode_split(p, c) for p, c in zip(parent_runs, change_runs))
+    print(f"{split} of {args.pairs} pairs mode-split (loop times over "
+          f"{MODE_SPLIT:.0%} apart): left out of every row below")
     print(f"{'metric':18} {'parent med':>11} {'iqr':>9} {'change med':>11} {'iqr':>9} "
           f"{'delta':>8}  won/lost/tied")
     for r in rows:
