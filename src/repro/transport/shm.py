@@ -524,10 +524,7 @@ class _RingEnd:
     transport_kind = "shm"
 
     def _init_rings(self, sock: socket.socket, tx: ShmRing, rx: ShmRing) -> None:
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            pass  # e.g. a socketpair doorbell in tests
+        # A TCP doorbell was born Nagle-off in the handshake (tcp._nodelay).
         sock.setblocking(False)
         self._sock = sock
         self._tx = tx

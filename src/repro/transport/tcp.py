@@ -232,6 +232,19 @@ def tcp_pair(inbox_a: Inbox, inbox_b: Inbox) -> Tuple[TcpChannelEnd, TcpChannelE
     )
 
 
+def _nodelay(sock: socket.socket) -> None:
+    """Turn Nagle off on a freshly born TCP link.
+
+    Every TCP link in the system comes out of :func:`_dial_once` or
+    :meth:`TcpListener.accept_socket`, and both call this first.  The
+    overlay batches packets itself (``PacketBuffer``, ``BackEnd.flush``),
+    so kernel coalescing only adds delay: with Nagle on, a small frame
+    written while the previous one is unacknowledged waits for the
+    peer's delayed ACK, about 40 ms on Linux loopback.
+    """
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 def _passive_end(sock: socket.socket, rings, inbox: Inbox):
     """Wrap a handshaken socket in this module's reader-thread end (a
     :class:`~repro.transport.shm.ShmChannelEnd` over negotiated rings)."""
@@ -282,6 +295,7 @@ class TcpListener:
         """
         self._server.settimeout(timeout)
         sock, _ = self._server.accept()
+        _nodelay(sock)
         # Bound the hello exchange so a half-open connector cannot
         # wedge the accept loop.
         sock.settimeout(timeout if timeout else 30.0)
@@ -308,6 +322,7 @@ def _dial_once(address, timeout, shm: bool, capacity: Optional[int]):
     sock = socket.create_connection(address, timeout=timeout)
     pair = None
     try:
+        _nodelay(sock)
         if shm:
             from .shm import DEFAULT_CAPACITY, offer_shm
 

@@ -1,5 +1,8 @@
 """``tools/paired_bench.py``: pairs that straddle the VM's two CPU
-speeds are reported and left out; the rest are summarised per metric."""
+speeds are reported and left out; the rest are summarised per metric;
+runs the benchmark flagged are marked and counted per side."""
+
+import sys
 
 import pytest
 
@@ -69,3 +72,39 @@ def test_a_rate_is_shown_with_its_loop_normalised_value():
     assert paired_bench.shown(run(5.0, 68.0, 39.0), metric) == "68 (x loop 2.652)"
     assert paired_bench.shown(run(5.0, 54.0, 50.0), metric) == "54 (x loop 2.7)"
     assert paired_bench.shown(run(5.0, 54.0, 50.0), SPEC["end_to_end"][0]) == "5"
+
+
+GENERATOR_BOUND = "# FLAGGED: generator-bound: the driver was busy 0.73 of the time (limit 0.5)"
+
+
+def test_flagged_runs_are_marked_on_the_pair_and_counted_per_side():
+    parent = [run(5.0, 100.0, 39.0), run(5.0, 100.0, 39.0), run(5.0, 100.0, 39.0)]
+    change = [run(4.5, 200.0, 39.0), run(4.5, 200.0, 39.0), run(4.5, 200.0, 50.0)]
+    for r in parent:
+        r["flagged"] = []
+    for r in change:
+        r["flagged"] = [GENERATOR_BOUND]
+    parent[1]["flagged"] = [GENERATOR_BOUND]
+
+    assert paired_bench.pair_marks(parent[0], change[0]) == "  FLAGGED(change)"
+    assert paired_bench.pair_marks(parent[1], change[1]) == "  FLAGGED(parent,change)"
+    assert paired_bench.pair_marks(parent[2], change[2]) == "  MODE-SPLIT  FLAGGED(change)"
+    assert paired_bench.pair_marks(parent[0], parent[0]) == ""
+    # Flagged runs still count in won/lost/tied; the counts are per
+    # side over every run, mode-split pairs included.
+    latency, throughput = paired_bench.summarise(SPEC, parent, change)
+    for row in (latency, throughput):
+        assert (row["won"], row["mode_split"]) == (2, 1)
+        assert (row["parent_flagged"], row["change_flagged"]) == (1, 3)
+
+
+def test_run_once_keeps_the_flagged_lines(tmp_path):
+    script = tmp_path / "fake_run.py"
+    script.write_text(
+        "print('# driver_busy_frac: 0.73')\n"
+        f"print({GENERATOR_BOUND!r})\n"
+        "print('{\"correct\": true, \"attempted\": 3, \"failed\": 0, \"metrics\": {}}')\n"
+    )
+    got = paired_bench.run_once(tmp_path, [sys.executable, str(script)], "w", 1, 0.1)
+    assert got["flagged"] == [GENERATOR_BOUND]
+    assert got["attempted"] == 3 and got["loop_ms"] > 0

@@ -22,8 +22,15 @@ with throughput x loop time beside it, and a pair whose two sides' loop
 times differ by more than 10 % compared the two speeds, not the two
 commits: it is reported as "mode-split" and left out of won/lost/tied.
 
-Reads only ``BENCHMARK.json`` and the last stdout line of ``run.py``;
-never two runs at once (the benchmark pins itself to one CPU).
+A run that breaks one of the benchmark's validity rules (for example a
+generator-bound ``stream_process``) prints ``# FLAGGED:`` lines; they
+are kept, the pair line names the flagged side, and the summary and the
+``--json`` rows count flagged runs per side, so a claim resting on
+flagged runs is visible as such.
+
+Reads only ``BENCHMARK.json`` and, of ``run.py``'s stdout, the
+``# FLAGGED:`` lines and the last line; never two runs at once (the
+benchmark pins itself to one CPU).
 """
 
 from __future__ import annotations
@@ -80,7 +87,8 @@ def extract(ref: str, into: pathlib.Path) -> None:
 
 def run_once(root: pathlib.Path, command, workload, seed, seconds) -> dict:
     """One driver-form run under *root*: the parsed last stdout line,
-    plus ``loop_ms``, the mean of the calibration loop before and after."""
+    plus ``loop_ms``, the mean of the calibration loop before and after,
+    and ``flagged``, the run's ``# FLAGGED:`` lines."""
     before = loop_ms()
     proc = subprocess.run(
         [*command, "--workload", workload, "--seed", str(seed),
@@ -94,6 +102,7 @@ def run_once(root: pathlib.Path, command, workload, seed, seconds) -> dict:
         sys.stderr.write(proc.stderr[-2000:])
         run = {"attempted": 1, "failed": 1, "metrics": {}}
     run["loop_ms"] = (before + loop_ms()) / 2
+    run["flagged"] = [line for line in lines if line.startswith("# FLAGGED:")]
     return run
 
 
@@ -120,6 +129,21 @@ def mode_split(parent_run: dict, change_run: dict) -> bool:
     """True when the two sides of a pair ran at different CPU speeds."""
     a, b = parent_run["loop_ms"], change_run["loop_ms"]
     return abs(a - b) > MODE_SPLIT * min(a, b)
+
+
+def flagged(runs) -> int:
+    """How many of *runs* printed at least one ``# FLAGGED:`` line."""
+    return sum(bool(r.get("flagged")) for r in runs)
+
+
+def pair_marks(parent_run: dict, change_run: dict) -> str:
+    """What the pair line says about the pair besides its numbers."""
+    marks = ["MODE-SPLIT"] if mode_split(parent_run, change_run) else []
+    sides = [label for label, run in (("parent", parent_run), ("change", change_run))
+             if run.get("flagged")]
+    if sides:
+        marks.append(f"FLAGGED({','.join(sides)})")
+    return "".join("  " + m for m in marks)
 
 
 def summarise(spec: dict, parent_runs, change_runs) -> list:
@@ -149,6 +173,8 @@ def summarise(spec: dict, parent_runs, change_runs) -> list:
             "change_iqr": quartile_distance(new),
             "won": won, "lost": len(pairs) - won - tied, "tied": tied,
             "mode_split": len(parent_runs) - len(same_mode),
+            "parent_flagged": flagged(parent_runs),
+            "change_flagged": flagged(change_runs),
             "parent_values": old, "change_values": new,
         })
     return rows
@@ -188,7 +214,7 @@ def main(argv=None) -> int:
                 f"{m['name']} {shown(p, m)} -> {shown(c, m)}"
                 for m in spec["end_to_end"]
             ) + f"  loop {p['loop_ms']:.1f} -> {c['loop_ms']:.1f} ms"
-              + ("  MODE-SPLIT" if mode_split(p, c) else ""), flush=True)
+              + pair_marks(p, c), flush=True)
 
     rows = summarise(spec, parent_runs, change_runs)
     print(f"\n{args.workload}: {args.pairs} pairs of {seconds:g} s, parent {args.parent}")
@@ -205,7 +231,11 @@ def main(argv=None) -> int:
     for label, runs in (("parent", parent_runs), ("change", change_runs)):
         failed = sum(r.get("failed", 0) for r in runs)
         attempted = sum(r.get("attempted", 0) for r in runs)
-        print(f"{label}: {failed} failed of {attempted} attempted operations")
+        print(f"{label}: {failed} failed of {attempted} attempted operations, "
+              f"{flagged(runs)} of {len(runs)} runs FLAGGED")
+        first = next((r["flagged"][0] for r in runs if r.get("flagged")), None)
+        if first:
+            print(f"  first: {first}")
     if args.json:
         args.json.write_text(json.dumps(rows, indent=1) + "\n")
     return 0
