@@ -577,8 +577,12 @@ class NodeCore:
             self._handle_leave(link_id, packet)
         elif packet.tag == TAG_CHECKPOINT:
             # One-hop state deposit from a child: store the most recent
-            # document per (child link, stream); never relayed.
+            # document per (child link, stream); never relayed.  A
+            # deposit for a stream closed here (it crossed the close on
+            # the wire) is dropped, or it would outlive its stream.
             stream_id, _out_wave, payload = parse_checkpoint(packet)
+            if stream_id not in self.streams and stream_id not in self._stream_specs:
+                return
             try:
                 doc = json.loads(payload)
             except ValueError:
@@ -750,6 +754,8 @@ class NodeCore:
         elif packet.tag == TAG_CLOSE_STREAM:
             (stream_id,) = packet.unpack()
             spec = self._stream_specs.pop(stream_id, None)
+            for key in [k for k in self._checkpoints if k[1] == stream_id]:
+                del self._checkpoints[key]
             manager = self._discard_stream(stream_id)
             if manager is not None:
                 for out in manager.flush_upstream():

@@ -30,9 +30,12 @@ through each node's existing event loop, governed by a
 ``tcp`` transports) keep every process in one address space, so
 repair is brokered by a per-network coordinator: an orphan asks it
 for a new parent, the coordinator walks up the topology to the
-nearest live ancestor, manufactures a fresh edge (an in-process
-channel or a socketpair, matching the network's transport), and
-hands each side over.  The orphan then re-reports its endpoint set
+nearest live ancestor, manufactures a fresh edge, and hands each side
+over.  The edge is chosen by the adopter, not by the network's
+transport: a loop-hosted adopter always gets a socketpair (its end
+registered on its loop, the orphan's a passive end), the passive
+front-end an in-process channel, and an out-of-process adopter a TCP
+dial to its listener.  The orphan then re-reports its endpoint set
 through the new edge, which is what updates routing tables and wave
 membership at the adopter — the same §2.5 report protocol used at
 startup, reused for repair.
@@ -416,13 +419,13 @@ class RecoveryCoordinator:
             # registers it and attaches the child on its own thread.
             import socket as socket_mod
 
-            from ..transport.tcp import TcpChannelEnd, _alloc_link_id
+            from ..transport.tcp import _passive_end
 
             sock_parent, sock_child = socket_mod.socketpair()
             # Name the adopting core explicitly: a colocated loop hosts
             # many cores and must not default to the first bound one.
             loop.adopt_socket(sock_parent, core=core, adopted=adopted)
-            return TcpChannelEnd(sock_child, _alloc_link_id(), orphan_inbox)
+            return _passive_end(sock_child, None, orphan_inbox)
         # Inbox-driven adopter (the front-end):
         # build an in-process channel and queue the parent end for
         # admission at the adopter's next processing step.

@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 import os
 import queue
+import tempfile
 import threading
 import time
 from collections import deque
@@ -223,92 +224,6 @@ class _FrontEndCore(NodeCore):
         super()._handle_link_closed(link_id)
 
 
-class _PipeDrains:
-    """Selector-registered non-blocking drains for child process pipes.
-
-    Replaces the old thread-per-pipe drain: every registered child
-    stdout/stderr pipe is set non-blocking and emptied from the
-    front-end's pump (``poll``), retaining a bounded line tail for
-    start-up diagnostics.  Without draining, a child that logs after
-    bootstrap eventually fills the pipe buffer and blocks inside its
-    event loop; with this, no thread is spent on it — a network with
-    N child processes costs zero drain threads instead of up to 2N.
-    """
-
-    def __init__(self):
-        import selectors
-
-        self._selector = selectors.DefaultSelector()
-        self._n = 0
-
-    def __bool__(self) -> bool:
-        return self._n > 0
-
-    def add(self, stream, tail: Deque[str], name: str) -> None:
-        """Register one child pipe; *tail* receives its trailing lines."""
-        os.set_blocking(stream.fileno(), False)
-        self._selector.register(stream, 1, (stream, tail, bytearray(), name))
-        self._n += 1
-
-    def poll(self) -> None:
-        """Drain every readable registered pipe (non-blocking)."""
-        if not self._n:
-            return
-        try:
-            events = self._selector.select(0)
-        except OSError:
-            return
-        for key, _ in events:
-            stream, tail, buf, _name = key.data
-            eof = False
-            while True:
-                try:
-                    chunk = os.read(stream.fileno(), 65536)
-                except (BlockingIOError, InterruptedError):
-                    break
-                except (OSError, ValueError):
-                    eof = True
-                    break
-                if not chunk:
-                    eof = True
-                    break
-                buf += chunk
-            self._take_lines(buf, tail)
-            if eof:
-                if buf:
-                    tail.append(bytes(buf).decode("utf-8", "replace").rstrip())
-                    del buf[:]
-                self._drop(stream)
-
-    @staticmethod
-    def _take_lines(buf: bytearray, tail: Deque[str]) -> None:
-        while True:
-            i = buf.find(b"\n")
-            if i < 0:
-                return
-            line = bytes(buf[:i])
-            del buf[: i + 1]
-            tail.append(line.decode("utf-8", "replace").rstrip())
-
-    def _drop(self, stream) -> None:
-        try:
-            self._selector.unregister(stream)
-            self._n -= 1
-        except (KeyError, ValueError, OSError):
-            pass
-        try:
-            stream.close()
-        except Exception:
-            pass
-
-    def close(self) -> None:
-        """Final drain, then release every pipe and the selector."""
-        self.poll()
-        for key in list(self._selector.get_map().values()):
-            self._drop(key.data[0])
-        self._selector.close()
-
-
 class _LeafSlot:
     """A reserved attachment point for one back-end (mode 2 support).
 
@@ -376,7 +291,6 @@ class Network:
         heartbeat_interval: float = 0.0,
         heartbeat_miss_threshold: int = 3,
         checkpoint_interval: float = 0.0,
-        trace: bool = False,
         colocate: bool = False,
     ):
         """Instantiate the network.
@@ -432,20 +346,9 @@ class Network:
         internal node periodically deposit per-stream filter-state
         checkpoints with its parent (see ``docs/fault_tolerance.md``),
         so an adopter can resume a dead node's partial reductions.
-
-        ``trace=True`` attaches a Figure 3 span recorder to every
-        thread-hosted process before the tree starts (equivalent to
-        calling :meth:`start_trace` immediately); export with
-        :meth:`trace_chrome_json`.
         """
         if transport not in TRANSPORTS:
             raise NetworkError(f"unknown transport {transport!r}")
-        if trace and transport == "process":
-            raise NetworkError(
-                "trace=True requires a thread-hosted transport ('local' or "
-                "'tcp'): process-transport span rings live in other "
-                "address spaces"
-            )
         if policy not in POLICIES:
             raise NetworkError(f"unknown failure policy {policy!r}")
         if colocate and transport == "tcp":
@@ -481,7 +384,6 @@ class Network:
         self._commnodes: List[CommNode] = []
         self._hosts: List[NodeHost] = []  # loop threads, one per host group
         self._procs: List = []  # subprocess.Popen, process transport only
-        self._drains = _PipeDrains()  # child-pipe tails, process transport
         self._listener = None
         self._slots: Dict[int, _LeafSlot] = {}
         self._next_stream_id = FIRST_STREAM_ID
@@ -526,8 +428,6 @@ class Network:
             self._core.obs_rank = 0
             for i, node in enumerate(self._commnodes, start=1):
                 node.core.obs_rank = i
-            if trace:
-                self.start_trace()
             for node in self._commnodes:
                 node.start()
             if auto_backends:
@@ -653,19 +553,17 @@ class Network:
             return child_host.loop.add_inproc_pair(parent_core)
         import socket
 
-        from ..transport.tcp import TcpChannelEnd, _alloc_link_id
+        from ..transport.tcp import _passive_end
 
         sock_parent, sock_child = socket.socketpair()
         if parent_host is not None:
             parent_side = parent_host.loop.add_socket(sock_parent, core=parent_core)
         else:
-            parent_side = TcpChannelEnd(
-                sock_parent, _alloc_link_id(), parent_core.inbox
-            )
+            parent_side = _passive_end(sock_parent, None, parent_core.inbox)
         if child_host is not None:
             child_side = child_host.loop.add_socket(sock_child)
         else:
-            child_side = TcpChannelEnd(sock_child, _alloc_link_id(), child_inbox)
+            child_side = _passive_end(sock_child, None, child_inbox)
         return parent_side, child_side
 
     def _make_repair_fn(self, key: tuple, inbox: Inbox):
@@ -735,17 +633,18 @@ class Network:
                     subtree_spec(child, obs_rank, plan), separators=(",", ":")
                 ),
             ] + opts.command_line()
-            proc = subprocess.Popen(
-                cmd,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.PIPE,
-                bufsize=0,
-            )
+            # stderr goes to a file, shared with every process this one
+            # forks: a file never fills up and blocks a chatty child the
+            # way an undrained pipe would, and it keeps the last words
+            # _proc_diagnostics quotes.
+            log = tempfile.TemporaryFile()
+            try:
+                proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=log)
+            except BaseException:
+                log.close()
+                raise
             proc.label = child.label
-            proc.stderr_tail = deque(maxlen=20)
-            self._drains.add(
-                proc.stderr, proc.stderr_tail, f"stderr-{child.label}"
-            )
+            proc.stderr_log = log
             self._procs.append(proc)
 
         # Accept the root's direct internal children as they dial in.
@@ -815,16 +714,14 @@ class Network:
 
     def _proc_diagnostics(self) -> str:
         """One line of post-mortem per spawned child process."""
-        self._drains.poll()  # pull in any last words before reporting
         parts = []
         for proc in self._procs:
-            label = getattr(proc, "label", "?")
             code = proc.poll()
             state = "alive" if code is None else f"exit={code}"
-            tail = list(getattr(proc, "stderr_tail", ()))
+            tail = _last_lines(proc.stderr_log, 3)
             if tail:
-                state += " | " + " / ".join(tail[-3:])
-            parts.append(f"{label}: {state}")
+                state += " | " + " / ".join(tail)
+            parts.append(f"{proc.label}: {state}")
         return "; ".join(parts) if parts else "no children spawned"
 
     def _connect_accept_root_leaf(self, slot: _LeafSlot) -> tuple:
@@ -1545,8 +1442,7 @@ class Network:
         Same format as
         :meth:`repro.sim.trace.SimTrace.to_chrome_trace`, so a live
         run and a simulated run load side by side in one Perfetto
-        session.  Raises unless :meth:`start_trace` (or
-        ``Network(trace=True)``) ran first.
+        session.  Raises unless :meth:`start_trace` ran first.
         """
         if not self._tracers:
             raise NetworkError("no trace recorded: call start_trace() first")
@@ -1635,8 +1531,6 @@ class Network:
         self._core.admit_pending_children()
         if self._accept_repairs:
             self._poll_repair_accepts()
-        if self._drains:
-            self._drains.poll()
         if timeout > 0:
             try:
                 link_id, payload = self._core.inbox.get(timeout=timeout)
@@ -1744,12 +1638,7 @@ class Network:
                 proc.wait(timeout=join_timeout)
             except Exception:
                 proc.kill()
-        drains = getattr(self, "_drains", None)
-        if drains is not None:
-            try:
-                drains.close()
-            except Exception:
-                pass
+            proc.stderr_log.close()
         if core is not None:
             # Release the front-end's own link ends: shared-memory
             # children hold kernel segments that survive until every
@@ -1789,6 +1678,18 @@ class Network:
             f"Network(backends={self._core.expected_ranks}, "
             f"internal={len(self._commnodes)}, {state})"
         )
+
+
+def _last_lines(log, n: int, window: int = 4096) -> List[str]:
+    """The last *n* non-empty lines of a child's stderr file.
+
+    ``pread`` leaves the file offset alone: the children append through
+    the same open file.
+    """
+    size = os.fstat(log.fileno()).st_size
+    tail = os.pread(log.fileno(), window, max(size - window, 0))
+    lines = tail.decode("utf-8", "replace").splitlines()
+    return [line.rstrip() for line in lines if line.strip()][-n:]
 
 
 def _iter_subtree(node: TopologyNode):

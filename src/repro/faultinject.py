@@ -137,13 +137,14 @@ class FaultInjector:
 
     def stall_backend(self, rank: int) -> None:
         """Pause a back-end's reader thread: frames pile up in the
-        socket until the sending node's bounded queue pushes back."""
+        socket or ring until the sending node's bounded queue pushes
+        back."""
         slot = self.network._slots[rank]
         end = slot.parent_end
         if not hasattr(end, "pause_reading"):
             raise TypeError(
                 f"back-end {rank}'s parent link ({type(end).__name__}) "
-                "has no reader thread to stall (tcp transport only)"
+                "has no reader thread to stall (tcp and process transports only)"
             )
         self.log.append(("stall_backend", rank))
         end.pause_reading()

@@ -26,6 +26,11 @@ sends through, plus four things the loop calls:
     the owning core is shutting down: bounded last chance to push
     queued output before ``close()``.
 
+The passive ends of the front-end and back-ends are these same
+classes, each read by its own thread and calling a stand-in for the
+loop (:mod:`repro.transport.tcp`), so every medium has one reader and
+one writer.
+
 Links call back into :meth:`EventLoop.deliver` (one inbound frame),
 :meth:`~EventLoop.link_dead` (peer gone, after everything it sent was
 delivered), :meth:`~EventLoop.want_write` and
@@ -76,7 +81,6 @@ import numpy as np
 
 from ..core.packet import PacketDecodeError
 from ..obs.metrics import MetricsRegistry
-from .tcp import _alloc_link_id
 
 __all__ = [
     "EventLoop",
@@ -90,11 +94,20 @@ log = logging.getLogger(__name__)
 
 _LEN = struct.Struct(">I")
 _MAX_FRAME = 1 << 30
-_RECV_CHUNK = 1 << 18
 # One sendmsg call gathers at most this many buffers (IOV_MAX safety).
 _SENDMSG_MAX_BUFFERS = 128
 
 SEND_QUEUE_MAX_BYTES = 4 << 20
+
+_link_lock = threading.Lock()
+_next_link_id = 1_000_000  # distinct range from in-memory channels
+
+
+def _alloc_link_id() -> int:
+    global _next_link_id
+    with _link_lock:
+        _next_link_id += 1
+        return _next_link_id
 
 
 class SendQueueFull(RuntimeError):
@@ -198,6 +211,10 @@ class SelectorLink(LoopLink):
 
     #: Transport classification for the obs ``links{kind=...}`` census.
     transport_kind = "tcp"
+
+    #: Bytes the first ``recv`` of a read asks for: one read per
+    #: readiness event has to take a whole burst of frames.
+    _recv_chunk = 1 << 18
 
     __slots__ = (
         "_sock", "_out", "_out_nbytes", "_rbuf", "_frame", "_filled", "_writing",
@@ -303,7 +320,7 @@ class SelectorLink(LoopLink):
         frame = self._frame
         try:
             if frame is None:
-                data = self._sock.recv(_RECV_CHUNK)
+                data = self._sock.recv(self._recv_chunk)
             else:
                 data = self._sock.recv_into(frame[self._filled :])
         except BlockingIOError:
@@ -538,9 +555,10 @@ class EventLoop:
         doorbell."""
         from .shm import ShmLink
 
-        return self._register(
-            ShmLink(self, sock, tx, rx, _alloc_link_id(), max_send_bytes), core
-        )
+        link = ShmLink(self, sock, tx, rx, _alloc_link_id(), max_send_bytes)
+        # Rings have no readiness edge a selector could report reliably.
+        self.mark_ready(link, every_pass=True)
+        return self._register(link, core)
 
     def add_inproc_pair(
         self, core_a=None, core_b=None, max_send_bytes: int = SEND_QUEUE_MAX_BYTES

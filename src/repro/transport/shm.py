@@ -15,8 +15,8 @@ rings** in POSIX shared memory (``multiprocessing.shared_memory``),
 one per direction, carrying exactly the same 4-byte-length-framed
 packet batches as the TCP transport — so
 :func:`repro.core.batching.decode_batch` and ``Packet.lazy_from_wire``
-work unchanged on frames read out of the ring (one copy out of shared
-memory, zero further copies).
+work unchanged on frames read in place out of the ring (no copy out
+of shared memory unless a frame wraps the ring edge).
 
 Ring layout (``HEADER`` = 64 bytes, then ``capacity`` data bytes)::
 
@@ -54,6 +54,7 @@ from __future__ import annotations
 import collections
 import json
 import select
+import selectors
 import socket
 import struct
 import threading
@@ -62,11 +63,12 @@ from typing import List, Optional, Tuple
 
 from .channel import Inbox
 from .eventloop import SEND_QUEUE_MAX_BYTES, LoopLink
+from .tcp import HELLO_SHM_FLAG, _PassiveLoop, _recv_exact
 
 __all__ = [
     "ShmRing",
-    "ShmChannelEnd",
     "ShmLink",
+    "PassiveShmLink",
     "offer_shm",
     "accept_shm_offer",
     "shm_available",
@@ -141,9 +143,10 @@ class ShmRing:
     """One direction of a co-located link: an SPSC byte ring in shm.
 
     One process is the producer (:meth:`try_write`), the other the
-    consumer (:meth:`read_frames`); each instance is used in a single
-    role.  Frames are 4-byte-length-prefixed byte strings, identical
-    to the TCP wire framing.
+    consumer (:meth:`read_frames_inplace`, then :meth:`commit_read`);
+    each instance is used in a single role.  Frames are
+    4-byte-length-prefixed byte strings, identical to the TCP wire
+    framing.
     """
 
     HEADER = 64
@@ -235,68 +238,17 @@ class ShmRing:
 
     # -- consumer side ------------------------------------------------------
 
-    def read_frames(self, limit: Optional[int] = None) -> Tuple[List[bytes], bool]:
-        """Drain complete frames; ``(frames, credit_due)``.
-
-        ``credit_due`` is True when the drain freed space a stalled
-        producer is waiting on — the caller must send a doorbell byte
-        so the producer retries.  Each frame is one copy out of shared
-        memory (``bytes``), which downstream lazy decoding wraps
-        without further copies.
-        """
-        buf = self._buf
-        cap = self.capacity
-        base = self.HEADER
-        head = self._head
-        frames: List[bytes] = []
-        while True:
-            tail = _U64.unpack_from(buf, 0)[0]
-            if head == tail:
-                break
-            pos = head % cap
-            if pos + 4 <= cap:
-                (n,) = _LEN.unpack_from(buf, base + pos)
-            else:
-                k = cap - pos
-                (n,) = _LEN.unpack(
-                    bytes(buf[base + pos : base + cap])
-                    + bytes(buf[base : base + 4 - k])
-                )
-            if tail - head < 4 + n:  # defensive: producer publishes last
-                break
-            pos = (pos + 4) % cap
-            if pos + n <= cap:
-                frames.append(bytes(buf[base + pos : base + pos + n]))
-            else:
-                k = cap - pos
-                frames.append(
-                    bytes(buf[base + pos : base + cap])
-                    + bytes(buf[base : base + n - k])
-                )
-            head += 4 + n
-            if limit is not None and len(frames) >= limit:
-                break
-        credit = False
-        if head != self._head:
-            self._head = head
-            _U64.pack_into(buf, 8, head)  # publish after the copy-out
-            if buf[17]:
-                buf[17] = 0
-                credit = True
-        return frames, credit
-
-    def read_frames_inplace(self, limit: Optional[int] = None) -> List[object]:
+    def read_frames_inplace(self) -> List[object]:
         """Drain complete frames **without copying them out of the ring**.
 
         Frames that sit contiguously in the ring come back as
         ``memoryview`` slices aliasing shared memory directly — zero
         copies; frames that wrap the ring edge are stitched into
-        ``bytes`` as before (rare: only the frame straddling the wrap
-        point).  The consumer cursor is advanced privately but **not
+        ``bytes`` (rare: only the frame straddling the wrap point).
+        The consumer cursor is advanced privately but **not
         published**: the producer still sees the old head, so the
         aliased bytes cannot be overwritten until the caller finishes
-        with the views and calls :meth:`commit_read`.  Interleaving a
-        plain :meth:`read_frames` between the two is not allowed.
+        with the views and calls :meth:`commit_read`.
         """
         buf = self._buf
         cap = self.capacity
@@ -328,8 +280,6 @@ class ShmRing:
                     + bytes(buf[base : base + n - k])
                 )
             head += 4 + n
-            if limit is not None and len(frames) >= limit:
-                break
         self._head = head
         return frames
 
@@ -426,16 +376,6 @@ class ShmRing:
 # -- negotiation ------------------------------------------------------------
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    data = b""
-    while len(data) < n:
-        chunk = sock.recv(n - len(data))
-        if not chunk:
-            raise ConnectionError("peer closed during shm handshake")
-        data += chunk
-    return data
-
-
 def offer_shm(
     sock: socket.socket, link_id: int, capacity: int = DEFAULT_CAPACITY
 ) -> Optional[Tuple[ShmRing, ShmRing]]:
@@ -446,16 +386,13 @@ def offer_shm(
     or if this host cannot create segments at all — sends/settles a
     plain hello and returns ``None`` so the caller proceeds over TCP.
     """
-    from .tcp import HELLO_SHM_FLAG
-
     tx = rx = None
     try:
         tx = ShmRing.create(capacity)
         rx = ShmRing.create(capacity)
     except Exception:
         if tx is not None:
-            tx.close()
-            tx.unlink()
+            _destroy(tx)
         sock.sendall(_LEN.pack(link_id))
         return None
     offer = json.dumps(
@@ -508,27 +445,193 @@ def accept_shm_offer(
 def _destroy(*rings: ShmRing) -> None:
     for ring in rings:
         ring.close()
+        # Both sides of a link unlink: if the creator was SIGKILLed its
+        # segments must not outlive the link, and a double unlink is a
+        # caught FileNotFoundError.  Existing mappings stay valid, so a
+        # peer still draining is unaffected.
         ring.unlink()
 
 
-# -- the two kinds of link end over a ring pair ---------------------------------
+# -- link ends over a ring pair ---------------------------------------------
 
 
-class _RingEnd:
-    """What both shm link ends are made of: a ring each way and the
-    negotiation socket kept as a doorbell (see the module docstring)."""
+class ShmLink(LoopLink):
+    """A co-located link driven by the event loop over shared memory.
 
-    __slots__ = ()
+    A ring each way, and the negotiation socket kept as a doorbell (see
+    the module docstring).  No thread: the doorbell socket is what the
+    selector watches, and the rings are polled on every loop pass
+    besides — doorbells are an optimization, not the only wakeup path.
+    When the transmit ring is full the frame is parked in a bounded
+    overflow deque (``SendQueueFull`` past the bound, exactly like the
+    TCP send queue) and pumped into the ring as credit doorbells arrive.
+    """
 
     #: Transport classification for the obs ``links{kind=...}`` census.
     transport_kind = "shm"
 
-    def _init_rings(self, sock: socket.socket, tx: ShmRing, rx: ShmRing) -> None:
+    __slots__ = (
+        "_sock", "_tx", "_rx", "_out", "_out_nbytes",
+        "_c_writes", "_c_bytes_out", "_c_zero_copy",
+    )
+
+    def __init__(
+        self,
+        loop,
+        sock: socket.socket,
+        tx: ShmRing,
+        rx: ShmRing,
+        link_id: int,
+        max_send_bytes: int = SEND_QUEUE_MAX_BYTES,
+    ):
+        super().__init__(loop, link_id, max_send_bytes)
         # A TCP doorbell was born Nagle-off in the handshake (tcp._nodelay).
         sock.setblocking(False)
         self._sock = sock
         self._tx = tx
         self._rx = rx
+        self._out: collections.deque = collections.deque()
+        self._out_nbytes = 0
+        self._c_writes = loop.metrics.counter("writes")
+        self._c_bytes_out = loop.metrics.counter("bytes_out")
+        self._c_zero_copy = loop.metrics.counter("shm_frames_zero_copy")
+
+    @property
+    def selectable(self) -> socket.socket:
+        return self._sock
+
+    @property
+    def send_backlog(self) -> int:
+        """Bytes parked beyond the ring (overflow deque)."""
+        return self._out_nbytes
+
+    def send(self, payload) -> None:
+        """Write one framed payload into the ring, or park it.
+
+        The fast path is a single ``try_write`` into shared memory —
+        no syscall at all unless the ring was empty (doorbell).
+        """
+        size = self._admit(payload, self._out_nbytes)
+        if not self._out and self._write(payload):
+            return
+        # Ring full: try_write set the stalled flag, so the peer sends
+        # a credit doorbell once it drains; the loop pumps us then.
+        self._out.append(payload if isinstance(payload, bytes) else bytes(payload))
+        self._out_nbytes += size
+
+    def _write(self, payload) -> bool:
+        try:
+            ok, was_empty = self._tx.try_write(payload)
+        except ValueError as exc:
+            # Released mapping (concurrent close) or a frame larger
+            # than the ring: either way this link cannot carry it.
+            raise ConnectionError(str(exc)) from exc
+        if ok:
+            self._c_writes.value += 1
+            self._c_bytes_out.value += len(payload) + _LEN.size
+            if was_empty:
+                self._doorbell()
+        return ok
+
+    def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        self._loop.forget(self)
+        self._hang_up()
+        self._release_rings()
+
+    def _hang_up(self) -> None:
+        """Tell the peer: the close flag for its drain, EOF on the doorbell."""
+        self._tx.mark_closed()
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+
+    def _release_rings(self) -> None:
+        try:
+            self._sock.close()
+        except OSError:
+            pass
+        _destroy(self._tx, self._rx)
+
+    # -- loop-facing ------------------------------------------------------
+
+    def on_events(self, mask: int) -> bool:
+        """Readable doorbell: one poll answers wakeups and credits."""
+        eof = self._drain_doorbell()
+        worked = self.poll()
+        if eof and not self._closed:
+            self._dead()
+            return True
+        return worked
+
+    def poll(self) -> bool:
+        """Pump parked writes and deliver inbound frames."""
+        if self._closed:
+            return False
+        worked = bool(self._out) and self._pump()
+        worked |= self._receive()
+        if self._closed:
+            return True  # the core hung up: rings are gone
+        rx = self._rx
+        if rx.peer_closed and not rx.readable:
+            self._dead()
+            worked = True
+        return worked
+
+    def drain(self, deadline: float) -> None:
+        """Parked frames enter the ring as the peer makes room; poll
+        briefly rather than arming the selector."""
+        clock = self._loop.clock
+        while self._out and not self._closed and clock() < deadline:
+            if not self._pump():
+                time.sleep(0.005)
+
+    def _receive(self) -> bool:
+        """Deliver every frame in the receive ring; True if any.
+
+        Zero-copy: frames arrive as memoryviews aliasing the ring.
+        Anything the core keeps past delivery parks through a
+        materialize() guard (batching buffers, sync queues, chunk
+        queues), so afterwards the consumer cursor can be published and
+        the bytes recycled.  Frames consumed inline never get copied
+        out of shared memory.
+        """
+        rx = self._rx
+        if self._closed or not rx.readable:
+            return False
+        frames = rx.read_frames_inplace()
+        deliver = self._loop.deliver
+        for frame in frames:
+            if type(frame) is memoryview:
+                self._c_zero_copy.value += 1
+            deliver(self, frame)
+        if not self._closed and rx.commit_read():
+            self._doorbell()
+        return bool(frames)
+
+    def _pump(self) -> bool:
+        """Move parked frames from the overflow deque into the ring."""
+        out = self._out
+        wrote = False
+        while out:
+            try:
+                if not self._write(out[0]):
+                    break
+            except ConnectionError:
+                self._dead()
+                return True
+            self._out_nbytes -= len(out.popleft()) + _LEN.size
+            wrote = True
+        return wrote
+
+    def _dead(self) -> None:
+        """EOF / ring failure: deliver what the peer managed to write,
+        then report the death."""
+        self._receive()
+        self._loop.link_dead(self)
 
     def _doorbell(self) -> None:
         try:
@@ -554,197 +657,25 @@ class _RingEnd:
             if len(data) < 4096:
                 return False
 
-    def _release_rings(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        for ring in (self._tx, self._rx):
-            ring.close()
-            # Both sides unlink: if the creator was SIGKILLed its
-            # segments must not outlive the link, and a double unlink
-            # is a caught FileNotFoundError.  Existing mappings stay
-            # valid, so a peer still draining is unaffected.
-            ring.unlink()
 
+class PassiveShmLink(ShmLink):
+    """A passive end over a ring pair: the loop's link, on its own thread.
 
-class ShmLink(LoopLink, _RingEnd):
-    """A co-located link driven by the event loop over shared memory.
-
-    Same rings as :class:`ShmChannelEnd`, no thread: the doorbell
-    socket is what the selector watches, and the rings are polled on
-    every loop pass besides — doorbells are an optimization, not the
-    only wakeup path.  When the transmit ring is full the frame is
-    parked in a bounded overflow deque (``SendQueueFull`` past the
-    bound, exactly like the TCP send queue) and pumped into the ring as
-    credit doorbells arrive.
-    """
-
-    __slots__ = (
-        "_sock", "_tx", "_rx", "_out", "_out_nbytes",
-        "_c_writes", "_c_bytes_out", "_c_zero_copy",
-    )
-
-    def __init__(
-        self,
-        loop,
-        sock: socket.socket,
-        tx: ShmRing,
-        rx: ShmRing,
-        link_id: int,
-        max_send_bytes: int = SEND_QUEUE_MAX_BYTES,
-    ):
-        super().__init__(loop, link_id, max_send_bytes)
-        self._init_rings(sock, tx, rx)
-        self._out: collections.deque = collections.deque()
-        self._out_nbytes = 0
-        self._c_writes = loop.metrics.counter("writes")
-        self._c_bytes_out = loop.metrics.counter("bytes_out")
-        self._c_zero_copy = loop.metrics.counter("shm_frames_zero_copy")
-        loop.mark_ready(self, every_pass=True)
-
-    @property
-    def selectable(self) -> socket.socket:
-        return self._sock
-
-    @property
-    def send_backlog(self) -> int:
-        """Bytes parked beyond the ring (overflow deque)."""
-        return self._out_nbytes
-
-    def send(self, payload) -> None:
-        """Write one framed payload into the ring, or park it.
-
-        The fast path is a single ``try_write`` into shared memory —
-        no syscall at all unless the ring was empty (doorbell).
-        """
-        size = self._admit(payload, self._out_nbytes)
-        if not self._out:
-            try:
-                if self._write(payload):
-                    return
-            except ValueError as exc:
-                # Released mapping (concurrent close) or a frame larger
-                # than the ring: either way this link cannot carry it.
-                raise ConnectionError(str(exc)) from exc
-        # Ring full: try_write set the stalled flag, so the peer sends
-        # a credit doorbell once it drains; the loop pumps us then.
-        self._out.append(payload if isinstance(payload, bytes) else bytes(payload))
-        self._out_nbytes += size
-
-    def _write(self, payload) -> bool:
-        ok, was_empty = self._tx.try_write(payload)
-        if ok:
-            self._c_writes.value += 1
-            self._c_bytes_out.value += len(payload) + _LEN.size
-            if was_empty:
-                self._doorbell()
-        return ok
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._loop.forget(self)
-        self._tx.mark_closed()
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._release_rings()
-
-    # -- loop-facing ------------------------------------------------------
-
-    def on_events(self, mask: int) -> bool:
-        """Readable doorbell: one poll answers wakeups and credits."""
-        eof = self._drain_doorbell()
-        worked = self.poll()
-        if eof and not self._closed:
-            self._dead()
-            return True
-        return worked
-
-    def poll(self) -> bool:
-        """Pump parked writes and deliver inbound frames."""
-        if self._closed:
-            return False
-        worked = bool(self._out) and self._pump()
-        if self._closed:
-            return True
-        rx = self._rx
-        if rx.readable:
-            # Zero-copy drain: frames arrive as memoryviews aliasing
-            # the ring.  Anything the core keeps past this call parks
-            # through a materialize() guard (batching buffers, sync
-            # queues, chunk queues), so after delivery the consumer
-            # cursor can be published and the bytes recycled.  Frames
-            # consumed inline never get copied out of shared memory.
-            frames = rx.read_frames_inplace()
-            deliver = self._loop.deliver
-            for frame in frames:
-                if type(frame) is memoryview:
-                    self._c_zero_copy.value += 1
-                deliver(self, frame)
-            if self._closed:
-                return True  # the core hung up mid-delivery: rings are gone
-            if rx.commit_read():
-                self._doorbell()
-            worked |= bool(frames)
-        if rx.peer_closed and not rx.readable and not self._closed:
-            self._dead()
-            worked = True
-        return worked
-
-    def drain(self, deadline: float) -> None:
-        """Parked frames enter the ring as the peer makes room; poll
-        briefly rather than arming the selector."""
-        clock = self._loop.clock
-        while self._out and not self._closed and clock() < deadline:
-            if not self._pump():
-                time.sleep(0.005)
-
-    def _pump(self) -> bool:
-        """Move parked frames from the overflow deque into the ring."""
-        out = self._out
-        wrote = False
-        while out:
-            try:
-                if not self._write(out[0]):
-                    break
-            except ValueError:
-                self._dead()
-                return True
-            self._out_nbytes -= len(out.popleft()) + _LEN.size
-            wrote = True
-        return wrote
-
-    def _dead(self) -> None:
-        """EOF / ring failure: deliver what the peer managed to write,
-        then report the death."""
-        if not self._closed:
-            try:
-                frames, _ = self._rx.read_frames()
-            except Exception:
-                frames = []
-            for frame in frames:
-                self._loop.deliver(self, frame)
-        self._loop.link_dead(self)
-
-
-class ShmChannelEnd(_RingEnd):
-    """A co-located link end for passive processes (front-end,
-    back-ends): a reader thread selects on the doorbell socket and
-    drains the receive ring into an :class:`Inbox`, mirroring
-    :class:`~repro.transport.tcp.TcpChannelEnd`'s contract exactly
-    (payload deliveries, ``None`` on close, pause/resume hooks).
-
-    Event-loop processes use :class:`ShmLink` instead.
+    The reader thread selects on the doorbell, waking at least every
+    50 ms (the loop's own safety timeout), and runs the inherited
+    ``on_events`` or ``poll``; the ring views they deliver are copied
+    before they reach the owner's inbox.  ``send`` writes the frame
+    into the ring on the caller's thread and, on a full ring, waits for
+    a credit doorbell up to :attr:`SEND_TIMEOUT`: it never parks a
+    frame, so ``SendQueueFull`` cannot happen.
     """
 
     #: A send blocked this long on a full ring means the peer stopped
     #: draining entirely; surface it as a dead link, like a TCP send
     #: that never completes.
     SEND_TIMEOUT = 30.0
+
+    __slots__ = ("_send_lock", "_space")
 
     def __init__(
         self,
@@ -754,140 +685,63 @@ class ShmChannelEnd(_RingEnd):
         link_id: int,
         inbox: Inbox,
     ):
-        self.link_id = link_id
-        self._init_rings(sock, tx, rx)
-        self._inbox = inbox
+        super().__init__(_PassiveLoop(inbox), sock, tx, rx, link_id)
         self._send_lock = threading.Lock()
-        self._release_lock = threading.Lock()
-        self._released = False
-        self._closed = False
-        self.frames_out = 0
-        self.bytes_out = 0
-        self.frames_in = 0
-        self.bytes_in = 0
-        # Set whenever a doorbell arrives: any byte may be the credit
+        # Set after every reader pass: any doorbell may be the credit
         # a blocked sender is waiting on.
         self._space = threading.Event()
-        self._reading = threading.Event()
-        self._reading.set()
-        self._reader = threading.Thread(
-            target=self._read_loop, name=f"shm-reader-{link_id}", daemon=True
-        )
-        self._reader.start()
+        self._loop.start(self, self._serve, "shm-reader")
 
     def pause_reading(self) -> None:
-        """Stall ring drains before the next batch (fault injection)."""
-        self._reading.clear()
+        """Stall the reader thread before its next pass (fault injection)."""
+        self._loop.reading.clear()
 
     def resume_reading(self) -> None:
-        self._reading.set()
+        self._loop.reading.set()
 
     def send(self, payload) -> None:
-        if self._closed:
-            raise ConnectionError(f"shm link {self.link_id} is closed")
-        if not isinstance(payload, (bytes, bytearray, memoryview)):
-            raise TypeError("channel payloads must be bytes")
         deadline = time.monotonic() + self.SEND_TIMEOUT
         with self._send_lock:
             while True:
-                if self._closed:
-                    raise ConnectionError(
-                        f"shm link {self.link_id} is closed"
-                    )
-                try:
-                    ok, was_empty = self._tx.try_write(payload)
-                except ValueError as exc:
-                    # Released mapping (concurrent close) or an
-                    # impossible frame: either way this link is done.
-                    raise ConnectionError(str(exc)) from exc
-                if ok:
-                    break
-                # Ring full: the peer credits us via doorbell once it
-                # drains (try_write set the stalled flag).  Short poll
-                # as a safety net against a lost credit.
+                self._admit(payload, 0)  # ConnectionError once closed
+                if self._write(payload):
+                    return
+                # Ring full: the peer credits us once it drains (the
+                # stalled flag is set); the short wait is the safety
+                # net against a lost credit.
                 self._space.clear()
-                self._space.wait(timeout=0.05)
+                self._space.wait(0.05)
                 if time.monotonic() > deadline:
                     raise ConnectionError(
                         f"shm link {self.link_id}: send timed out "
                         f"(peer not draining)"
                     )
-            self.frames_out += 1
-            self.bytes_out += len(payload) + _LEN.size
-            if was_empty:
-                self._doorbell()
-
-    def link_metrics(self) -> dict:
-        """Point-in-time transport numbers for this link (JSON-able)."""
-        return {
-            "link_id": self.link_id,
-            "kind": "shm",
-            "frames_in": self.frames_in,
-            "bytes_in": self.bytes_in,
-            "frames_out": self.frames_out,
-            "bytes_out": self.bytes_out,
-            "closed": self._closed,
-        }
 
     def close(self) -> None:
         if self._closed:
             return
+        # The reader thread may be inside the rings right now: it
+        # releases them on its way out.
         self._closed = True
-        self._tx.mark_closed()
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        # The reader thread notices EOF within one poll interval and
-        # performs the final drain + release; if it is already gone,
-        # release here.
-        if not self._reader.is_alive():
-            self._release()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    # -- reader -------------------------------------------------------------
-
-    def _read_loop(self) -> None:
-        sock = self._sock
-        rx = self._rx
-        eof = False
-        while not eof and not self._closed:
-            try:
-                readable, _, _ = select.select([sock], [], [], 0.05)
-            except (OSError, ValueError):
-                break
-            if readable:
-                eof = self._drain_doorbell()
-                self._space.set()  # any doorbell may be a credit
-            self._reading.wait()
-            self._drain_rx(rx)
-            if rx.peer_closed and not rx.readable:
-                eof = True
-        # Final drain: frames the peer wrote before closing are valid.
-        try:
-            self._drain_rx(rx)
-        except Exception:
-            pass
-        self._closed = True
+        self._hang_up()
+        self._loop.forget(self)
         self._space.set()
-        self._release()
-        self._inbox._deliver(self.link_id, None)
 
-    def _drain_rx(self, rx: ShmRing) -> None:
-        frames, credit = rx.read_frames()
-        if credit:
-            self._doorbell()
-        for frame in frames:
-            self.frames_in += 1
-            self.bytes_in += len(frame) + _LEN.size
-            self._inbox._deliver(self.link_id, frame)
-
-    def _release(self) -> None:
-        with self._release_lock:
-            if self._released:
-                return
-            self._released = True
-        self._release_rings()
+    def _serve(self) -> None:
+        sock, reading, rx = self._sock, self._loop.reading, self._rx
+        try:
+            while not self._closed:
+                reading.wait()
+                # A frame written while the last pass held the ring found
+                # it non-empty and rang no bell: look before sleeping.
+                try:
+                    ready = select.select([sock], [], [], 0 if rx.readable else 0.05)[0]
+                except (OSError, ValueError):
+                    ready = True  # on_events reads a broken doorbell as EOF
+                if ready:
+                    self.on_events(selectors.EVENT_READ)
+                else:
+                    self.poll()
+                self._space.set()
+        finally:
+            self._release_rings()

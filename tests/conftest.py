@@ -26,7 +26,6 @@ _RUNTIME_THREAD_PREFIXES = (
     "colocated-host",
     "tcp-reader-",
     "shm-reader-",
-    "drain-",
     "attach",
     "accept-rank",
     "leaf-acceptor",

@@ -209,6 +209,27 @@ class TestCheckpointFlow:
         )
         assert shipped > 0
 
+    def test_closed_streams_leave_no_deposits(self, shutdown_nets):
+        """A stream's deposits go with it: closing it drops what the
+        parent holds, and a deposit that crosses the close on the wire
+        is refused rather than stored for a stream that is gone."""
+        net = Network(balanced_tree(2, 2), checkpoint_interval=0.01)
+        shutdown_nets.append(net)
+        comm = net.get_broadcast_communicator()
+        for _ in range(20):
+            st = net.new_stream(comm, transform=TFILTER_SUM)
+            assert drive_wave(net, st, WAVE_TIMEOUT).values == (4,)
+            assert wait_until(
+                lambda: any(sid == st.stream_id for _link, sid in net._core._checkpoints),
+                net=net,
+                timeout=WAVE_TIMEOUT,
+                poll=False,
+            )
+            st.close()
+        time.sleep(0.1)  # deposits already on their way up land now
+        net.flush()
+        assert not net._core._checkpoints
+
     def test_no_deposits_when_disabled(self, shutdown_nets):
         net = Network(balanced_tree(2, 2), transport="tcp")
         shutdown_nets.append(net)

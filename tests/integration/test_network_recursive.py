@@ -11,6 +11,7 @@ shared-memory rings.
 """
 
 import inspect
+import os
 import textwrap
 import threading
 import time
@@ -154,13 +155,86 @@ class TestRecursiveInstantiation:
             "topology", "registry", "auto_backends", "startup_timeout",
             "clock", "transport", "filter_specs", "policy",
             "heartbeat_interval", "heartbeat_miss_threshold",
-            "checkpoint_interval", "trace", "colocate",
+            "checkpoint_interval", "colocate",
         ]
         topo = balanced_tree(2, 2)
         with pytest.raises(NetworkError):
             Network(topo, transport="rsh")
         with pytest.raises(NetworkError):
             Network(topo, policy="hope")
+
+
+def filter_module(tmp_path, body):
+    """A custom filter module whose *body* runs only in comm-node
+    processes (the front-end loads the same file into its registry)."""
+    mod = tmp_path / "child_only.py"
+    mod.write_text(
+        textwrap.dedent(
+            f"""
+            import os
+            import sys
+
+            IN_CHILD = os.getpid() != {os.getpid()}
+            """
+        )
+        + textwrap.dedent(body)
+    )
+    return str(mod)
+
+
+class TestChildStderr:
+    """A spawned comm node's stderr is a file its forks share: writing
+    to it never blocks, and start-up errors still quote it."""
+
+    def test_chatty_child_never_wedges(self, tmp_path):
+        # 100 KiB per wave and process: more than a pipe buffer holds.
+        mod = filter_module(
+            tmp_path,
+            """
+            def chatty_sum(packets, state):
+                if IN_CHILD:
+                    sys.stderr.write("x" * (100 << 10) + "\\n")
+                    sys.stderr.flush()
+                return [packets[0].replace(values=(sum(p.values[0] for p in packets),))]
+            """,
+        )
+        with Network(
+            balanced_tree(2, 2), transport="process", filter_specs=[(mod, "chatty_sum")]
+        ) as net:
+            (fid,) = net.filter_ids
+            comm = net.get_broadcast_communicator()
+            stream = net.new_stream(comm, transform=fid)
+            for wave in range(3):
+                stream.send("%d", wave)
+                for rank in sorted(net.backends):
+                    _, bstream = net.backends[rank].recv(timeout=RECV_TIMEOUT)
+                    bstream.send("%d", rank + 1)
+                assert stream.recv_values(timeout=RECV_TIMEOUT) == (10,)
+            for proc in net._procs:
+                assert os.fstat(proc.stderr_log.fileno()).st_size > 64 << 10
+
+    def test_startup_death_quotes_the_last_stderr_line(self, tmp_path):
+        mod = filter_module(
+            tmp_path,
+            """
+            if IN_CHILD:
+                sys.stderr.write("traceback noise\\nchild-only filter refused to load\\n")
+                sys.stderr.flush()
+                os._exit(3)
+
+            def identity(packets, state):
+                return packets
+            """,
+        )
+        with pytest.raises(NetworkError) as err:
+            Network(
+                balanced_tree(2, 2),
+                transport="process",
+                filter_specs=[(mod, "identity")],
+                startup_timeout=3.0,
+            )
+        assert "exit=3" in str(err.value)
+        assert "child-only filter refused to load" in str(err.value)
 
 
 # fe and its first child share host hA, the second child sits on hB;

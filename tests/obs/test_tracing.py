@@ -1,7 +1,7 @@
 """Tracing tests: TraceRecorder unit behaviour plus a live traced run.
 
-The live test is the PR's acceptance check: a 2-level tree run with
-``trace=True`` must produce a Perfetto-loadable Chrome trace containing
+The live test is the acceptance check: a 2-level tree run under
+``start_trace()`` must produce a Perfetto-loadable Chrome trace containing
 every Figure 3 stage (recv, demux, sync_wait, filter, rebatch, send).
 """
 
@@ -96,7 +96,8 @@ TOPO = "fe:0 => cn:0 cn:1 ; cn:0 => be:0 be:1 ; cn:1 => be:2 be:3 ;"
 def traced_net():
     from repro.core.network import Network
 
-    net = Network(TOPO, transport="local", trace=True)
+    net = Network(TOPO, transport="local")
+    net.start_trace()
     yield net
     net.shutdown()
 
@@ -176,8 +177,12 @@ class TestTraceLifecycle:
     def test_trace_requires_thread_hosted_transport(self):
         from repro.core.network import Network, NetworkError
 
-        with pytest.raises(NetworkError):
-            Network(TOPO, transport="process", trace=True)
+        net = Network(TOPO, transport="process")
+        try:
+            with pytest.raises(NetworkError):
+                net.start_trace()
+        finally:
+            net.shutdown()
 
     def test_double_start_rejected(self):
         from repro.core.network import Network, NetworkError

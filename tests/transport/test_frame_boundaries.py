@@ -1,13 +1,14 @@
-"""Frame-boundary torture for both TCP readers.
+"""Frame-boundary torture for the one TCP reader.
 
-``SelectorLink._read`` (loop-owned sockets) and
-``TcpChannelEnd._read_exact`` (passive ends) share one receive rule: a
-frame complete in what one ``recv`` returned is sliced out, any other
-gets an exact-size buffer that the remainder is received into.  Both
-must deliver the same frames — FIFO, byte-identical — however the
-stream is cut: inside a 4-byte header, one byte at a time, across
-MiB-sized bodies; and both must report EOF only after every complete
-frame, and refuse a length over ``_MAX_FRAME``.
+``SelectorLink._read`` reads every socket: a loop-owned link's on its
+loop's thread (non-blocking), a passive end's
+(``PassiveSelectorLink``) on its own reader thread (blocking).  Its
+receive rule: a frame complete in what one ``recv`` returned is sliced
+out, any other gets an exact-size buffer that the remainder is received
+into.  Driven either way it must deliver the same frames — FIFO,
+byte-identical — however the stream is cut: inside a 4-byte header, one
+byte at a time, across MiB-sized bodies; and it must report EOF only
+after every complete frame, and refuse a length over ``_MAX_FRAME``.
 
 The writer runs in lock-step with the reader (it waits until the
 receiving socket has nothing unread before the next fragment), so every
@@ -30,11 +31,11 @@ import pytest
 
 from repro.transport.channel import Inbox
 from repro.transport.eventloop import _MAX_FRAME, EventLoop
-from repro.transport.tcp import TcpChannelEnd
+from repro.transport.tcp import _passive_end
 
 _LEN = struct.Struct(">I")
 TIMEOUT = 20.0
-KINDS = ["SelectorLink", "TcpChannelEnd"]
+KINDS = ["SelectorLink", "PassiveSelectorLink"]
 
 
 class _Sink:
@@ -63,7 +64,8 @@ class Receiver:
             self._pump.start()
         else:
             self._got = Inbox()
-            self.link = TcpChannelEnd(sock, 1, self._got)
+            self.link = _passive_end(sock, None, self._got)
+        assert type(self.link).__name__ == kind
 
     def _drive(self):
         """What ``EventLoop.run`` does for one link: select, on_events."""

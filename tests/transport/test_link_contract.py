@@ -1,22 +1,34 @@
-"""One contract for every link kind an event loop owns.
+"""One contract for every link kind an event loop owns, and for the
+passive ends made of the same classes.
 
 ``SelectorLink`` (tcp), ``ShmLink`` (shm) and ``InprocLink`` (inproc)
 differ in what carries the bytes and in nothing a ``NodeCore`` or the
-loop may rely on.  This test drives a pair of each kind on a live loop
-through what the ``LoopLink`` protocol promises: FIFO delivery, the
+loop may rely on.  The first test drives a pair of each kind on a live
+loop through what the ``LoopLink`` protocol promises: FIFO delivery, the
 bounded send queue, data-then-EOF, idempotent ``close`` and a loop left
 with no links and no backlog.  Kind-specific behaviour (ring wrap-around,
 doorbell credit, mid-frame EOF, zero-copy views) is tested next to each
 kind.
+
+A passive end (front-end, back-end) is the tcp or shm link class read by
+its own thread into an ``Inbox``.  The second test holds a pair of each
+to what their owners rely on: FIFO delivery, a blocking ``send`` that
+never refuses (``SendQueueFull``) however far the peer's reader is
+behind, data-then-EOF, idempotent ``close``, and a reader thread that
+ends with the link.
 """
 
 import socket
+import sys
 import threading
+import time
 
 import pytest
 
-from repro.transport.eventloop import EventLoop, SendQueueFull
-from repro.transport.shm import ShmRing, shm_available
+from repro.transport.channel import Inbox
+from repro.transport.eventloop import SEND_QUEUE_MAX_BYTES, EventLoop, SendQueueFull
+from repro.transport.shm import DEFAULT_CAPACITY, ShmRing, shm_available
+from repro.transport.tcp import _passive_end
 
 from .test_inproc import RecorderCore, wait_until
 
@@ -159,3 +171,134 @@ def test_loop_link_contract(kind):
             loop.close()
         thread.join(timeout=5)
         assert not thread.is_alive()
+
+
+def passive_pair(kind):
+    """Two passive ends of *kind* over one socketpair, one inbox each."""
+    a, b = socket.socketpair()
+    rings_a = rings_b = None
+    if kind == "shm":
+        if not shm_available():
+            pytest.skip("POSIX shared memory unavailable")
+        ab, ba = ShmRing.create(DEFAULT_CAPACITY), ShmRing.create(DEFAULT_CAPACITY)
+        rings_a = (ab, ShmRing.attach(ba.name, DEFAULT_CAPACITY))
+        rings_b = (ba, ShmRing.attach(ab.name, DEFAULT_CAPACITY))
+    inbox_a, inbox_b = Inbox(), Inbox()
+    return _passive_end(a, rings_a, inbox_a), _passive_end(b, rings_b, inbox_b), inbox_a, inbox_b
+
+
+def received(inbox, n):
+    """The next *n* payloads on *inbox*, as bytes (none may be EOF)."""
+    out = []
+    for _ in range(n):
+        _, payload = inbox.get(timeout=10)
+        assert payload is not None, f"EOF after {len(out)} of {n} frames"
+        out.append(bytes(payload))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["tcp", "shm"])
+def test_passive_end_contract(kind):
+    end_a, end_b, inbox_a, inbox_b = passive_pair(kind)
+    readers = {f"{kind}-reader-{end.link_id}" for end in (end_a, end_b)}
+    alive = lambda: {t.name for t in threading.enumerate()} & readers
+    try:
+        assert alive() == readers  # one reader thread per end
+        for end in (end_a, end_b):
+            assert end.transport_kind == kind
+            assert end.link_metrics()["kind"] == kind
+            assert end.send_capacity() == end.max_send_bytes  # nothing queues
+
+        # -- FIFO, both directions ----------------------------------------
+        msgs = [b"%03d" % i * (1 + i % 7) for i in range(50)]
+        for msg in msgs:
+            end_a.send(msg)
+            end_b.send(msg[::-1])
+        assert received(inbox_b, 50) == msgs
+        assert received(inbox_a, 50) == [msg[::-1] for msg in msgs]
+        with pytest.raises(TypeError):
+            end_a.send("not bytes")
+
+        # -- a send blocks, never refuses, while the peer's reader is paused
+        # More than a loop link's whole send-queue bound: the medium
+        # (socket buffers, ring) fills and the sender waits on it.
+        end_b.pause_reading()
+        frames = [bytes([i]) * (64 << 10) for i in range(SEND_QUEUE_MAX_BYTES // (64 << 10) + 16)]
+        sent, errors = [], []
+
+        def pump():
+            try:
+                for frame in frames:
+                    end_a.send(frame)
+                    sent.append(len(frame))
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        sender = threading.Thread(target=pump, name="contract-sender", daemon=True)
+        sender.start()
+
+        def stalled():
+            before = len(sent)
+            time.sleep(0.1)
+            return len(sent) == before
+
+        assert wait_until(stalled)
+        assert sender.is_alive() and len(sent) < len(frames) and not errors
+        end_b.resume_reading()
+        sender.join(timeout=30)
+        assert not sender.is_alive() and not errors
+        assert received(inbox_b, len(frames)) == frames
+
+        # -- data, then EOF ------------------------------------------------
+        end_b.send(b"bye")
+        end_b.send(b"bye!")
+        end_b.close()
+        assert received(inbox_a, 2) == [b"bye", b"bye!"]
+        assert inbox_a.get(timeout=10) == (end_a.link_id, None)
+        assert end_a.closed  # the peer's EOF ended it
+        # A local close ends the owner's deliveries too, with one None.
+        assert inbox_b.get(timeout=10) == (end_b.link_id, None)
+
+        # -- close is idempotent; the reader threads are gone -------------
+        end_a.close()
+        end_b.close()
+        with pytest.raises(ConnectionError):
+            end_a.send(b"late")
+        assert wait_until(lambda: not alive())
+        assert inbox_a.empty() and inbox_b.empty()
+    finally:
+        end_a.close()
+        end_b.close()
+
+
+@pytest.mark.parametrize("kind", ["tcp", "shm"])
+def test_passive_sends_from_many_threads_stay_whole_and_ordered(kind):
+    """More senders than cores on one passive end, switching threads
+    every few microseconds: each frame arrives once, whole, and every
+    sender's frames in its own order."""
+    end_a, end_b, _inbox_a, inbox_b = passive_pair(kind)
+    senders, per_sender = 4, 200
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        def pump(t):
+            for i in range(per_sender):
+                end_a.send(b"%d:%d:" % (t, i) + b"x" * (i % 300))
+
+        threads = [threading.Thread(target=pump, args=(t,)) for t in range(senders)]
+        for thread in threads:
+            thread.start()
+        got = received(inbox_b, senders * per_sender)
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        end_a.close()
+        end_b.close()
+    order = {t: [] for t in range(senders)}
+    for frame in got:
+        t, i, pad = frame.split(b":", 2)
+        assert pad == b"x" * (int(i) % 300)
+        order[int(t)].append(int(i))
+    assert all(seq == list(range(per_sender)) for seq in order.values())

@@ -4,7 +4,7 @@ The rings carry exactly the framed batches TCP does, so these tests
 exercise the transport contract directly: framing round-trips across
 wraparound, full-ring stall/credit flow control, orderly close flags,
 the hello-extension negotiation (ACK, NAK, transparent TCP fallback),
-and the passive :class:`ShmChannelEnd` used by front-/back-ends.
+and the passive :class:`PassiveShmLink` used by front-/back-ends.
 """
 
 import socket
@@ -16,14 +16,13 @@ import pytest
 from repro.transport.channel import Inbox
 from repro.transport.shm import (
     DEFAULT_CAPACITY,
-    ShmChannelEnd,
     ShmRing,
     accept_shm_offer,
     live_segments,
     offer_shm,
     shm_available,
 )
-from repro.transport.tcp import TcpListener, tcp_connect_retry, tcp_dial
+from repro.transport.tcp import TcpListener, _passive_end, tcp_connect_retry, tcp_dial
 
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="POSIX shared memory unavailable"
@@ -43,6 +42,23 @@ def destroy(*rings):
         ring.unlink()
 
 
+def release(frames):
+    """Drop ring-aliasing views so the segment can unmap cleanly."""
+    for f in frames:
+        if type(f) is memoryview:
+            f.release()
+    frames.clear()
+
+
+def read_all(cons):
+    """``(frames, credit_due)``: every complete frame, copied out of the
+    ring with an in-place read, then committed."""
+    views = cons.read_frames_inplace()
+    frames = [bytes(v) for v in views]
+    release(views)
+    return frames, cons.commit_read()
+
+
 class TestShmRing:
     def test_write_read_round_trip(self):
         prod, cons = make_pair()
@@ -50,7 +66,7 @@ class TestShmRing:
             for payload in (b"a", b"hello world", b"\x00" * 100):
                 written, was_empty = prod.try_write(payload)
                 assert written
-            frames, _ = cons.read_frames()
+            frames, _ = read_all(cons)
             assert frames == [b"a", b"hello world", b"\x00" * 100]
         finally:
             destroy(prod, cons)
@@ -74,10 +90,10 @@ class TestShmRing:
             for i in range(200):
                 payload = bytes([i % 251]) * (17 + i % 57)
                 while not prod.try_write(payload)[0]:
-                    received.extend(cons.read_frames()[0])
+                    received.extend(read_all(cons)[0])
                 sent.append(payload)
             while len(received) < len(sent):
-                frames, _ = cons.read_frames()
+                frames, _ = read_all(cons)
                 assert frames, "ring drained early"
                 received.extend(frames)
             assert received == sent
@@ -91,7 +107,7 @@ class TestShmRing:
             written, _ = prod.try_write(b"x" * 124)  # 4 len + 124 = 128
             assert written
             assert not prod.try_write(b"y")[0]  # zero bytes free
-            frames, _ = cons.read_frames()
+            frames, _ = read_all(cons)
             assert frames == [b"x" * 124]
             assert prod.try_write(b"y")[0]
         finally:
@@ -110,9 +126,9 @@ class TestShmRing:
         try:
             assert prod.try_write(b"x" * 124)[0]
             assert not prod.try_write(b"x" * 124)[0]  # stalled flag set
-            frames, credit_due = cons.read_frames()
+            frames, credit_due = read_all(cons)
             assert frames and credit_due  # consumer owes a doorbell
-            _, credit_due = cons.read_frames()
+            _, credit_due = read_all(cons)
             assert not credit_due  # only once per stall
         finally:
             destroy(prod, cons)
@@ -123,7 +139,7 @@ class TestShmRing:
             prod.try_write(b"last")
             prod.mark_closed()
             assert cons.peer_closed
-            frames, _ = cons.read_frames()
+            frames, _ = read_all(cons)
             assert frames == [b"last"]  # close never loses queued data
         finally:
             destroy(prod, cons)
@@ -141,14 +157,6 @@ class TestShmRing:
         assert prod.name in live_segments()
         destroy(prod, cons)
         assert prod.name not in live_segments()
-
-
-def release(frames):
-    """Drop ring-aliasing views so the segment can unmap cleanly."""
-    for f in frames:
-        if type(f) is memoryview:
-            f.release()
-    frames.clear()
 
 
 class TestZeroCopyRead:
@@ -221,7 +229,7 @@ class TestZeroCopyRead:
             release(views)
             cons.commit_read()
             prod.try_write(b"two")
-            frames, _ = cons.read_frames()
+            frames, _ = read_all(cons)
             assert frames == [b"two"]
         finally:
             destroy(prod, cons)
@@ -285,9 +293,9 @@ class TestNegotiation:
             atx, arx = acc
             # Cross-wiring: connector tx is acceptor rx.
             tx.try_write(b"ping")
-            assert arx.read_frames()[0] == [b"ping"]
+            assert read_all(arx)[0] == [b"ping"]
             atx.try_write(b"pong")
-            assert rx.read_frames()[0] == [b"pong"]
+            assert read_all(rx)[0] == [b"pong"]
             destroy(tx, rx, atx, arx)
         finally:
             a.close()
@@ -395,6 +403,8 @@ class TestNegotiation:
 
 
 class TestShmChannelEnd:
+    """The channel-end surface of a passive shm end (``PassiveShmLink``)."""
+
     def make_ends(self):
         a, b = socket.socketpair()
         a.setblocking(False)
@@ -403,14 +413,12 @@ class TestShmChannelEnd:
         r1 = ShmRing.create(1 << 16)
         r2 = ShmRing.create(1 << 16)
         left_inbox, right_inbox = Inbox(), Inbox()
-        left = ShmChannelEnd(
+        left = _passive_end(
             a,
-            ShmRing.attach(r1.name, 1 << 16),
-            ShmRing.attach(r2.name, 1 << 16),
-            1,
+            (ShmRing.attach(r1.name, 1 << 16), ShmRing.attach(r2.name, 1 << 16)),
             left_inbox,
         )
-        right = ShmChannelEnd(b, r2, r1, 2, right_inbox)
+        right = _passive_end(b, (r2, r1), right_inbox)
         return left, right, left_inbox, right_inbox
 
     def test_bidirectional_traffic(self):
