@@ -5,11 +5,11 @@ This file keeps the few gates that have no workload there and whose
 both sides are shipped code: a process tree with internal grandchildren
 comes up in time, a 1000-leaf tree costs one thread, 5,000 streams are
 created by one control wave, and five features that must stay cheap
-(idle streams, concurrent streams, heartbeats, checkpoints, tracing) are
+(idle streams, concurrent streams, heartbeats, deposits, tracing) are
 timed against the same code with the feature off or small.
 
 Run with ``python -m pytest benchmarks/test_budgets.py -q`` (outside
-tier-1, about 20 s).  No flags, no modes, no stored baseline: every
+tier-1, about 30 s).  No flags, no modes, no stored baseline: every
 budget is a constant beside the value measured on the 2-CPU development
 VM, 2x to 5x above it because that VM runs at two speeds 25 % apart.
 A ratio is the median over rounds that alternate its two arms, so both
@@ -30,6 +30,7 @@ harness.export_pythonpath()  # comm-node processes import repro too
 
 from repro.core.batching import encode_batch  # noqa: E402
 from repro.core.commnode import NodeCore  # noqa: E402
+from repro.core.failure import DEGRADE, REPAIR  # noqa: E402
 from repro.core.network import Network  # noqa: E402
 from repro.core.packet import Packet  # noqa: E402
 from repro.core.protocol import make_endpoint_report, make_new_stream  # noqa: E402
@@ -215,20 +216,31 @@ def test_16_streams_cost_no_more_per_wave_than_one(tree):
 # -- a feature on against the feature off -------------------------------------
 
 
-def burst_wave_seconds(tree, **settings):
-    """Seconds for 20 burst fan-in SUM waves on a fresh 16-leaf TCP tree."""
+def burst_wave_seconds(tree, chunk_bytes=None, **settings):
+    """Seconds for 20 burst fan-in SUM waves on a fresh 16-leaf TCP tree.
+
+    With *chunk_bytes* every contribution is a 4 KiB array sent as four
+    fragments, two per burst instead of eight, so every released wave
+    moves a watermark."""
     net = tree(balanced_tree(4, 2), transport="tcp", **settings)
-    stream = net.new_stream(net.get_broadcast_communicator(), transform=TFILTER_SUM)
+    stream = net.new_stream(
+        net.get_broadcast_communicator(), transform=TFILTER_SUM,
+        chunk_bytes=chunk_bytes,
+    )
     backends = [net.backends[r] for r in sorted(net.backends)]
+    if chunk_bytes:
+        fmt, value, total, burst = "%alf", (1.0,) * 512, ((16.0,) * 512,), 2
+    else:
+        fmt, value, total, burst = "%d", 1, (16,), 8
 
     def wave():
         stream.send("%d", 0)
         for be in backends:
             _, bstream = be.recv(timeout=WAIT)
-            for _ in range(8):
-                bstream.send("%d", 1)
-        for _ in range(8):
-            assert stream.recv_values(timeout=WAIT) == (16,)
+            for _ in range(burst):
+                bstream.send(fmt, value)
+        for _ in range(burst):
+            assert stream.recv_values(timeout=WAIT) == total
 
     wave()  # warm-up
     t0 = harness.now()
@@ -239,18 +251,23 @@ def burst_wave_seconds(tree, **settings):
     return elapsed
 
 
-@pytest.mark.parametrize("feature, ceiling", [
-    ({"heartbeat_interval": 0.05}, 1.10),  # measured 1.03x
-    ({"checkpoint_interval": 0.02}, 1.15),  # measured 1.03x
-])
-def test_liveness_and_checkpoints_are_nearly_free(tree, feature, ceiling):
-    """One tree lives at a time: the probes and deposits of a tree that
-    stayed up beside the other would load both arms alike.  Twenty waves
-    (~100 ms) span several probe or deposit periods."""
+CHUNKED = {"chunk_bytes": 1024}
+
+
+@pytest.mark.parametrize("off, on, ceiling", [
+    ({}, {"heartbeat_interval": 0.05}, 1.10),  # measured 1.03x
+    # Repair ships a watermark deposit behind every released chunked
+    # wave, degrade none (measured 1.01x).
+    ({**CHUNKED, "policy": DEGRADE}, {**CHUNKED, "policy": REPAIR}, 1.15),
+], ids=["heartbeats", "deposits"])
+def test_liveness_and_checkpoints_are_nearly_free(tree, off, on, ceiling):
+    """One tree lives at a time: the probes of a tree that stayed up
+    beside the other would load both arms alike.  Twenty waves
+    (~100 ms) span several probe periods."""
     ratios = []
     for _ in range(11):
-        off = burst_wave_seconds(tree)
-        ratios.append(burst_wave_seconds(tree, **feature) / off)
+        base = burst_wave_seconds(tree, **off)
+        ratios.append(burst_wave_seconds(tree, **on) / base)
     assert harness.median(ratios) < ceiling
 
 

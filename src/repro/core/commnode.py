@@ -80,7 +80,7 @@ from ..obs.snapshot import dumps_snapshot
 from ..topology.placement import LINK_KINDS
 from ..transport.channel import ChannelEnd, Inbox
 from ..transport.eventloop import EventLoop, LoopLink, SendQueueFull
-from .failure import DEGRADE, REPAIR, HeartbeatConfig
+from .failure import DEGRADE, HB_JITTER, REPAIR, HeartbeatConfig
 from .packet import Packet
 from .protocol import (
     CONTROL_STREAM_ID,
@@ -219,14 +219,13 @@ class NodeCore:
         # Links whose subtree announced a graceful TAG_LEAVE: their
         # eventual EOF is expected, not a failure.
         self._announced_leaving: set[int] = set()
-        # Child state deposits, keyed by (child link id, stream id):
+        # Child watermark deposits, keyed by (child link id, stream id):
         # the most recent TAG_CHECKPOINT document each child shipped.
         # Consulted when adopting that child's orphans after it dies.
         self._checkpoints: Dict[Tuple[int, int], dict] = {}
-        #: Seconds between TAG_CHECKPOINT deposits to the parent
-        #: (0 disables; set via :meth:`configure_failure`).
-        self.checkpoint_interval = 0.0
-        self._last_checkpoint: Optional[float] = None
+        # True when this node ships a deposit behind every released
+        # wave that moved a watermark (repair policy, below a parent).
+        self._deposits = False
         # Deterministic per-node jitter source for heartbeat de-sync:
         # seeded from the node name (not the salted builtin hash) so a
         # topology probes on the same staggered schedule every run.
@@ -314,7 +313,6 @@ class NodeCore:
         recovery=None,
         topo_key=None,
         repair_fn: Optional[Callable[[], Optional[ChannelEnd]]] = None,
-        checkpoint_interval: Optional[float] = None,
     ) -> None:
         """Install this node's fault-tolerance configuration."""
         self.policy = policy
@@ -323,8 +321,7 @@ class NodeCore:
         self.recovery = recovery
         self.topo_key = topo_key
         self.repair_fn = repair_fn
-        if checkpoint_interval is not None:
-            self.checkpoint_interval = checkpoint_interval
+        self._deposits = policy == REPAIR and self.parent is not None
         self._hb_interval = self._draw_hb_interval()
 
     # -- adoption admission (tree repair) ---------------------------------
@@ -576,7 +573,7 @@ class NodeCore:
         elif packet.tag == TAG_LEAVE:
             self._handle_leave(link_id, packet)
         elif packet.tag == TAG_CHECKPOINT:
-            # One-hop state deposit from a child: store the most recent
+            # One-hop watermark deposit from a child: store the latest
             # document per (child link, stream); never relayed.  A
             # deposit for a stream closed here (it crossed the close on
             # the wire) is dropped, or it would outlive its stream.
@@ -710,8 +707,7 @@ class NodeCore:
         the dedup watermark their dead parent had reached — deposited
         here via ``TAG_CHECKPOINT`` and keyed by rank set — makes that
         replay duplicate-free for waves the dead node had already
-        forwarded upstream.  Resumable filter state restores only
-        while this node's own transform state is pristine.
+        forwarded upstream.
         """
         key = _rank_key(ranks)
         for (from_link, sid), doc in list(self._checkpoints.items()):
@@ -720,7 +716,6 @@ class NodeCore:
             wm = doc.get("watermarks", {}).get(key)
             if isinstance(wm, int):
                 manager.seed_watermark(link_id, wm)
-            manager.restore_state(doc)
 
     def handle_control_down(self, packet: Packet) -> None:
         if packet.tag == TAG_NEW_STREAM:
@@ -758,8 +753,7 @@ class NodeCore:
                 del self._checkpoints[key]
             manager = self._discard_stream(stream_id)
             if manager is not None:
-                for out in manager.flush_upstream():
-                    self._queue_up(out)
+                self._queue_outputs(manager, manager.flush_upstream())
                 manager.close()
                 for link in manager.child_links:
                     self._queue_down(link, packet)
@@ -919,8 +913,7 @@ class NodeCore:
         outputs = manager.push_upstream(link_id, packet)
         if outputs:
             self._c_waves_aggregated.value += 1
-        for out in outputs:
-            self._queue_up(out)
+            self._queue_outputs(manager, outputs)
         if manager.sync_timed:
             self._note_stream_activity(manager)
 
@@ -952,8 +945,7 @@ class NodeCore:
             return
         for sid in list(active):
             manager = active[sid]
-            for out in manager.poll_upstream():
-                self._queue_up(out)
+            self._queue_outputs(manager, manager.poll_upstream())
             self._note_stream_activity(manager)
 
     def _handle_link_closed(self, link_id: int) -> None:
@@ -989,8 +981,7 @@ class NodeCore:
         self.routing.remove_link(link_id)
         for manager in self.streams.values():
             if link_id in manager.child_links:
-                for out in manager.drop_link(link_id):
-                    self._queue_up(out)
+                self._queue_outputs(manager, manager.drop_link(link_id))
                 self._membership_changed(
                     manager, lost=manager.endpoints & lost, recovery=not announced
                 )
@@ -1050,6 +1041,41 @@ class NodeCore:
         self._queue_down(link_id, make_wave_nack(stream_id, wave_seq))
         self._note_urgent()
 
+    def _queue_outputs(self, manager: StreamManager, outputs) -> None:
+        """Queue *manager*'s upstream outputs, then their deposit.
+
+        Under repair, a release that moved a watermark is followed by
+        one ``TAG_CHECKPOINT`` carrying the stream's per-child
+        watermarks, queued *behind* the outputs in the same parent
+        buffer: one flush carries both, so the parent never holds a
+        deposit ahead of the outputs it covers (a replay dropped for a
+        wave whose output never arrived would lose the wave) nor
+        behind them (a replay taken for a wave it already has would
+        count the wave twice).
+        """
+        for out in outputs:
+            self._queue_up(out)
+        if self._deposits and manager.deposit_due:
+            manager.deposit_due = False
+            doc = manager.checkpoint_state()
+            doc["watermarks"] = self._rekey_by_ranks(doc["watermarks"])
+            payload = json.dumps(doc, separators=(",", ":"))
+            self._c_checkpoint_bytes.value += len(payload)
+            self._queue_up(make_checkpoint(manager.stream_id, doc["out_wave"], payload))
+
+    def _rekey_by_ranks(self, by_link: dict) -> dict:
+        """Re-key a per-link map by the rank set behind each link.
+
+        Entries for links with no known ranks (nothing reported yet)
+        are dropped — they could never be matched at the parent.
+        """
+        out = {}
+        for link, value in by_link.items():
+            ranks = self.routing.ranks_behind(link)
+            if ranks:
+                out[_rank_key(ranks)] = value
+        return out
+
     # -- membership-change notification -----------------------------------
 
     def _emit_ranks_changed(
@@ -1079,22 +1105,19 @@ class NodeCore:
     def heartbeat_tick(self) -> None:
         """Emit due probes and enforce liveness deadlines.
 
-        Called periodically by whichever loop drives this core (it
-        also drives the periodic checkpoint deposit — see
-        :meth:`checkpoint_tick`).  A no-op unless
-        :class:`HeartbeatConfig` enables probing.  Only links whose
-        peer has *ever* sent a probe are subject to the silence
-        deadline, so a heartbeat-enabled node interoperates with
+        Called periodically by whichever loop drives this core.  A
+        no-op unless :class:`HeartbeatConfig` enables probing.  Only
+        links whose peer has *ever* sent a probe are subject to the
+        silence deadline, so a heartbeat-enabled node interoperates with
         passive peers (the tool's back-end thread, a front-end pumped
         only by API calls) without false positives.
 
         Probe emission is jittered: each node draws its next interval
-        from ``interval * [1-jitter, 1+jitter]`` with a deterministic
-        per-node generator, de-syncing the probe bursts of a large
-        colocated tree.  The *detection* deadline is never jittered,
-        so liveness semantics are unchanged.
+        from ``interval * [1-HB_JITTER, 1+HB_JITTER]`` with a
+        deterministic per-node generator, de-syncing the probe bursts
+        of a large colocated tree.  The *detection* deadline is never
+        jittered, so liveness semantics are unchanged.
         """
-        self.checkpoint_tick()
         if (
             not self.heartbeat.enabled
             or self.shutting_down
@@ -1146,82 +1169,17 @@ class NodeCore:
 
     def _draw_hb_interval(self) -> float:
         """Next probe interval: base interval with deterministic jitter."""
-        jitter = getattr(self.heartbeat, "jitter", 0.0)
         interval = self.heartbeat.interval
-        if not jitter:
-            return interval
-        return interval * (1.0 - jitter + 2.0 * jitter * self._hb_rng.random())
-
-    def checkpoint_tick(self) -> None:
-        """Ship one ``TAG_CHECKPOINT`` deposit per stream when due.
-
-        A no-op unless :attr:`checkpoint_interval` is set and this
-        node has a parent.  Each deposit carries the stream's output
-        wave sequence, its per-child dedup watermarks and — when the
-        filter's state serializes — the resumable transform state, with
-        the link-keyed watermarks re-keyed by the rank set behind each
-        link so the parent can match them to adopted orphans later.
-        """
-        if (
-            not self.checkpoint_interval
-            or self.parent is None
-            or self.shutting_down
-            or self.crashed
-            or self.wedged
-        ):
-            return
-        now = self.clock()
-        if (
-            self._last_checkpoint is not None
-            and now - self._last_checkpoint < self.checkpoint_interval
-        ):
-            return
-        self._last_checkpoint = now
-        for sid, manager in list(self.streams.items()):
-            if manager.passthrough or manager.closed:
-                continue
-            doc = manager.checkpoint_state()
-            doc["watermarks"] = self._rekey_by_ranks(doc.get("watermarks", {}))
-            payload = json.dumps(doc, separators=(",", ":"))
-            self._c_checkpoint_bytes.value += len(payload)
-            self._queue_up(make_checkpoint(sid, doc.get("out_wave", 0), payload))
-
-    def _rekey_by_ranks(self, by_link: dict) -> dict:
-        """Re-key a per-link map by the rank set behind each link.
-
-        Entries for links with no known ranks (nothing reported yet)
-        are dropped — they could never be matched at the parent.
-        """
-        out = {}
-        for link, value in by_link.items():
-            ranks = self.routing.ranks_behind(link)
-            if ranks:
-                out[_rank_key(ranks)] = value
-        return out
-
-    def _next_checkpoint_deadline(self) -> Optional[float]:
-        """Clock time the next checkpoint deposit is due (None: off)."""
-        if (
-            not self.checkpoint_interval
-            or self.parent is None
-            or self.shutting_down
-        ):
-            return None
-        if self._last_checkpoint is None:
-            return self.clock()
-        return self._last_checkpoint + self.checkpoint_interval
+        return interval * (1.0 - HB_JITTER + 2.0 * HB_JITTER * self._hb_rng.random())
 
     def next_heartbeat_deadline(self) -> Optional[float]:
         """Earliest clock time :meth:`heartbeat_tick` has work to do
-        (probe emission, liveness deadlines, or a checkpoint deposit)."""
-        soonest = self._next_checkpoint_deadline()
+        (probe emission or a liveness deadline)."""
         if not self.heartbeat.enabled or self.shutting_down:
-            return soonest
+            return None
         if self._last_beat is None:
             return self.clock()
-        next_emit = self._last_beat + self._hb_interval
-        if soonest is None or next_emit < soonest:
-            soonest = next_emit
+        soonest = self._last_beat + self._hb_interval
         deadline = self.heartbeat.deadline
         for link_id in self._hb_peers:
             last = self._last_seen.get(link_id)
@@ -1382,11 +1340,6 @@ class NodeCore:
             return True
         return any(len(b) for b in self._child_buffers.values())
 
-    @property
-    def next_flush_deadline(self) -> Optional[float]:
-        """Clock time the adaptive flush window expires (None if unarmed)."""
-        return self._flush_deadline
-
     def close_all(self) -> None:
         """Close every channel this node owns an end of."""
         if self.parent is not None:
@@ -1428,15 +1381,15 @@ class NodeCore:
     def next_wakeup_deadline(self) -> Optional[float]:
         """Earliest clock time *any* timed concern needs this core.
 
-        The single source of liveness semantics for every driver:
-        loops sleep until exactly this instant (TimeOut streams and
-        heartbeat emission/deadlines), so drivers cannot silently
-        diverge on when a silent peer is declared dead.
+        The one deadline a driving loop asks for: TimeOut streams, the
+        adaptive flush window and heartbeat emission/deadlines, so
+        drivers cannot silently diverge on when a silent peer is
+        declared dead.  ``None``: nothing is timed, block on I/O.
         """
         deadline = self.next_timeout_deadline()
-        hb = self.next_heartbeat_deadline()
-        if hb is not None and (deadline is None or hb < deadline):
-            deadline = hb
+        for other in (self._flush_deadline, self.next_heartbeat_deadline()):
+            if other is not None and (deadline is None or other < deadline):
+                deadline = other
         return deadline
 
 

@@ -55,6 +55,7 @@ __all__ = [
     "DEGRADE",
     "REPAIR",
     "POLICIES",
+    "HB_JITTER",
     "HeartbeatConfig",
     "RanksChanged",
     "InstantiationError",
@@ -66,6 +67,13 @@ FAIL_FAST = "fail_fast"
 DEGRADE = "degrade"
 REPAIR = "repair"
 POLICIES = (FAIL_FAST, DEGRADE, REPAIR)
+
+#: Fractional probe-emission jitter: each node draws its next probe
+#: interval uniformly from ``interval * [1 - HB_JITTER, 1 + HB_JITTER]``
+#: (deterministically, seeded by the node name) so a large tree's
+#: probes de-synchronize instead of bursting in lockstep.  Jitter never
+#: affects the *detection* deadline (:attr:`HeartbeatConfig.deadline`).
+HB_JITTER = 0.2
 
 
 class InstantiationError(ConnectionError):
@@ -95,12 +103,6 @@ class HeartbeatConfig:
 
     interval: float = 0.0
     miss_threshold: int = 3
-    #: Fractional probe-emission jitter: each node draws its next probe
-    #: interval uniformly from ``interval * [1 - jitter, 1 + jitter]``
-    #: (deterministically, seeded by the node name) so a large tree's
-    #: probes de-synchronize instead of bursting in lockstep.  Jitter
-    #: never affects the *detection* deadline below.
-    jitter: float = 0.2
 
     @property
     def enabled(self) -> bool:
@@ -110,9 +112,9 @@ class HeartbeatConfig:
     def deadline(self) -> float:
         """Silence longer than this declares the peer dead.
 
-        Computed from the nominal interval: with jitter ``j <= 0.5``
-        and ``miss_threshold >= 2`` a live peer's probes always arrive
-        inside the deadline.
+        Computed from the nominal interval: with :data:`HB_JITTER`
+        ``<= 0.5`` and ``miss_threshold >= 2`` a live peer's probes
+        always arrive inside the deadline.
         """
         return self.interval * max(self.miss_threshold, 1)
 

@@ -290,7 +290,6 @@ class Network:
         policy: str = DEGRADE,
         heartbeat_interval: float = 0.0,
         heartbeat_miss_threshold: int = 3,
-        checkpoint_interval: float = 0.0,
         colocate: bool = False,
     ):
         """Instantiate the network.
@@ -342,10 +341,7 @@ class Network:
         ``heartbeat_interval`` > 0 enables liveness probes between
         internal processes with the given period;
         ``heartbeat_miss_threshold`` intervals of total silence
-        declare a peer dead.  ``checkpoint_interval`` > 0 makes every
-        internal node periodically deposit per-stream filter-state
-        checkpoints with its parent (see ``docs/fault_tolerance.md``),
-        so an adopter can resume a dead node's partial reductions.
+        declare a peer dead.
         """
         if transport not in TRANSPORTS:
             raise NetworkError(f"unknown transport {transport!r}")
@@ -364,9 +360,6 @@ class Network:
         self.heartbeat = HeartbeatConfig(
             interval=heartbeat_interval, miss_threshold=heartbeat_miss_threshold
         )
-        if checkpoint_interval < 0:
-            raise NetworkError("checkpoint_interval must be >= 0")
-        self.checkpoint_interval = checkpoint_interval
         self.topology = self._resolve_topology(topology)
         self._plan = plan_placement(self.topology, transport, colocate)
         self.registry = registry if registry is not None else default_registry()
@@ -528,7 +521,6 @@ class Network:
                         if self.policy == REPAIR
                         else None
                     ),
-                    checkpoint_interval=self.checkpoint_interval,
                 )
                 self._recovery.register_commnode(child.key, node.key, comm)
 
@@ -618,7 +610,6 @@ class Network:
             filter_specs=self.filter_specs,
             heartbeat=self.heartbeat,
             repair=self.policy == REPAIR,
-            checkpoint_interval=self.checkpoint_interval,
         )
         direct_internal = [c for c in root.children if not c.is_leaf]
         for child in direct_internal:
@@ -1091,18 +1082,9 @@ class Network:
         all back-ends; see :meth:`Stream.allreduce`).
         """
         self._check_up()
-        if communicator.network is not self:
-            raise NetworkError("communicator belongs to a different network")
-        if not self.registry.is_transform(transform):
-            raise NetworkError(f"unknown transformation filter id {transform}")
-        if not self.registry.is_sync(sync):
-            raise NetworkError(f"unknown synchronization filter id {sync}")
-        if down_transform and not self.registry.is_transform(down_transform):
-            raise NetworkError(f"unknown downstream filter id {down_transform}")
-        if chunk_bytes is not None and chunk_bytes <= 0:
-            raise NetworkError("chunk_bytes must be positive (or None)")
-        if pattern not in WAVE_PATTERNS:
-            raise NetworkError(f"unknown wave pattern {pattern}")
+        self._check_stream_args(
+            communicator, transform, sync, down_transform, chunk_bytes, pattern
+        )
         stream_id = self._next_stream_id
         self._next_stream_id += 1
         self._core.stream_queues[stream_id] = deque()
@@ -1156,8 +1138,6 @@ class Network:
         self._check_up()
         parsed: List[tuple] = []
         for comm, kwargs in pairs:
-            if comm.network is not self:
-                raise NetworkError("communicator belongs to a different network")
             unknown = set(kwargs) - {
                 "transform", "sync", "sync_timeout",
                 "down_transform", "chunk_bytes", "pattern",
@@ -1172,16 +1152,9 @@ class Network:
             down_transform = kwargs.get("down_transform", 0)
             chunk_bytes = kwargs.get("chunk_bytes")
             pattern = kwargs.get("pattern", WAVE_REDUCE)
-            if not self.registry.is_transform(transform):
-                raise NetworkError(f"unknown transformation filter id {transform}")
-            if not self.registry.is_sync(sync):
-                raise NetworkError(f"unknown synchronization filter id {sync}")
-            if down_transform and not self.registry.is_transform(down_transform):
-                raise NetworkError(f"unknown downstream filter id {down_transform}")
-            if chunk_bytes is not None and chunk_bytes <= 0:
-                raise NetworkError("chunk_bytes must be positive (or None)")
-            if pattern not in WAVE_PATTERNS:
-                raise NetworkError(f"unknown wave pattern {pattern}")
+            self._check_stream_args(
+                comm, transform, sync, down_transform, chunk_bytes, pattern
+            )
             parsed.append(
                 (comm, transform, sync, sync_timeout, down_transform,
                  chunk_bytes, pattern)
@@ -1215,6 +1188,24 @@ class Network:
             self._core.handle_control_down(packet)
             self._core.flush()
         return streams
+
+    def _check_stream_args(
+        self, communicator, transform, sync, down_transform, chunk_bytes, pattern
+    ) -> None:
+        """Refuse a stream request :meth:`new_stream` and
+        :meth:`new_streams` cannot honour (one set of messages)."""
+        if communicator.network is not self:
+            raise NetworkError("communicator belongs to a different network")
+        if not self.registry.is_transform(transform):
+            raise NetworkError(f"unknown transformation filter id {transform}")
+        if not self.registry.is_sync(sync):
+            raise NetworkError(f"unknown synchronization filter id {sync}")
+        if down_transform and not self.registry.is_transform(down_transform):
+            raise NetworkError(f"unknown downstream filter id {down_transform}")
+        if chunk_bytes is not None and chunk_bytes <= 0:
+            raise NetworkError("chunk_bytes must be positive (or None)")
+        if pattern not in WAVE_PATTERNS:
+            raise NetworkError(f"unknown wave pattern {pattern}")
 
     def load_filter_func(self, module_path: str, func_name: str, fmt=None) -> int:
         """Register a custom filter network-wide (paper's load_filterFunc)."""

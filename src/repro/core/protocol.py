@@ -70,14 +70,14 @@ id 0 as the *control stream*; packets on it drive network life-cycle:
   re-sends whatever its bounded history still holds from that
   sequence on; sequences aged out of the history are simply skipped
   (the parent's reassembler realigns on the next complete wave).
-* ``TAG_CHECKPOINT`` (upstream, one hop) — periodic filter-state
-  checkpoint.  Payload ``"%ud %ud %s"``: stream id, the sender's
-  output-wave sequence at capture time, and a JSON document holding
-  the sender's transformation-filter state and per-source wave
-  watermarks.  The parent *stores* the checkpoint (it does not relay
-  it); if the sender later dies and its orphans re-home here, the
-  stored watermarks seed duplicate suppression and the filter state
-  lets the adopter resume the dead node's partial reductions.
+* ``TAG_CHECKPOINT`` (upstream, one hop) — watermark deposit, sent
+  under repair right behind the outputs of every released wave that
+  moved a watermark.  Payload ``"%ud %ud %s"``: stream id, the
+  sender's output-wave sequence at capture time, and a JSON document
+  holding the sender's per-source wave watermarks.  The parent
+  *stores* the deposit (it does not relay it); if the sender later
+  dies and its orphans re-home here, the stored watermarks seed
+  duplicate suppression.
 
 Application packets use non-negative tags; tags below
 ``FIRST_APP_TAG`` are reserved for the protocol.
@@ -472,7 +472,7 @@ def parse_wave_nack(packet: Packet) -> Tuple[int, int]:
 
 
 def make_checkpoint(stream_id: int, wave_seq: int, state_json: str) -> Packet:
-    """Build a node's periodic filter-state checkpoint for its parent."""
+    """Build a node's watermark deposit for its parent."""
     return Packet(
         CONTROL_STREAM_ID,
         TAG_CHECKPOINT,

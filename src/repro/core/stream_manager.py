@@ -40,11 +40,13 @@ Wave state has three owners
   keyed by child link) holds fragment reassembly and the link
   protocol's window: duplicate drop, one ``TAG_WAVE_NACK`` per gap, and
   the watermark of *aggregated* waves that ``TAG_WAVE_ACK`` confirms
-  and ``checkpoint_state`` ships.  A link's watermark advances when the
-  aligner *releases* its wave into the filter, not when the last
+  and ``checkpoint_state`` ships.  A link's watermark advances when
+  the aligner *releases* its wave into the filter, not when the last
   fragment arrives, so a wave parked behind a slow sibling when this
   node dies is still in its sender's history and below no watermark an
-  adopter could seed.
+  adopter could seed.  A release that moved a watermark sets
+  ``deposit_due``; under repair the owner ships the deposit right
+  behind that release's outputs.
 
 Chunked waves (pipelined collectives)
 -------------------------------------
@@ -71,7 +73,6 @@ gaps in wave ids are *normal* to every receiver.
 
 from __future__ import annotations
 
-import logging
 import time
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -97,8 +98,6 @@ from .packet import Packet
 from .protocol import WAVE_REDUCE
 
 __all__ = ["StreamManager", "CHUNK_BYTE_BUCKETS"]
-
-log = logging.getLogger(__name__)
 
 #: Power-of-two byte buckets for the per-stream ``chunk_bytes``
 #: histogram (1 KiB .. 16 MiB covers every sane fragment size).
@@ -247,10 +246,9 @@ class StreamManager:
         # disables ACK/NACK emission without disabling the watermarks.
         self.ack_hook: Optional[Callable[[object, int, int], None]] = None
         self.nack_hook: Optional[Callable[[object, int, int], None]] = None
-        # True once the transform state has been mutated by a released
-        # wave; guards checkpoint restoration (an adopter only inherits
-        # a dead node's filter state while its own is still pristine).
-        self._state_dirty = False
+        # Set when a released wave moved a watermark; the owner clears
+        # it when it queues the deposit behind that wave's outputs.
+        self.deposit_due = False
         self._c_waves_recovered = registry.counter(
             "waves_recovered",
             "Output waves replayed from the retransmit history after a "
@@ -378,6 +376,7 @@ class StreamManager:
 
     def _note_aggregated(self, link_id: object, wave_id: int) -> None:
         """*link_id*'s wave left the aligner: watermark up, ACK on stride."""
+        self.deposit_due = True
         ack = self._in.release(link_id, wave_id)
         if ack is not None and self.ack_hook is not None:
             self.ack_hook(link_id, self.stream_id, ack)
@@ -539,7 +538,6 @@ class StreamManager:
                 self.stream_id,
                 detail=f"n={n}",
             )
-        self._state_dirty = True
         out = [wrap_chunk(p, self._out.wave, index, n) for p in outputs]
         for p in out:
             self._out.record(p.materialize())
@@ -653,52 +651,19 @@ class StreamManager:
         return out
 
     def checkpoint_state(self) -> dict:
-        """This node's resumable per-stream state (``TAG_CHECKPOINT``).
+        """This node's per-stream deposit (``TAG_CHECKPOINT``).
 
         ``watermarks`` is keyed by child link id — the owner translates
         link identities into rank sets before shipping, since a link id
-        is meaningless outside this process.  ``transform`` appears
-        only when the filter's state serializes cleanly; checkpointing
-        is always best-effort and never fails the data path.  Units
-        parked in the aligner are not shipped: the sequenced ones are
-        below no watermark, so their senders replay them.
+        is meaningless outside this process.  Units parked in the
+        aligner are not shipped: the sequenced ones are below no
+        watermark, so their senders replay them.
         """
-        doc = {
+        return {
             "out_wave": self._out.wave,
             "epoch": self.membership_epoch,
             "watermarks": dict(self._in.watermarks),
         }
-        try:
-            doc["transform"] = self.transform.get_state(self.transform_state)
-        except Exception as exc:  # noqa: BLE001 - best-effort by design
-            log.debug(
-                "stream %d: transform state not checkpointable: %s",
-                self.stream_id, exc,
-            )
-        return doc
-
-    def restore_state(self, snapshot: dict) -> None:
-        """Adopt a dead node's :meth:`checkpoint_state` filter state.
-
-        Applied only while this node's own transform state is pristine
-        (no wave has released here yet): an adopter that has already
-        aggregated waves owns its state, and a stale checkpoint must
-        not clobber it.  Watermark seeding is separate — see
-        :meth:`seed_watermark`, keyed by the adopter's own link ids.
-        """
-        transform = snapshot.get("transform")
-        if transform is None or self._state_dirty:
-            return
-        try:
-            self.transform.set_state(self.transform_state, transform)
-            self.transform_state.setdefault(
-                "n_children", len(self.child_links)
-            )
-        except Exception as exc:  # noqa: BLE001
-            log.debug(
-                "stream %d: checkpoint restore skipped: %s",
-                self.stream_id, exc,
-            )
 
     def _count_chunks_in_flight(self) -> int:
         parked = sum(
@@ -710,7 +675,6 @@ class StreamManager:
         out: List[Packet] = []
         tracer = self._owner.tracer if self._owner is not None else None
         for wave in waves:
-            self._state_dirty = True
             if self._sequenced:
                 for p in wave:
                     sequenced = self._sequenced.pop(id(p), None)

@@ -44,51 +44,6 @@ class FilterError(RuntimeError):
     """Raised when a filter is misused (e.g. format mismatch)."""
 
 
-def _snapshot_value(value):
-    """One state value → a JSON-able form (checkpoint encoding).
-
-    Deques keep their bound, numeric arrays flatten to lists; nested
-    containers recurse.  Unknown object types are rejected so a
-    checkpoint never silently drops state.
-    """
-    from collections import deque
-
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, deque):
-        return {
-            "__kind__": "deque",
-            "maxlen": value.maxlen,
-            "items": [_snapshot_value(v) for v in value],
-        }
-    if isinstance(value, (list, tuple)):
-        return [_snapshot_value(v) for v in value]
-    if hasattr(value, "tolist"):  # numpy scalar or ndarray
-        return {"__kind__": "array", "items": value.tolist()}
-    raise FilterError(f"cannot checkpoint state value of type {type(value)!r}")
-
-
-def _restore_value(value):
-    """Inverse of :func:`_snapshot_value`."""
-    from collections import deque
-
-    if isinstance(value, dict):
-        kind = value.get("__kind__")
-        if kind == "deque":
-            return deque(
-                (_restore_value(v) for v in value["items"]),
-                maxlen=value["maxlen"],
-            )
-        if kind == "array":
-            import numpy as np
-
-            return np.asarray(value["items"])
-        return {k: _restore_value(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_restore_value(v) for v in value]
-    return value
-
-
 class FilterState(dict, MutableMapping):
     """Per-stream, per-node filter state (the paper's ``clientData``).
 
@@ -163,23 +118,6 @@ class FunctionFilter:
 
     def make_state(self) -> FilterState:
         return self._state_factory()
-
-    def get_state(self, state: FilterState) -> dict:
-        """Serialize one node's per-stream *state* to a JSON-able dict.
-
-        The checkpoint path (``TAG_CHECKPOINT``) ships this snapshot to
-        the node's parent so an adopter can resume partial reductions
-        after the node dies.  The default handles scalars, strings,
-        (bounded) deques, numeric arrays, and nested containers —
-        everything the built-in stateful filters (scan, window) keep.
-        """
-        return {key: _snapshot_value(value) for key, value in state.items()}
-
-    def set_state(self, state: FilterState, snapshot: dict) -> None:
-        """Restore *state* from a :meth:`get_state` snapshot, in place."""
-        state.clear()
-        for key, value in snapshot.items():
-            state[key] = _restore_value(value)
 
     def check_packet(self, packet: Packet) -> None:
         """Enforce the paper's type requirement for transformation filters.

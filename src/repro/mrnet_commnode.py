@@ -138,15 +138,12 @@ class RecursiveOpts:
     heartbeat: Optional[HeartbeatConfig] = None
     accept_timeout: float = 60.0
     repair: bool = False  # re-dial a live ancestor when the parent dies
-    checkpoint_interval: float = 0.0  # filter-state deposit period (0 = off)
 
     def command_line(self) -> List[str]:
         """The inheritable flags, as ``mrnet_commnode`` arguments."""
         args = ["--accept-timeout", str(self.accept_timeout)]
         if self.repair:
             args += ["--repair"]
-        if self.checkpoint_interval > 0:
-            args += ["--checkpoint-interval", str(self.checkpoint_interval)]
         if self.heartbeat is not None and self.heartbeat.enabled:
             args += [
                 "--heartbeat-interval", str(self.heartbeat.interval),
@@ -420,9 +417,10 @@ def _recursive_core(spec, registry, parent_end, opts, repair_fn) -> NodeCore:
     kwargs = {}
     if opts.heartbeat is not None:
         kwargs["heartbeat"] = opts.heartbeat
-    if opts.checkpoint_interval > 0:
-        kwargs["checkpoint_interval"] = opts.checkpoint_interval
-    if repair_fn is not None:
+    if opts.repair:
+        # Keyed on the network's policy, not on whether this node can
+        # re-dial: the front-end's own children have no ancestor to
+        # re-home onto, yet their deposits are what it seeds from.
         kwargs["policy"] = REPAIR
         kwargs["repair_fn"] = repair_fn
     if kwargs:
@@ -464,11 +462,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "live ancestor, and keep accepting connections so orphaned "
         "descendants and joining back-ends can attach",
     )
-    parser.add_argument(
-        "--checkpoint-interval", type=float, default=0.0,
-        help="period between filter-state checkpoints shipped to the "
-        "grandparent (0 disables checkpointing)",
-    )
     args = parser.parse_args(argv)
 
     try:
@@ -488,7 +481,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         heartbeat=heartbeat,
         accept_timeout=args.accept_timeout,
         repair=args.repair,
-        checkpoint_interval=args.checkpoint_interval,
     )
     # A process started from a command line is a direct child of the
     # front-end: it has no proper ancestors besides its parent.

@@ -815,17 +815,9 @@ class EventLoop:
     def _select_timeout(self, cores=None) -> float:
         deadline = None
         for core in cores if cores is not None else self.cores:
-            # next_timeout_deadline is a heap peek over armed
-            # deadlines — O(1) per core, not O(streams).
-            for candidate in (
-                core.next_timeout_deadline(),
-                core.next_flush_deadline,  # property
-                core.next_heartbeat_deadline(),
-            ):
-                if candidate is not None and (
-                    deadline is None or candidate < deadline
-                ):
-                    deadline = candidate
+            candidate = core.next_wakeup_deadline()
+            if candidate is not None and (deadline is None or candidate < deadline):
+                deadline = candidate
         if deadline is None:
             return self.IDLE_TIMEOUT
         return min(max(deadline - self.clock(), 0.0), self.IDLE_TIMEOUT)

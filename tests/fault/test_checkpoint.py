@@ -1,44 +1,41 @@
-"""Filter-state checkpoints: the crash-consistency backbone.
+"""Watermark deposits: the crash-consistency backbone.
 
-Comm nodes with ``checkpoint_interval`` set periodically ship a
-``TAG_CHECKPOINT`` deposit per stream to their parent: the output wave
-sequence, per-child dedup watermarks (re-keyed by rank set), and the
-serialized transform filter state.  When the depositor dies, the
+Under ``repair`` every comm node ships a ``TAG_CHECKPOINT`` deposit to
+its parent right behind the outputs of each released wave that moved
+a watermark: the output wave sequence and the per-child dedup
+watermarks (re-keyed by rank set).  When the depositor dies, the
 parent seeds the adopted orphans' links from that deposit — replayed
-waves the dead node had already forwarded are dropped, and a partial
-reduction resumes instead of silently restarting.
+waves the dead node had already forwarded are dropped.
 
-This file covers the pieces in isolation: the ``get_state`` /
-``set_state`` round-trips (scalar state, bounded deques of arrays),
-the pristine-only restore rule, watermark seeding monotonicity, the
-"watermarked means aggregated" rule, and the deposit flow itself.
+This file covers the pieces in isolation: watermark seeding
+monotonicity, the "watermarked means aggregated" rule, the deposit's
+place on the wire, and the deposit flow itself.
 """
 
+import json
 import time
 
 import numpy as np
 import pytest
 
-from repro.core import REPAIR, Network
-from repro.core.chunking import reassemble, split_packet
+from repro.core import DEGRADE, REPAIR, Network
+from repro.core.batching import decode_batch, encode_batch
+from repro.core.chunking import chunk_meta, reassemble, split_packet
+from repro.core.commnode import NodeCore
 from repro.core.packet import Packet
-from repro.core.stream_manager import StreamManager
-from repro.filters import TFILTER_CONCAT, TFILTER_SUM, window_filter
-from repro.filters.base import FilterState, make_filter
-from repro.filters.registry import (
-    SFILTER_DONTWAIT,
-    SFILTER_WAITFORALL,
-    default_registry,
+from repro.core.protocol import (
+    TAG_CHECKPOINT,
+    make_endpoint_report,
+    make_new_stream,
+    parse_checkpoint,
 )
+from repro.core.stream_manager import StreamManager
+from repro.filters import TFILTER_CONCAT, TFILTER_SUM
+from repro.filters.registry import SFILTER_WAITFORALL, default_registry
 from repro.topology import balanced_tree
-
-from .conftest import drive_wave, wait_until
+from repro.transport.channel import Channel, Inbox
 
 WAVE_TIMEOUT = 10.0
-
-
-def ipkt(v, stream=5, origin=0):
-    return Packet(stream, 0, "%d", (v,), origin_rank=origin)
 
 
 def apkt(values, stream=5, origin=0):
@@ -48,60 +45,6 @@ def apkt(values, stream=5, origin=0):
 @pytest.fixture
 def registry():
     return default_registry()
-
-
-def running_sum_manager(registry, links=(10,)):
-    """A manager whose transform carries scalar state across waves."""
-
-    def running_sum(packets, state):
-        state["acc"] = state.get("acc", 0) + sum(p.values[0] for p in packets)
-        return [packets[0].replace(values=(state["acc"],))]
-
-    fid = registry.register_transform(make_filter(running_sum, "rsum"))
-    return StreamManager.create(
-        5, [0], list(links), registry, SFILTER_DONTWAIT, fid
-    )
-
-
-class TestFilterStateRoundTrip:
-    def test_scalar_transform_state_resumes(self, registry):
-        mgr1 = running_sum_manager(registry)
-        assert mgr1.push_upstream(10, ipkt(5))[0].values == (5,)
-        assert mgr1.push_upstream(10, ipkt(2))[0].values == (7,)
-        doc = mgr1.checkpoint_state()
-        assert doc["transform"]["acc"] == 7
-
-        # A pristine adopter resumes the partial reduction exactly.
-        mgr2 = running_sum_manager(registry)
-        mgr2.restore_state(doc)
-        assert mgr2.push_upstream(10, ipkt(1))[0].values == (8,)
-
-    def test_dirty_adopter_refuses_stale_state(self, registry):
-        mgr1 = running_sum_manager(registry)
-        mgr1.push_upstream(10, ipkt(100))
-        doc = mgr1.checkpoint_state()
-
-        mgr2 = running_sum_manager(registry)
-        mgr2.push_upstream(10, ipkt(3))  # mgr2 owns its state now
-        mgr2.restore_state(doc)  # must be a no-op
-        assert mgr2.push_upstream(10, ipkt(4))[0].values == (7,)
-
-    def test_window_deque_of_arrays_roundtrips(self):
-        """The window filter's state — a bounded deque of numpy arrays
-        — survives the JSON-able snapshot encoding byte-for-byte."""
-        state = FilterState()
-        window_filter([apkt([1.0, 2.0])], state)
-        window_filter([apkt([3.0, 4.0])], state)
-        snapshot = window_filter.get_state(state)
-
-        restored = FilterState()
-        window_filter.set_state(restored, snapshot)
-        assert restored["window"].maxlen == state["window"].maxlen
-        # Identical continuation: the next wave's smoothed output is
-        # the same whether or not the node died in between.
-        (a,) = window_filter([apkt([5.0, 6.0])], state)
-        (b,) = window_filter([apkt([5.0, 6.0])], restored)
-        assert a.values == b.values
 
 
 class TestWatermarks:
@@ -176,72 +119,136 @@ class TestWatermarkedMeansAggregated:
         assert adopter.checkpoint_state()["watermarks"] == {20: 0, 21: 0, 31: 0}
 
 
+class TestDepositOrder:
+    """The deposit rides *behind* the wave it covers.
+
+    A deposit ahead of the last output fragment would let an adopter
+    drop a replay whose contribution never arrived if the node died
+    between the two frames; one behind a later wave would let that
+    wave's replay through twice.  Both ride in one parent frame."""
+
+    N_ELEMS = 1024
+    CHUNK = 2048  # 4 fragments per contribution
+
+    def test_deposit_follows_the_last_output_fragment(self):
+        parent_inbox, node_inbox = Inbox(), Inbox()
+        core = NodeCore(
+            "depositor", default_registry(), 2,
+            parent=Channel(parent_inbox, node_inbox).end_b, inbox=node_inbox,
+        )
+        links = []
+        for _ in range(2):
+            ch = Channel(node_inbox, Inbox())
+            core.add_child(ch.end_a)
+            links.append(ch.link_id)
+        core.configure_failure(policy=REPAIR)
+        for rank, link in enumerate(links):
+            core.dispatch(link, make_endpoint_report([rank]))
+        core.handle_control_down(make_new_stream(
+            5, [0, 1], SFILTER_WAITFORALL, TFILTER_SUM, chunk_bytes=self.CHUNK,
+        ))
+        core.flush()
+        while not parent_inbox.empty():
+            parent_inbox.get_nowait()
+
+        frames = []  # one list of packets per flush toward the parent
+        for wave in range(2):
+            frags = [
+                split_packet(apkt(np.full(self.N_ELEMS, 1.0 + rank)), self.CHUNK, wave)
+                for rank in range(2)
+            ]
+            for index in range(4):
+                for rank, link in enumerate(links):
+                    core.handle_payload(link, encode_batch([frags[rank][index]]))
+                    core.flush()
+                    frame = []
+                    while not parent_inbox.empty():
+                        frame += decode_batch(parent_inbox.get_nowait()[1])
+                    frames.append(frame)
+
+        deposits = []
+        for frame in frames:
+            for pos, packet in enumerate(frame):
+                if packet.tag != TAG_CHECKPOINT:
+                    continue
+                # Right behind the released wave's last output fragment,
+                # in the same frame.
+                assert pos > 0
+                wave_id, index, n, _tag = chunk_meta(frame[pos - 1])
+                assert index == n - 1
+                stream_id, out_wave, payload = parse_checkpoint(packet)
+                assert (stream_id, out_wave) == (5, wave_id + 1)
+                deposits.append(json.loads(payload)["watermarks"])
+        # One deposit per released wave, none before the first one.
+        assert deposits == [{"0": 0, "1": 0}, {"0": 1, "1": 1}]
+
+
+def array_wave(net, st):
+    """One SUM wave of all-ones arrays; returns its element 0."""
+    st.send("%d", 0)
+    for rank in sorted(net.backends):
+        _, bstream = net.backends[rank].recv(timeout=WAVE_TIMEOUT)
+        bstream.send("%alf", (1.0,) * 1024)  # 4 fragments of 2 KiB
+    (result,) = st.recv(timeout=WAVE_TIMEOUT).values
+    return result[0]
+
+
+def deposited(net, st):
+    return any(sid == st.stream_id for (_link, sid) in net._core._checkpoints)
+
+
+def checkpoint_bytes(net):
+    return sum(
+        s.get("checkpoint_bytes", 0)
+        for name, s in net.stats().items()
+        if name != "recovery"
+    )
+
+
 class TestCheckpointFlow:
     def test_deposits_reach_the_parent(self, shutdown_nets):
-        """With ``checkpoint_interval`` set, every comm node ships
-        per-stream deposits upstream; the front-end holds its
-        children's latest documents and the shipped bytes are
-        accounted."""
-        net = Network(
-            balanced_tree(2, 2),
-            transport="tcp",
-            policy=REPAIR,
-            checkpoint_interval=0.02,
-        )
+        """Under repair every comm node ships a deposit behind each
+        released chunked wave; the front-end holds its children's
+        latest documents as soon as the wave is in, and the shipped
+        bytes are accounted."""
+        net = Network(balanced_tree(2, 2), transport="tcp", policy=REPAIR)
         shutdown_nets.append(net)
         st = net.new_stream(
-            net.get_broadcast_communicator(), transform=TFILTER_SUM
+            net.get_broadcast_communicator(), transform=TFILTER_SUM,
+            chunk_bytes=2048,
         )
-        assert drive_wave(net, st, WAVE_TIMEOUT).values == (4,)
-
-        assert wait_until(
-            lambda: any(
-                sid == st.stream_id for (_link, sid) in net._core._checkpoints
-            ),
-            net=net,
-            timeout=WAVE_TIMEOUT,
-            poll=False,
-        ), "no checkpoint deposit ever reached the front-end"
-        shipped = sum(
-            s.get("checkpoint_bytes", 0)
-            for name, s in net.stats().items()
-            if name != "recovery"
-        )
-        assert shipped > 0
+        assert array_wave(net, st) == 4.0
+        assert deposited(net, st)
+        assert checkpoint_bytes(net) > 0
 
     def test_closed_streams_leave_no_deposits(self, shutdown_nets):
         """A stream's deposits go with it: closing it drops what the
         parent holds, and a deposit that crosses the close on the wire
         is refused rather than stored for a stream that is gone."""
-        net = Network(balanced_tree(2, 2), checkpoint_interval=0.01)
+        net = Network(balanced_tree(2, 2), policy=REPAIR)
         shutdown_nets.append(net)
         comm = net.get_broadcast_communicator()
         for _ in range(20):
-            st = net.new_stream(comm, transform=TFILTER_SUM)
-            assert drive_wave(net, st, WAVE_TIMEOUT).values == (4,)
-            assert wait_until(
-                lambda: any(sid == st.stream_id for _link, sid in net._core._checkpoints),
-                net=net,
-                timeout=WAVE_TIMEOUT,
-                poll=False,
-            )
+            st = net.new_stream(comm, transform=TFILTER_SUM, chunk_bytes=2048)
+            assert array_wave(net, st) == 4.0
+            assert deposited(net, st)
             st.close()
         time.sleep(0.1)  # deposits already on their way up land now
         net.flush()
         assert not net._core._checkpoints
 
     def test_no_deposits_when_disabled(self, shutdown_nets):
-        net = Network(balanced_tree(2, 2), transport="tcp")
-        shutdown_nets.append(net)
-        st = net.new_stream(
-            net.get_broadcast_communicator(), transform=TFILTER_SUM
-        )
-        assert drive_wave(net, st, WAVE_TIMEOUT).values == (4,)
-        time.sleep(0.1)
-        net.flush()
-        assert not net._core._checkpoints
-        assert all(
-            s.get("checkpoint_bytes", 0) == 0
-            for name, s in net.stats().items()
-            if name != "recovery"
-        )
+        """No deposits under ``degrade``, and none on an unchunked
+        stream under ``repair``: whole packets move no watermark."""
+        for policy, chunk_bytes in ((DEGRADE, 2048), (REPAIR, None)):
+            net = Network(balanced_tree(2, 2), transport="tcp", policy=policy)
+            shutdown_nets.append(net)
+            st = net.new_stream(
+                net.get_broadcast_communicator(), transform=TFILTER_SUM,
+                chunk_bytes=chunk_bytes,
+            )
+            assert array_wave(net, st) == 4.0
+            time.sleep(0.1)
+            net.flush()
+            assert not net._core._checkpoints
+            assert checkpoint_bytes(net) == 0

@@ -8,11 +8,11 @@ and the next wave completes over the survivors.
 The crash-consistency half (:class:`TestMidChunkCommNodeDeath`): kill
 an *internal* node while a child is mid-``TAG_CHUNK`` sequence.  Under
 ``repair`` the orphans re-home and replay their un-ACKed fragment
-histories, the adopter's checkpoint-seeded watermarks drop what the
-dead node had already forwarded, and the wave completes **byte
-identical** to the fault-free run — on the tcp, process, and colocated
-runtimes alike.  Under ``degrade`` the wave shrinks to exactly the
-survivors' sum.
+histories, the adopter's watermarks — seeded from the deposit the
+dead node shipped behind its last released wave — drop what it had
+already forwarded, and the wave completes **byte identical** to the
+fault-free run — on the tcp, process, and colocated runtimes alike.
+Under ``degrade`` the wave shrinks to exactly the survivors' sum.
 """
 
 import time
@@ -157,7 +157,7 @@ class TestMidChunkCommNodeDeath:
     fault-free run — no back-end contribution lost (the orphans replay
     un-ACKed history and finish the sequence on the new edge) and none
     duplicated (the adopter's watermark, seeded from the dead node's
-    checkpoint, drops the replayed waves it already aggregated).  Under
+    deposit, drops the replayed waves it already aggregated).  Under
     ``degrade`` the wave must shrink to exactly the survivors' sum.
     """
 
@@ -197,44 +197,32 @@ class TestMidChunkCommNodeDeath:
             bstream._window.record(frag)
         return frags
 
-    @pytest.mark.parametrize("mode", ["tcp", "process", "colocated"])
-    def test_repair_wave_byte_identical_to_fault_free_run(
-        self, shutdown_nets, mode
-    ):
-        kwargs = {"colocate": True} if mode == "colocated" else {"transport": mode}
-        net = Network(
-            balanced_tree(2, 2),
-            policy=REPAIR,
-            checkpoint_interval=0.02,
-            **kwargs,
-        )
-        shutdown_nets.append(net)
-        st = self._chunked_stream(net)
-        expected = (tuple(v * 4 for v in self.PAYLOAD),)
+    def _complete_wave(self, net, st, scale):
+        """One fault-free wave of ``scale * PAYLOAD`` from every rank.
 
-        # Wave 1: the fault-free reference result.
-        handles, tag = self._begin_wave(net, st)
+        Every wave carries its own payload, so a replayed wave taken
+        twice (or lined up with the next one) shows in the sum."""
+        payload = tuple(v * scale for v in self.PAYLOAD)
+        handles, _tag = self._begin_wave(net, st)
         for bstream in handles.values():
-            bstream.send("%alf", self.PAYLOAD)
-        assert st.recv(timeout=WAVE_TIMEOUT).values == expected
+            bstream.send("%alf", payload)
+        assert st.recv(timeout=WAVE_TIMEOUT).values == (
+            tuple(v * 4 for v in payload),
+        )
 
-        # Gate on the doomed node's checkpoint reaching the front-end:
-        # watermarks covering wave 1 for ranks 0 AND 1 are what make
-        # the post-repair replay duplicate-free, deterministically.
-        def checkpointed():
-            for (_link, sid), doc in list(net._core._checkpoints.items()):
-                if sid != st.stream_id:
-                    continue
-                marks = doc.get("watermarks", {})
-                if marks.get("0", -1) >= 0 and marks.get("1", -1) >= 0:
-                    return True
-            return False
+    def _repair_mid_sequence(self, net, st, mode):
+        """Kill rank 0's parent while rank 0 is mid-fragment-sequence,
+        let the orphans re-home, finish the wave at ``1 * PAYLOAD``."""
+        # The doomed node's deposit rode in the same message as its
+        # last output fragment, so it is here as soon as the wave is:
+        # watermarks for ranks 0 AND 1 make the replay duplicate-free.
+        marks = [
+            doc["watermarks"]
+            for (_link, sid), doc in net._core._checkpoints.items()
+            if sid == st.stream_id
+        ]
+        assert any(m.get("0", -1) >= 0 and m.get("1", -1) >= 0 for m in marks)
 
-        assert wait_until(
-            checkpointed, net=net, timeout=WAVE_TIMEOUT, poll=False
-        ), "doomed comm node never deposited a checkpoint upstream"
-
-        # Wave 2: rank 0 is mid-fragment-sequence when its parent dies.
         handles, tag = self._begin_wave(net, st)
         frags = self._send_half_sequence(handles[0], tag, st.stream_id)
         inj = FaultInjector(net)
@@ -269,12 +257,46 @@ class TestMidChunkCommNodeDeath:
         # Byte-identical: every contribution exactly once.  A lost
         # fragment would stall or shrink the wave; an undeduplicated
         # replay would overshoot the fault-free sum.
-        assert result.values == expected
+        assert result.values == (tuple(v * 4 for v in self.PAYLOAD),)
+        with pytest.raises(TimeoutError):
+            st.recv(timeout=0.3)  # no replayed wave surfaces later
+        assert net._core.streams[st.stream_id].pending == 0
+        for node in net._commnodes:
+            mgr = node.core.streams.get(st.stream_id)
+            if node.is_alive() and mgr is not None:
+                assert mgr.pending == 0, node.core.name
         assert sum(be.reconnects for be in net.backends.values()) == 2
+        assert not net.unexpected_packets()
+
+    @staticmethod
+    def _repair_net(shutdown_nets, mode):
+        kwargs = {"colocate": True} if mode == "colocated" else {"transport": mode}
+        net = Network(balanced_tree(2, 2), policy=REPAIR, **kwargs)
+        shutdown_nets.append(net)
+        return net
+
+    @pytest.mark.parametrize("mode", ["tcp", "process", "colocated"])
+    def test_repair_wave_byte_identical_to_fault_free_run(
+        self, shutdown_nets, mode
+    ):
+        net = self._repair_net(shutdown_nets, mode)
+        st = self._chunked_stream(net)
+        self._complete_wave(net, st, 10)
+        self._repair_mid_sequence(net, st, mode)
         # Replay actually happened: wave 1 (deduped at the adopter) and
         # the wave-2 prefix both retransmitted.
         assert net.backends[0].chunks_retransmitted >= 2
-        assert not net.unexpected_packets()
+
+    @pytest.mark.parametrize("mode", ["tcp", "process", "colocated"])
+    def test_repair_after_two_back_to_back_waves(self, shutdown_nets, mode):
+        """A deposit older than the last completed wave would let that
+        wave's replay through a second time: deposits ride behind
+        every released wave, so the adopter's watermark covers both."""
+        net = self._repair_net(shutdown_nets, mode)
+        st = self._chunked_stream(net)
+        self._complete_wave(net, st, 10)
+        self._complete_wave(net, st, 100)
+        self._repair_mid_sequence(net, st, mode)
 
     def test_degrade_wave_shrinks_to_survivor_sum(self, shutdown_nets):
         net = Network(balanced_tree(2, 2), transport="tcp", policy=DEGRADE)

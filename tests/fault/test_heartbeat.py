@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro.core import DEGRADE, Network
+from repro.core.failure import HB_JITTER
 from repro.faultinject import FaultInjector
 from repro.filters import TFILTER_SUM
 from repro.topology import balanced_tree
@@ -96,7 +97,7 @@ class TestHeartbeatJitter:
         tree's probe bursts never align into a thundering herd.  The
         *detection* deadline is never jittered."""
         net = heartbeat_net(shutdown_nets, depth=3)
-        assert net.heartbeat.jitter == pytest.approx(0.2)
+        assert HB_JITTER == pytest.approx(0.2)
         assert net.heartbeat.deadline == pytest.approx(3 * INTERVAL)
 
         schedules = []

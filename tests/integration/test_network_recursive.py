@@ -154,8 +154,7 @@ class TestRecursiveInstantiation:
         assert list(inspect.signature(Network.__init__).parameters)[1:] == [
             "topology", "registry", "auto_backends", "startup_timeout",
             "clock", "transport", "filter_specs", "policy",
-            "heartbeat_interval", "heartbeat_miss_threshold",
-            "checkpoint_interval", "colocate",
+            "heartbeat_interval", "heartbeat_miss_threshold", "colocate",
         ]
         topo = balanced_tree(2, 2)
         with pytest.raises(NetworkError):

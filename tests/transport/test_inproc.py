@@ -48,13 +48,8 @@ class RecorderCore:
     def heartbeat_tick(self):
         pass
 
-    def next_timeout_deadline(self):
+    def next_wakeup_deadline(self):
         return None
-
-    def next_heartbeat_deadline(self):
-        return None
-
-    next_flush_deadline = None  # property on the real NodeCore
 
     def maybe_flush(self):
         pass

@@ -126,7 +126,6 @@ def soak(policy_name: str, runtime: str, seed: int, duration: float):
         balanced_tree(2, 3),
         policy=POLICIES[policy_name],
         heartbeat_interval=0.05,
-        checkpoint_interval=0.05 if policy_name == "repair" else 0.0,
         **kwargs,
     )
     n = len(net.backends)
