@@ -23,7 +23,7 @@ from ..transport.eventloop import SendQueueFull
 from .batching import decode_batch, encode_batch
 from .chunking import ReceiveWindow, SendWindow
 from .failure import RanksChanged
-from .packet import Packet
+from .packet import Packet, PacketDecodeError
 from .protocol import (
     CONTROL_STREAM_ID,
     FIRST_APP_TAG,
@@ -35,14 +35,11 @@ from .protocol import (
     TAG_SHUTDOWN,
     TAG_WAVE_ACK,
     TAG_WAVE_NACK,
+    check_control,
     make_endpoint_report,
     make_join,
     make_leave,
-    parse_new_stream,
     parse_new_streams,
-    parse_ranks_changed,
-    parse_wave_ack,
-    parse_wave_nack,
 )
 
 __all__ = ["BackEnd", "BackEndStream", "NetworkShutdown"]
@@ -142,6 +139,8 @@ class BackEnd:
         # True after a voluntary leave(): the detach was announced, so
         # teardown is expected rather than a network failure.
         self.left = False
+        # Parent links this back-end closed for a malformed frame.
+        self._cut_links: set[int] = set()
         # Fragments replayed from stream histories (repair or NACK).
         self.chunks_retransmitted = 0
         # Down-flooded TAG_RANKS_CHANGED notifications, oldest first:
@@ -245,19 +244,32 @@ class BackEnd:
     # -- internals ------------------------------------------------------------
 
     def _ingest(self, link_id: int, payload: Optional[bytes]) -> None:
-        if payload is None:
-            if link_id != self._parent.link_id:
-                # EOF from a link that is no longer our parent — a
-                # stale delivery from before a repair.  Ignore it.
+        if link_id in self._cut_links:
+            return  # a parent cut for a malformed frame: all of it is stale
+        if payload is not None:
+            try:
+                self._dispatch(payload)
                 return
-            # Parent link died.  An orderly teardown announces itself
-            # with TAG_SHUTDOWN first, so an unannounced EOF here means
-            # the parent *crashed* — reconnect to a live ancestor if a
-            # repair path was configured.
-            if not self.shut_down and self._repair_parent():
-                return
-            self._mark_shutdown()
+            except PacketDecodeError:
+                # Bytes from the parent are untrusted too: a malformed
+                # frame ends the link as its EOF would, never the
+                # tool's recv().  Packets before it were delivered.
+                self._cut_links.add(link_id)
+                if link_id == self._parent.link_id:
+                    self._parent.close()
+        if link_id != self._parent.link_id:
+            # A link that is no longer our parent — a stale delivery
+            # from before a repair.  Ignore it.
             return
+        # Parent link died.  An orderly teardown announces itself
+        # with TAG_SHUTDOWN first, so an unannounced EOF (or a cut)
+        # here means the parent *crashed* or misbehaved — reconnect to
+        # a live ancestor if a repair path was configured.
+        if not self.shut_down and self._repair_parent():
+            return
+        self._mark_shutdown()
+
+    def _dispatch(self, payload) -> None:
         for packet in decode_batch(payload):
             if packet.stream_id == CONTROL_STREAM_ID:
                 self._handle_control(packet)
@@ -276,10 +288,9 @@ class BackEnd:
                 self._pending.append((packet.materialize(), stream))
 
     def _handle_control(self, packet: Packet) -> None:
+        check_control(packet)
         if packet.tag == TAG_NEW_STREAM:
-            parsed = parse_new_stream(packet)
-            stream_id, endpoints = parsed[0], parsed[1]
-            chunk_bytes = parsed[6]
+            stream_id, endpoints, *_, chunk_bytes, _pattern = packet.unpack()
             if self.rank in endpoints:
                 self.register_stream(stream_id, chunk_bytes)
         elif packet.tag == TAG_NEW_STREAMS:
@@ -298,19 +309,19 @@ class BackEnd:
         elif packet.tag == TAG_SHUTDOWN:
             self._mark_shutdown()
         elif packet.tag == TAG_WAVE_ACK:
-            stream_id, wave_seq = parse_wave_ack(packet)
+            stream_id, wave_seq = packet.unpack()
             stream = self._streams.get(stream_id)
             if stream is not None:
                 stream._window.ack(wave_seq)
         elif packet.tag == TAG_RANKS_CHANGED:
-            stream_id, epoch, lost, gained = parse_ranks_changed(packet)
+            stream_id, epoch, lost, gained = packet.unpack()
             self.membership_events.append(
                 RanksChanged(stream_id, epoch, lost, gained)
             )
         elif packet.tag == TAG_WAVE_NACK:
             # The parent is missing our output from wave_seq on:
             # replay whatever the bounded history still holds.
-            stream_id, wave_seq = parse_wave_nack(packet)
+            stream_id, wave_seq = packet.unpack()
             stream = self._streams.get(stream_id)
             if stream is not None:
                 self._replay([stream], since=wave_seq - 1)

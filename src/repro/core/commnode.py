@@ -81,7 +81,7 @@ from ..topology.placement import LINK_KINDS
 from ..transport.channel import ChannelEnd, Inbox
 from ..transport.eventloop import EventLoop, LoopLink, SendQueueFull
 from .failure import DEGRADE, HB_JITTER, REPAIR, HeartbeatConfig
-from .packet import Packet
+from .packet import Packet, PacketDecodeError
 from .protocol import (
     CONTROL_STREAM_ID,
     TAG_ADDR_REPORT,
@@ -99,21 +99,16 @@ from .protocol import (
     TAG_STATS_REQUEST,
     TAG_WAVE_ACK,
     TAG_WAVE_NACK,
+    check_control,
     make_checkpoint,
     make_endpoint_report,
     make_heartbeat,
     make_ranks_changed,
+    make_shutdown,
     make_stats_reply,
     make_wave_ack,
     make_wave_nack,
-    parse_checkpoint,
-    parse_join,
-    parse_leave,
-    parse_new_stream,
     parse_new_streams,
-    parse_stats_request,
-    parse_wave_ack,
-    parse_wave_nack,
 )
 from .routing import RoutingTable
 from .stream_manager import StreamManager
@@ -219,6 +214,9 @@ class NodeCore:
         # Links whose subtree announced a graceful TAG_LEAVE: their
         # eventual EOF is expected, not a failure.
         self._announced_leaving: set[int] = set()
+        # Links this node closed itself (a malformed frame, a missed
+        # liveness deadline): their ends' later deliveries are stale.
+        self._cut_links: set[int] = set()
         # Child watermark deposits, keyed by (child link id, stream id):
         # the most recent TAG_CHECKPOINT document each child shipped.
         # Consulted when adopting that child's orphans after it dies.
@@ -408,7 +406,12 @@ class NodeCore:
     # -- inbound ------------------------------------------------------------
 
     def handle_payload(self, link_id: int, payload: Optional[bytes]) -> None:
-        """Unbatch one inbound message and dispatch its packets."""
+        """Unbatch one inbound message and dispatch its packets.
+
+        Every driver (loop links, a loop's inbox, the front-end's pump)
+        delivers here, so a malformed frame is refused here: it costs
+        its sender the link, never this node its loop.
+        """
         if self.wedged:
             # Fault injection: the process is "alive" at the transport
             # level but its loop no longer makes progress.  Dropping
@@ -419,6 +422,10 @@ class NodeCore:
         # brand-new link never beats the link's own admission.
         if self._pending_children:
             self.admit_pending_children()
+        if link_id in self._cut_links:
+            # This node closed the link itself: whatever its end still
+            # delivers, its own EOF included, is stale.
+            return
         if payload is None:
             self._handle_link_closed(link_id)
             return
@@ -426,24 +433,47 @@ class NodeCore:
         # that would otherwise be silent (see HeartbeatConfig).
         self._last_seen[link_id] = self.clock()
         self._c_messages_in.value += 1
-        tracer = self.tracer
-        if tracer is None:
-            self._dispatch_batch(link_id, decode_batch(payload))
-            return
-        # Tracing attached: one recv span per message (the unbatch) and
-        # one demux span covering the dispatch loop.  Spans are
-        # per-message, not per-packet — the recorder costs two clock
-        # reads per span, which is negligible per message but would
-        # dominate the §4.2.1 relay path if paid per packet.
-        t0 = tracer.span_start()
-        packets = list(decode_batch(payload))
-        tracer.span_end("recv", t0, detail=f"link={link_id}")
-        t0 = tracer.span_start()
-        self._dispatch_batch(link_id, packets)
-        if packets:
-            tracer.span_end(
-                "demux", t0, packets[0].stream_id, detail=f"n={len(packets)}"
-            )
+        try:
+            tracer = self.tracer
+            if tracer is None:
+                self._dispatch_batch(link_id, decode_batch(payload))
+                return
+            # Tracing attached: one recv span per message (the unbatch)
+            # and one demux span covering the dispatch loop.  Spans are
+            # per-message, not per-packet — the recorder costs two clock
+            # reads per span, which is negligible per message but would
+            # dominate the §4.2.1 relay path if paid per packet.
+            t0 = tracer.span_start()
+            packets = list(decode_batch(payload))
+            tracer.span_end("recv", t0, detail=f"link={link_id}")
+            t0 = tracer.span_start()
+            self._dispatch_batch(link_id, packets)
+            if packets:
+                tracer.span_end(
+                    "demux", t0, packets[0].stream_id, detail=f"n={len(packets)}"
+                )
+        except PacketDecodeError as exc:
+            # Packets before it in the message were already dispatched.
+            end = self._cut_link(link_id)
+            self.metrics.counter(
+                "frames_rejected",
+                "Inbound frames refused as malformed (the link is closed)",
+                kind=getattr(end, "transport_kind", "channel"),
+            ).value += 1
+            log.warning("%s: link %d sent a malformed frame (%s); closed", self.name, link_id, exc)
+
+    def _cut_link(self, link_id: int) -> Optional[ChannelEnd]:
+        """Close *link_id* from this side and handle it as dead, once;
+        returns the end that was closed."""
+        self._cut_links.add(link_id)
+        end = self.parent if link_id == self.parent_link_id else self.children.get(link_id)
+        if end is not None:
+            try:
+                end.close()
+            except Exception:
+                pass
+        self._handle_link_closed(link_id)
+        return end
 
     def _dispatch_batch(self, link_id: int, packets) -> None:
         """Dispatch one inbound message's packets.
@@ -491,9 +521,11 @@ class NodeCore:
         self._c_packets_in.value += n
 
     def dispatch(self, link_id: int, packet: Packet) -> None:
-        """Demultiplex one packet (Figure 3's demux layer)."""
+        """Demultiplex one packet (Figure 3's demux layer).  Control
+        packets are checked against their tag's format; data is not."""
         from_parent = self.parent is not None and link_id == self.parent_link_id
         if packet.stream_id == CONTROL_STREAM_ID:
+            check_control(packet)
             if packet.tag == TAG_HEARTBEAT:
                 # Consumed at the first hop; never forwarded.  Remember
                 # that this peer speaks heartbeats: only such links are
@@ -502,13 +534,7 @@ class NodeCore:
                 # declared dead for being quiet).
                 self._hb_peers.add(link_id)
                 return
-            if from_parent or self.parent is None and packet.tag in (
-                TAG_NEW_STREAM,
-                TAG_CLOSE_STREAM,
-                TAG_SHUTDOWN,
-            ):
-                # Downstream-travelling control (front-end originates
-                # these locally via handle_control_down).
+            if from_parent:
                 self.handle_control_down(packet)
             else:
                 self.handle_control_up(link_id, packet)
@@ -577,18 +603,17 @@ class NodeCore:
             # document per (child link, stream); never relayed.  A
             # deposit for a stream closed here (it crossed the close on
             # the wire) is dropped, or it would outlive its stream.
-            stream_id, _out_wave, payload = parse_checkpoint(packet)
+            stream_id, _out_wave, payload = packet.unpack()
             if stream_id not in self.streams and stream_id not in self._stream_specs:
                 return
             try:
                 doc = json.loads(payload)
-            except ValueError:
+            except (ValueError, RecursionError):
                 doc = None
-            if isinstance(doc, dict):
+            if isinstance(doc, dict) and isinstance(doc.get("watermarks"), dict):
                 self._checkpoints[(link_id, stream_id)] = doc
         else:
-            # Unknown upstream control: forward toward the front-end.
-            self._queue_up(packet)
+            raise PacketDecodeError(f"control tag {packet.tag} from a child")
 
     def _handle_join(self, link_id: int, packet: Packet) -> None:
         """Splice a joining back-end rank into this hop (``TAG_JOIN``).
@@ -599,7 +624,7 @@ class NodeCore:
         (an in-flight wave completes over the old membership), then
         continues toward the front-end so every ancestor splices too.
         """
-        rank, stream_ids = parse_join(packet)
+        rank, stream_ids = packet.unpack()
         self.routing.add_report(link_id, [rank])
         if rank not in self.reported_ranks:
             self.reported_ranks.add(rank)
@@ -635,7 +660,10 @@ class NodeCore:
         the leaver the link is marked announced-leaving — its eventual
         EOF is handled as an expected departure, not a failure.
         """
-        rank = parse_leave(packet)
+        (rank,) = packet.unpack()
+        if rank not in self.routing.ranks_behind(link_id):
+            # A peer speaks only for the ranks behind its own link.
+            return
         if rank in self.reported_ranks:
             self.reported_ranks.discard(rank)
             self.expected_ranks = max(self.expected_ranks - 1, 0)
@@ -719,7 +747,7 @@ class NodeCore:
 
     def handle_control_down(self, packet: Packet) -> None:
         if packet.tag == TAG_NEW_STREAM:
-            manager = self._create_stream(*parse_new_stream(packet))
+            manager = self._create_stream(*packet.unpack())
             for link in manager.child_links:
                 self._queue_down(link, packet)
         elif packet.tag == TAG_NEW_STREAMS:
@@ -728,6 +756,8 @@ class NodeCore:
             # whole packet once down every link any announced group
             # routes through — one control wave for N streams.
             groups, specs = parse_new_streams(packet)
+            for _sid, _gidx, sync_id, trans_id, _timeout, down_id, *_ in specs:
+                self._check_filters(sync_id, trans_id, down_id)
             interned = []
             fanout: set = set()
             for ranks in groups:
@@ -773,7 +803,7 @@ class NodeCore:
             # reads its registry locally); back-ends consume the
             # request silently, so only internal nodes reply.
             if self.parent is not None:
-                request_id = parse_stats_request(packet)
+                (request_id,) = packet.unpack()
                 payload = dumps_snapshot(
                     self.obs_identity, self.obs_rank, self.metrics_snapshot()
                 )
@@ -784,14 +814,14 @@ class NodeCore:
         elif packet.tag == TAG_WAVE_ACK:
             # Link-local (one hop): the parent delivered our output
             # through wave_seq — prune the retransmit history.
-            stream_id, wave_seq = parse_wave_ack(packet)
+            stream_id, wave_seq = packet.unpack()
             manager = self.streams.get(stream_id)
             if manager is not None:
                 manager.ack_output(wave_seq)
         elif packet.tag == TAG_WAVE_NACK:
             # Link-local (one hop): the parent is missing our output
             # from wave_seq onward — replay what history still holds.
-            stream_id, wave_seq = parse_wave_nack(packet)
+            stream_id, wave_seq = packet.unpack()
             manager = self.streams.get(stream_id)
             if manager is not None:
                 resent = manager.resend_since(wave_seq - 1)
@@ -799,10 +829,20 @@ class NodeCore:
                     self._queue_up(out)
                 if resent:
                     self._note_urgent()
-        else:
-            # Unknown downstream control: flood to every child.
+        elif packet.tag == TAG_RANKS_CHANGED:
+            # A membership change the front-end turned around: flood it
+            # so surviving back-ends observe it too.
             for link in list(self.children):
                 self._queue_down(link, packet)
+        else:
+            raise PacketDecodeError(f"control tag {packet.tag} from the parent")
+
+    def _check_filters(self, sync_id: int, trans_id: int, down_id: int) -> None:
+        """An announced stream must name filters this node can build."""
+        reg = self.registry
+        if not (reg.is_sync(sync_id) and reg.is_transform(trans_id)
+                and (down_id == 0 or reg.is_transform(down_id))):
+            raise PacketDecodeError(f"unknown filters {(sync_id, trans_id, down_id)}")
 
     # -- stream bookkeeping (lazy materialization + O(active) ticks) -------
 
@@ -812,6 +852,7 @@ class NodeCore:
     ) -> StreamManager:
         """Build and register a live stream manager over the links its
         endpoints route through (arguments in TAG_NEW_STREAM order)."""
+        self._check_filters(sync_id, trans_id, down_id)
         manager = StreamManager.create(
             stream_id,
             endpoints,
@@ -959,7 +1000,7 @@ class NodeCore:
             # Parent vanished and no repair: treat as shutdown.
             self.shutting_down = True
             for link in list(self.children):
-                self._queue_down(link, Packet(CONTROL_STREAM_ID, TAG_SHUTDOWN, "%d", (0,)))
+                self._queue_down(link, make_shutdown())
             return
         announced = link_id in self._announced_leaving
         self._announced_leaving.discard(link_id)
@@ -1155,17 +1196,7 @@ class NodeCore:
                 now - last,
                 deadline,
             )
-            end = (
-                self.parent
-                if link_id == self.parent_link_id
-                else self.children.get(link_id)
-            )
-            if end is not None:
-                try:
-                    end.close()
-                except Exception:
-                    pass
-            self._handle_link_closed(link_id)
+            self._cut_link(link_id)
 
     def _draw_hb_interval(self) -> float:
         """Next probe interval: base interval with deterministic jitter."""

@@ -82,10 +82,6 @@ from .protocol import (
     make_new_streams,
     make_shutdown,
     make_stats_request,
-    parse_addr_report,
-    parse_leave,
-    parse_ranks_changed,
-    parse_stats_reply,
 )
 from .stream import Stream
 
@@ -147,7 +143,7 @@ class _FrontEndCore(NodeCore):
         self.reassembly = ReceiveWindow()
 
     def _note_addr_report(self, packet: Packet) -> None:
-        label, host, port = parse_addr_report(packet)
+        label, host, port = packet.unpack()
         self.addr_reports[label] = (host, port)
 
     def deliver_local(self, packet: Packet) -> None:
@@ -179,12 +175,15 @@ class _FrontEndCore(NodeCore):
     def _handle_leave(self, link_id: int, packet: Packet) -> None:
         # Record the voluntary departure before any lost event for
         # this rank (the handler's own, or a descendant's riding the
-        # same link) is processed.
-        self._left_ranks.add(parse_leave(packet))
+        # same link) is processed.  A leave for a rank behind another
+        # link is no departure at all.
+        (rank,) = packet.unpack()
+        if rank in self.routing.ranks_behind(link_id):
+            self._left_ranks.add(rank)
         super()._handle_leave(link_id, packet)
 
     def _note_ranks_changed(self, packet: Packet) -> None:
-        stream_id, epoch, lost, gained = parse_ranks_changed(packet)
+        stream_id, epoch, lost, gained = packet.unpack()
         self.recovery_events.append(RanksChanged(stream_id, epoch, lost, gained))
         # A rank that rejoins sheds its "left" marker: a later loss of
         # the reused rank is a failure again.
@@ -204,7 +203,7 @@ class _FrontEndCore(NodeCore):
         self.handle_control_down(packet)
 
     def _note_stats_reply(self, packet: Packet) -> None:
-        request_id, payload = parse_stats_reply(packet)
+        request_id, payload = packet.unpack()
         doc = loads_snapshot(payload)
         if doc is None:
             return

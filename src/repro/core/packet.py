@@ -439,7 +439,7 @@ class Packet:
             for spec in fmt.fields:
                 value, offset = _decode_field(view, offset, spec)
                 values.append(value)
-        except struct.error as exc:
+        except (struct.error, UnicodeDecodeError) as exc:
             raise PacketDecodeError(str(exc)) from exc
         if offset != len(view):
             raise PacketDecodeError(

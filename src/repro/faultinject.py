@@ -18,8 +18,11 @@ to break the system in ways the API never would:
   reassembly against truncation;
 * **kill a back-end** (closes its parent link from the leaf side);
 * **stall a consumer**: pause a back-end's reader thread so the
-  sending comm node's bounded queue backs up (backpressure, the PR 2
-  ``send_queue_full`` path).
+  sending comm node's bounded queue backs up (backpressure, the
+  ``send_queue_full`` path);
+* **send a malformed packet** from a back-end: a well-framed control
+  packet in the wrong format, which must cost that back-end its link
+  and nothing else.
 
 Every primitive records what it did in :attr:`FaultInjector.log`, and
 :class:`FaultSchedule` drives primitives from a *seeded* plan, so a
@@ -37,6 +40,10 @@ import struct
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
+
+from .core.batching import encode_batch
+from .core.packet import Packet
+from .core.protocol import CONTROL_STREAM_ID, TAG_JOIN
 
 __all__ = ["FaultInjector", "FaultEvent", "FaultSchedule"]
 
@@ -93,6 +100,17 @@ class FaultInjector:
             slot.backend.shut_down = True
         if slot.parent_end is not None:
             slot.parent_end.close()
+
+    def send_malformed(self, rank: int) -> None:
+        """Have back-end *rank* send ``TAG_JOIN`` as ``"%d"``, which
+        its parent must refuse by closing that one link."""
+        backend = self.network._slots[rank].backend
+        self.log.append(("send_malformed", rank))
+        bad = Packet(CONTROL_STREAM_ID, TAG_JOIN, "%d", (rank,))
+        try:
+            backend._parent.send(encode_batch([bad]))
+        except ConnectionError:
+            pass  # already cut off
 
     def kill_process(self, index: int) -> None:
         """SIGKILL the index-th spawned process (process transport)."""
@@ -229,18 +247,21 @@ class FaultSchedule:
         horizon: float = 0.5,
         actions: Sequence[str] = ("kill_commnode",),
     ) -> "FaultSchedule":
-        """A reproducible plan: times and targets drawn from *seed*."""
+        """A reproducible plan: times and targets (a back-end rank for
+        ``send_malformed``, else a comm-node label) drawn from *seed*."""
         rng = random.Random(seed)
         labels = injector.commnode_labels()
         if not labels:
             raise ValueError("network has no internal nodes to break")
         events = []
         targets = list(labels)
+        ranks = sorted(injector.network._slots)
         for _ in range(n_faults):
             action = rng.choice(list(actions))
-            if not targets:
+            pool = ranks if action == "send_malformed" else targets
+            if not pool:
                 break
-            target = targets.pop(rng.randrange(len(targets)))
+            target = pool.pop(rng.randrange(len(pool)))
             events.append(FaultEvent(rng.uniform(0.0, horizon), action, (target,)))
         events.sort(key=lambda e: e.at)
         return cls(injector, events)

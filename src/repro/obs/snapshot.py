@@ -3,10 +3,9 @@
 The front-end gathers live metrics by broadcasting a
 ``TAG_STATS_REQUEST`` control packet down the tree; every internal
 node answers with a ``TAG_STATS_REPLY`` whose string payload is the
-JSON produced here.  Replies ride the ordinary upstream control path
-(each hop relays unknown upstream control toward the root), so the
-gather dogfoods the same packet buffers and links that carry tool
-data.
+JSON produced here.  Each hop relays replies toward the root on the
+ordinary upstream control path, so the gather dogfoods the same
+packet buffers and links that carry tool data.
 
 The payload is deliberately tiny and versioned:
 

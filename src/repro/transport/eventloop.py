@@ -40,7 +40,9 @@ delivered), :meth:`~EventLoop.want_write` and
 ready is polled before the loop next sleeps (frames a poll delivers may
 mark further links: the pass repeats until none is left, so a colocated
 wave crosses every inproc hop in one iteration), and that frames reach
-``core.handle_payload`` in arrival order followed by a single ``None``.
+``core.handle_payload`` in arrival order followed by a single ``None``
+(channel ends reach it through the core's inbox).  A frame the core
+refuses as malformed costs the sender its link: the core closes it.
 Who owns a delivered frame is told by its type: ``bytes`` or a
 *read-only* ``memoryview`` is a buffer the link allocated for that one
 frame and never touches again — the receiver may keep it; a *writable*
@@ -79,7 +81,6 @@ from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
-from ..core.packet import PacketDecodeError
 from ..obs.metrics import MetricsRegistry
 
 __all__ = [
@@ -676,21 +677,10 @@ class EventLoop:
                 return  # closed while an earlier frame of this read was handled
             self._c_frames_in.value += 1
             self._c_bytes_in.value += len(frame) + _LEN.size
-        try:
-            link.core.handle_payload(link.link_id, frame)
-        except PacketDecodeError as exc:
-            # Bytes from a peer are untrusted: a frame that is not a
-            # batch costs the sender its link, not this node its loop.
-            self.metrics.counter(
-                "frames_rejected",
-                "Inbound frames refused as malformed (the link is closed)",
-                kind=link.transport_kind,
-            ).value += 1
-            log.warning("link %d: malformed frame (%s); closing", link.link_id, exc)
-            self.link_dead(link)
+        link.core.handle_payload(link.link_id, frame)
 
     def link_dead(self, link: LoopLink) -> None:
-        """*link* lost its peer (EOF, error, poisoned frame): close it
+        """*link* lost its peer (EOF, error, oversized frame): close it
         and tell its core.  The link has already delivered every frame
         the peer managed to send."""
         link.close()

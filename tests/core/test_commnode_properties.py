@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batching import decode_batch
+from repro.core.batching import decode_batch, encode_batch
 from repro.core.commnode import NodeCore
 from repro.core.packet import Packet
 from repro.core.protocol import (
@@ -144,9 +144,13 @@ class TestConservation:
                 core.handle_payload(link, None)
                 open_links.remove(link)
             else:
-                core.dispatch(
-                    link, Packet(CONTROL_STREAM_ID, -99, "%d", (0,))
+                # An unknown control tag is a malformed frame: it costs
+                # the sender its link and nothing else.
+                core.handle_payload(
+                    link, encode_batch([Packet(CONTROL_STREAM_ID, -99, "%d", (0,))])
                 )
+                assert link not in core.children
+                open_links.remove(link)
             core.flush()
         # Terminal state is coherent.
         assert set(core.routing.links) <= set(links)

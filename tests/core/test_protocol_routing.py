@@ -2,16 +2,16 @@
 
 import pytest
 
-from repro.core.packet import Packet
+from repro.core.packet import Packet, PacketDecodeError
 from repro.core.protocol import (
     CONTROL_STREAM_ID,
     TAG_ENDPOINT_REPORT,
     TAG_NEW_STREAM,
+    check_control,
     make_close_stream,
     make_endpoint_report,
     make_new_stream,
     make_shutdown,
-    parse_new_stream,
 )
 from repro.core.protocol import (
     TAG_NEW_STREAMS,
@@ -34,22 +34,22 @@ class TestControlPackets:
                             down_transform_filter_id=5, chunk_bytes=4096,
                             wave_pattern=1)
         assert p.tag == TAG_NEW_STREAM
-        sid, eps, sync, trans, timeout, down, chunk, pattern = parse_new_stream(
-            Packet.from_bytes(p.to_bytes())
-        )
+        sid, eps, sync, trans, timeout, down, chunk, pattern = Packet.from_bytes(
+            p.to_bytes()
+        ).unpack()
         assert (sid, eps, sync, trans, timeout, down, chunk, pattern) == (
             7, (0, 1, 2), 100, 3, 0.25, 5, 4096, 1,
         )
 
-    def test_new_stream_parse_pads_legacy_fields(self):
-        """A 6-field NEW_STREAM from an older peer parses with defaults."""
+    def test_six_field_new_stream_rejected(self):
+        """NEW_STREAM has one format; the old six-field one is refused."""
+        check_control(Packet.from_bytes(make_new_stream(7, [0, 1], 100, 3).to_bytes()))
         p = Packet(
             CONTROL_STREAM_ID, TAG_NEW_STREAM, "%ud %aud %d %d %lf %d",
             (7, (0, 1), 100, 3, 0.0, 0),
         )
-        parsed = parse_new_stream(Packet.from_bytes(p.to_bytes()))
-        assert parsed[6] == 0  # chunk_bytes defaults off
-        assert parsed[7] == 0  # WAVE_REDUCE
+        with pytest.raises(PacketDecodeError):
+            check_control(Packet.from_bytes(p.to_bytes()))
 
     def test_close_and_shutdown(self):
         assert make_close_stream(9).values == (9,)

@@ -27,7 +27,6 @@ from repro.core.protocol import (
     TAG_CHECKPOINT,
     make_endpoint_report,
     make_new_stream,
-    parse_checkpoint,
 )
 from repro.core.stream_manager import StreamManager
 from repro.filters import TFILTER_CONCAT, TFILTER_SUM
@@ -176,7 +175,7 @@ class TestDepositOrder:
                 assert pos > 0
                 wave_id, index, n, _tag = chunk_meta(frame[pos - 1])
                 assert index == n - 1
-                stream_id, out_wave, payload = parse_checkpoint(packet)
+                stream_id, out_wave, payload = packet.unpack()
                 assert (stream_id, out_wave) == (5, wave_id + 1)
                 deposits.append(json.loads(payload)["watermarks"])
         # One deposit per released wave, none before the first one.

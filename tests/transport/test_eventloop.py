@@ -438,7 +438,7 @@ class TestMalformedBatch:
             while len(victim.core.children) != 1:
                 assert time.monotonic() < deadline, "poisoned link never removed"
                 time.sleep(0.002)
-            rejected = loop.metrics.counters()[f'frames_rejected{{kind="{kind}"}}']
+            rejected = victim.core.metrics.counters()[f'frames_rejected{{kind="{kind}"}}']
             assert rejected.value == 1
             assert victim.core.streams[5].membership_epoch >= 1
             if kind == "tcp":

@@ -4,8 +4,9 @@
 Every combination of recovery policy (fail-fast / degrade / repair)
 and runtime (tcp / process / colocated) gets a soak: waves flow
 continuously while a seeded :class:`repro.faultinject.FaultSchedule`
-fires node kills and link cuts at random points in the first half of
-the run.  One seed reproduces one fault trace exactly, so a nightly
+fires node kills, link cuts and (thread runtimes, degrade and repair)
+malformed control packets from a back-end at random points in the
+first half of the run.  One seed reproduces one fault trace exactly, so a nightly
 failure replays locally with the seed from the log.
 
 The invariants are the fault-tolerance layer's contract:
@@ -112,7 +113,7 @@ def _schedule(net, inj, policy_name, runtime, seed, horizon):
     actions = (
         ("kill_commnode",)
         if policy_name == "fail_fast"
-        else ("kill_commnode", "sever_link")
+        else ("kill_commnode", "sever_link", "send_malformed")
     )
     return FaultSchedule.random(
         inj, seed=seed, n_faults=n_faults, horizon=horizon, actions=actions
