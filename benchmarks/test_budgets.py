@@ -143,6 +143,7 @@ def idle_core(n_streams):
         core.handle_control_down(
             make_new_stream(sid, [0, 1, 2, 3], SFILTER_WAITFORALL, TFILTER_SUM)
         )
+        core.stream_state(sid)  # a live manager, not an announced spec
     core.flush()
     assert len(core.streams) == n_streams
     return core

@@ -8,7 +8,6 @@ from .failure import (
     DEGRADE,
     FAIL_FAST,
     REPAIR,
-    HeartbeatConfig,
     InstantiationError,
     RanksChanged,
     RecoveryCoordinator,
@@ -23,7 +22,6 @@ from .protocol import (
     TAG_CLOSE_STREAM,
     TAG_ENDPOINT_REPORT,
     TAG_HEARTBEAT,
-    TAG_NEW_STREAM,
     TAG_RANKS_CHANGED,
     TAG_SHUTDOWN,
 )
@@ -47,7 +45,6 @@ __all__ = [
     "FAIL_FAST",
     "DEGRADE",
     "REPAIR",
-    "HeartbeatConfig",
     "InstantiationError",
     "RanksChanged",
     "RecoveryCoordinator",
@@ -66,7 +63,6 @@ __all__ = [
     "FIRST_STREAM_ID",
     "FIRST_APP_TAG",
     "TAG_ENDPOINT_REPORT",
-    "TAG_NEW_STREAM",
     "TAG_CLOSE_STREAM",
     "TAG_SHUTDOWN",
     "TAG_HEARTBEAT",

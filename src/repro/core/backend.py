@@ -29,7 +29,6 @@ from .protocol import (
     FIRST_APP_TAG,
     TAG_CHUNK,
     TAG_CLOSE_STREAM,
-    TAG_NEW_STREAM,
     TAG_NEW_STREAMS,
     TAG_RANKS_CHANGED,
     TAG_SHUTDOWN,
@@ -52,7 +51,7 @@ class NetworkShutdown(ConnectionError):
 class BackEndStream:
     """Back-end-side handle for one stream.
 
-    ``chunk_bytes`` is learned from the stream's NEW_STREAM
+    ``chunk_bytes`` is learned from the stream's NEW_STREAMS
     announcement: when set, array payloads above the threshold leave as
     pipeline fragments, each in its own transport frame so upstream
     hops can start reducing before the last fragment is even sent.
@@ -173,7 +172,7 @@ class BackEnd:
     def register_stream(self, stream_id: int, chunk_bytes: int = 0) -> BackEndStream:
         """Get or create a stream's handle; an existing one adopts the knob.
 
-        Called for every NEW_STREAM(S) announcement naming this rank
+        Called for every NEW_STREAMS announcement naming this rank
         (a handle synthesised by racing data just adopts the knob), and
         by the front-end to pre-seed a joining back-end, which missed
         the broadcasts that created the streams it is entering.
@@ -276,7 +275,7 @@ class BackEnd:
             else:
                 stream = self._streams.get(packet.stream_id)
                 if stream is None:
-                    # Data raced ahead of NEW_STREAM (cannot happen on
+                    # Data raced ahead of NEW_STREAMS (cannot happen on
                     # FIFO links, but stay safe): synthesise the handle.
                     stream = self.register_stream(packet.stream_id)
                 if packet.tag == TAG_CHUNK:
@@ -289,12 +288,8 @@ class BackEnd:
 
     def _handle_control(self, packet: Packet) -> None:
         check_control(packet)
-        if packet.tag == TAG_NEW_STREAM:
-            stream_id, endpoints, *_, chunk_bytes, _pattern = packet.unpack()
-            if self.rank in endpoints:
-                self.register_stream(stream_id, chunk_bytes)
-        elif packet.tag == TAG_NEW_STREAMS:
-            # Bulk announcement: register a handle for every spec whose
+        if packet.tag == TAG_NEW_STREAMS:
+            # Register a handle for every announced stream whose
             # (deduplicated) endpoint group contains this rank.
             groups, specs = parse_new_streams(packet)
             for stream_id, gidx, _sync, _trans, _timeout, _down, chunk_bytes, _pattern in specs:

@@ -32,10 +32,14 @@ or nodes.  The tool front-end reuses :class:`NodeCore` directly (see
 :mod:`repro.core.network`) and pumps it from API calls instead of a
 thread.
 
-Many-stream scaling: stream announcements arriving in a batched
-``TAG_NEW_STREAMS`` packet are registered as lightweight *specs* and
-materialized into full :class:`StreamManager` state only on a
-stream's first data packet, and the per-tick work
+Many-stream scaling: every stream is announced by a
+``TAG_NEW_STREAMS`` packet and held as a lightweight, immutable
+*spec* until it is needed.  A spec becomes a full
+:class:`StreamManager` on the stream's first data packet, or on the
+first membership change touching its ranks (a child link's death, a
+``TAG_LEAVE``, a ``TAG_JOIN`` naming it, an endpoint report) — built
+*before* the routing table changes, so the manager's own
+drop/splice path reports the change.  The per-tick work
 (:meth:`NodeCore.poll_streams` / :meth:`NodeCore.next_timeout_deadline`)
 is O(active): only streams whose TimeOut filter currently holds an
 armed deadline are tracked (an active-set plus a lazy-deletion
@@ -64,7 +68,7 @@ import random
 import threading
 import time
 import zlib
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..filters.registry import FilterRegistry
 from .batching import (
@@ -80,7 +84,7 @@ from ..obs.snapshot import dumps_snapshot
 from ..topology.placement import LINK_KINDS
 from ..transport.channel import ChannelEnd, Inbox
 from ..transport.eventloop import EventLoop, LoopLink, SendQueueFull
-from .failure import DEGRADE, HB_JITTER, REPAIR, HeartbeatConfig
+from .failure import DEGRADE, HB_JITTER, HB_MISS_THRESHOLD, REPAIR
 from .packet import Packet, PacketDecodeError
 from .protocol import (
     CONTROL_STREAM_ID,
@@ -91,7 +95,6 @@ from .protocol import (
     TAG_HEARTBEAT,
     TAG_JOIN,
     TAG_LEAVE,
-    TAG_NEW_STREAM,
     TAG_NEW_STREAMS,
     TAG_RANKS_CHANGED,
     TAG_SHUTDOWN,
@@ -164,14 +167,12 @@ class NodeCore:
         self.children: Dict[int, ChannelEnd] = {}
         self.routing = RoutingTable()
         self.streams: Dict[int, StreamManager] = {}
-        # Bulk-announced streams not yet materialized (TAG_NEW_STREAMS):
-        # stream id -> spec dict (endpoint frozenset + filter ids +
-        # chunk/pattern parameters).  The endpoint set is SHARED with
-        # the interned CommGroup and rebound copy-on-write by
-        # join/leave/link-death, so 5000 specs over one communicator
-        # hold a single rank set; routing is recomputed from the epoch
-        # cache at materialization time, so a pending spec never goes
-        # stale.
+        # Announced streams not yet materialized: stream id -> spec
+        # dict (endpoint frozenset + filter ids + chunk/pattern
+        # parameters).  A spec never changes — the first membership
+        # change touching its ranks materializes it — so its endpoint
+        # set is the interned CommGroup's own, and 5000 specs over one
+        # communicator hold a single rank set.
         self._stream_specs: Dict[int, dict] = {}
         # O(active) tick state: only streams whose TimeOut filter holds
         # an armed deadline appear here.  ``_armed_deadlines`` records
@@ -192,13 +193,13 @@ class NodeCore:
             self._parent_buffer = self._make_buffer(parent.link_id)
         self._child_buffers: Dict[int, PacketBuffer] = {}
         # -- fault-tolerance state (see repro.core.failure) -----------
-        # ``policy`` governs what link death means; ``heartbeat``
-        # enables liveness probing; ``recovery`` aggregates stats and
-        # brokers adoption network-wide; ``repair_fn`` (orphans only)
-        # produces a replacement parent end; ``topo_key`` names this
-        # process slot for the coordinator.
+        # ``policy`` governs what link death means; a positive
+        # ``heartbeat_interval`` enables liveness probing; ``recovery``
+        # aggregates stats and brokers adoption network-wide;
+        # ``repair_fn`` (orphans only) produces a replacement parent
+        # end; ``topo_key`` names this process slot for the coordinator.
         self.policy = DEGRADE
-        self.heartbeat = HeartbeatConfig()
+        self.heartbeat_interval = 0.0
         self.recovery = None
         self.repair_fn: Optional[Callable[[], Optional[ChannelEnd]]] = None
         self.topo_key = None
@@ -228,7 +229,7 @@ class NodeCore:
         # seeded from the node name (not the salted builtin hash) so a
         # topology probes on the same staggered schedule every run.
         self._hb_rng = random.Random(zlib.crc32(name.encode()))
-        self._hb_interval = self.heartbeat.interval
+        self._hb_interval = self.heartbeat_interval
         # -- observability (see repro.obs) ----------------------------
         # Hot-path sites bump pre-bound Counter objects (one attribute
         # add); readers go through ``self.metrics.counters()``.
@@ -307,15 +308,14 @@ class NodeCore:
     def configure_failure(
         self,
         policy: str = DEGRADE,
-        heartbeat: Optional[HeartbeatConfig] = None,
+        heartbeat_interval: float = 0.0,
         recovery=None,
         topo_key=None,
         repair_fn: Optional[Callable[[], Optional[ChannelEnd]]] = None,
     ) -> None:
         """Install this node's fault-tolerance configuration."""
         self.policy = policy
-        if heartbeat is not None:
-            self.heartbeat = heartbeat
+        self.heartbeat_interval = heartbeat_interval
         self.recovery = recovery
         self.topo_key = topo_key
         self.repair_fn = repair_fn
@@ -430,7 +430,7 @@ class NodeCore:
             self._handle_link_closed(link_id)
             return
         # Any traffic counts as liveness — probes only matter on links
-        # that would otherwise be silent (see HeartbeatConfig).
+        # that would otherwise be silent (see heartbeat_tick).
         self._last_seen[link_id] = self.clock()
         self._c_messages_in.value += 1
         try:
@@ -554,6 +554,7 @@ class NodeCore:
     def handle_control_up(self, link_id: int, packet: Packet) -> None:
         if packet.tag == TAG_ENDPOINT_REPORT:
             (ranks,) = packet.unpack()
+            self._materialize_specs(ranks)
             self.routing.add_report(link_id, ranks)
             self.reported_ranks.update(ranks)
             if self.ready and not self.sent_report and self.parent is not None:
@@ -573,8 +574,13 @@ class NodeCore:
                     self._membership_changed(manager, gained=gained, recovery=True)
         elif packet.tag == TAG_RANKS_CHANGED:
             # Travels upstream to the front-end (which overrides
-            # _note_ranks_changed to record it for the tool).
+            # _note_ranks_changed to record it for the tool).  A change
+            # anywhere below is a new membership generation for the
+            # tool, so the root's own manager takes a new epoch too.
             if self.parent is None:
+                manager = self.stream_state(packet.unpack()[0])
+                if manager is not None:
+                    manager.bump_epoch()
                 self._note_ranks_changed(packet)
             else:
                 self._queue_up(packet)
@@ -625,6 +631,7 @@ class NodeCore:
         continues toward the front-end so every ancestor splices too.
         """
         rank, stream_ids = packet.unpack()
+        self._materialize_specs((), stream_ids)
         self.routing.add_report(link_id, [rank])
         if rank not in self.reported_ranks:
             self.reported_ranks.add(rank)
@@ -636,12 +643,6 @@ class NodeCore:
         for sid in stream_ids:
             manager = self.streams.get(sid)
             if manager is None:
-                # A pending bulk spec joins without materializing: the
-                # endpoint set travels with the spec, routes recompute
-                # at materialization.
-                spec = self._stream_specs.get(sid)
-                if spec is not None:
-                    spec["endpoints"] = spec["endpoints"] | {rank}
                 continue
             manager.add_endpoints([rank])
             spliced = link_id not in manager.child_links
@@ -679,6 +680,7 @@ class NodeCore:
         retire_link = self.routing.ranks_behind(link_id) <= {rank}
         if retire_link:
             self._announced_leaving.add(link_id)
+        self._materialize_specs((rank,))
         for manager in self.streams.values():
             if rank not in manager.endpoints:
                 continue
@@ -687,7 +689,6 @@ class NodeCore:
             if retired:
                 manager.retire_link(link_id)
             self._membership_changed(manager, lost=[rank], relinked=retired)
-        self._shrink_specs({rank})
         self.routing.remove_rank(rank)
 
     def _membership_changed(
@@ -714,20 +715,6 @@ class NodeCore:
                 gained=sorted(gained),
             )
 
-    def _shrink_specs(self, lost) -> None:
-        """Remove *lost* ranks from pending bulk specs, copy-on-write
-        with sharing preserved: specs that pointed at the same rank set
-        keep pointing at one (shrunk) set."""
-        shrunk: Dict[FrozenSet[int], FrozenSet[int]] = {}
-        for spec in self._stream_specs.values():
-            eps = spec["endpoints"]
-            if eps.isdisjoint(lost):
-                continue
-            new = shrunk.get(eps)
-            if new is None:
-                new = shrunk[eps] = eps - lost
-            spec["endpoints"] = new
-
     def _seed_from_checkpoints(self, manager, link_id: int, ranks) -> None:
         """Apply a dead child's checkpoint to a freshly adopted link.
 
@@ -746,18 +733,17 @@ class NodeCore:
                 manager.seed_watermark(link_id, wm)
 
     def handle_control_down(self, packet: Packet) -> None:
-        if packet.tag == TAG_NEW_STREAM:
-            manager = self._create_stream(*packet.unpack())
-            for link in manager.child_links:
-                self._queue_down(link, packet)
-        elif packet.tag == TAG_NEW_STREAMS:
-            # Batched announcement: register every stream as a lazy
-            # spec (materialized on first data packet) and forward the
+        if packet.tag == TAG_NEW_STREAMS:
+            # Register every announced stream as a spec and forward the
             # whole packet once down every link any announced group
             # routes through — one control wave for N streams.
             groups, specs = parse_new_streams(packet)
+            reg = self.registry
             for _sid, _gidx, sync_id, trans_id, _timeout, down_id, *_ in specs:
-                self._check_filters(sync_id, trans_id, down_id)
+                # An announced stream must name filters this node can build.
+                if not (reg.is_sync(sync_id) and reg.is_transform(trans_id)
+                        and (down_id == 0 or reg.is_transform(down_id))):
+                    raise PacketDecodeError(f"unknown filters {(sync_id, trans_id, down_id)}")
             interned = []
             fanout: set = set()
             for ranks in groups:
@@ -766,12 +752,8 @@ class NodeCore:
                 fanout.update(self.routing.links_for_group(grp))
             for stream_id, gidx, *params in specs:
                 self._stream_specs[stream_id] = {
-                    # Shared with the interned CommGroup (frozenset):
-                    # 5000 specs over one communicator hold ONE rank
-                    # set.  Membership churn rebinds copy-on-write.
                     "endpoints": interned[gidx].endpoints,
-                    # sync, transform, timeout, down, chunk, pattern:
-                    # the tail of _create_stream's arguments.
+                    # sync, transform, timeout, down, chunk, pattern
                     "params": params,
                 }
             for link in fanout:
@@ -790,7 +772,7 @@ class NodeCore:
             elif spec is not None:
                 # Never materialized here: close the announcement along
                 # the group's current routes.
-                for link in self.routing.links_for(frozenset(spec["endpoints"])):
+                for link in self.routing.links_for(spec["endpoints"]):
                     self._queue_down(link, packet)
         elif packet.tag == TAG_SHUTDOWN:
             self.shutting_down = True
@@ -837,26 +819,20 @@ class NodeCore:
         else:
             raise PacketDecodeError(f"control tag {packet.tag} from the parent")
 
-    def _check_filters(self, sync_id: int, trans_id: int, down_id: int) -> None:
-        """An announced stream must name filters this node can build."""
-        reg = self.registry
-        if not (reg.is_sync(sync_id) and reg.is_transform(trans_id)
-                and (down_id == 0 or reg.is_transform(down_id))):
-            raise PacketDecodeError(f"unknown filters {(sync_id, trans_id, down_id)}")
-
     # -- stream bookkeeping (lazy materialization + O(active) ticks) -------
 
-    def _create_stream(
-        self, stream_id, endpoints, sync_id, trans_id, timeout, down_id,
-        chunk_bytes, wave_pattern,
-    ) -> StreamManager:
-        """Build and register a live stream manager over the links its
-        endpoints route through (arguments in TAG_NEW_STREAM order)."""
-        self._check_filters(sync_id, trans_id, down_id)
+    def _materialize_stream(self, stream_id: int) -> Optional[StreamManager]:
+        """Turn an announced stream's spec into a live manager over the
+        links its endpoints route through now."""
+        spec = self._stream_specs.pop(stream_id, None)
+        if spec is None:
+            return None
+        endpoints = spec["endpoints"]
+        sync_id, trans_id, timeout, down_id, chunk_bytes, wave_pattern = spec["params"]
         manager = StreamManager.create(
             stream_id,
             endpoints,
-            self.routing.links_for(frozenset(endpoints)),
+            self.routing.links_for(endpoints),
             self.registry,
             sync_id,
             trans_id,
@@ -883,26 +859,30 @@ class NodeCore:
         self._armed_deadlines.pop(stream_id, None)
         return manager
 
-    def _materialize_stream(self, stream_id: int) -> Optional[StreamManager]:
-        """Instantiate a bulk-announced stream's state on first use.
+    def _materialize_specs(self, ranks, stream_ids=()) -> None:
+        """Materialize every spec a membership change touches: those
+        whose endpoints meet *ranks*, and those named in *stream_ids*.
 
-        Routes come from the interned group's epoch cache, so a spec
-        announced before repair/join/leave still materializes against
-        the *current* topology.
+        Call before the routing table changes, so each new manager
+        still holds the old membership and the manager path that
+        follows drops or splices the link and reports the change.
         """
-        spec = self._stream_specs.pop(stream_id, None)
-        if spec is None:
-            return None
-        return self._create_stream(
-            stream_id, sorted(spec["endpoints"]), *spec["params"]
-        )
+        specs = self._stream_specs
+        if not specs:
+            return
+        touched = [
+            sid for sid, spec in specs.items()
+            if sid in stream_ids or not spec["endpoints"].isdisjoint(ranks)
+        ]
+        for sid in touched:
+            self._materialize_stream(sid)
 
     def stream_state(self, stream_id: int) -> Optional[StreamManager]:
         """The stream's manager, materializing a lazy announcement.
 
         Use instead of ``streams.get`` when the caller needs live
-        state for a stream that may still be a pending bulk spec
-        (wave hooks, membership epochs).
+        state for a stream that may still be a spec (wave hooks,
+        membership epochs).
         """
         manager = self.streams.get(stream_id)
         if manager is None and self._stream_specs:
@@ -937,7 +917,7 @@ class NodeCore:
         manager = self.streams.get(packet.stream_id)
         if manager is None:
             if self._stream_specs:
-                # First data packet of a bulk-announced stream.
+                # First data packet of an announced stream.
                 manager = self._materialize_stream(packet.stream_id)
             if manager is None:
                 # Stream unknown here (e.g. point-to-point pass-through):
@@ -1012,6 +992,7 @@ class NodeCore:
             for key in [k for k in self._checkpoints if k[0] == link_id]:
                 self._checkpoints.pop(key, None)
         lost = self.routing.ranks_behind(link_id)
+        self._materialize_specs(lost)
         self.children.pop(link_id, None)
         buf = self._child_buffers.pop(link_id, None)
         if buf is not None:
@@ -1026,7 +1007,6 @@ class NodeCore:
                 self._membership_changed(
                     manager, lost=manager.endpoints & lost, recovery=not announced
                 )
-        self._shrink_specs(lost)
 
     def _repair_parent(self) -> bool:
         """Replace a dead parent link via the recovery coordinator.
@@ -1147,7 +1127,7 @@ class NodeCore:
         """Emit due probes and enforce liveness deadlines.
 
         Called periodically by whichever loop drives this core.  A
-        no-op unless :class:`HeartbeatConfig` enables probing.  Only
+        no-op unless ``heartbeat_interval`` is positive.  Only
         links whose peer has *ever* sent a probe are subject to the
         silence deadline, so a heartbeat-enabled node interoperates with
         passive peers (the tool's back-end thread, a front-end pumped
@@ -1160,7 +1140,7 @@ class NodeCore:
         jittered, so liveness semantics are unchanged.
         """
         if (
-            not self.heartbeat.enabled
+            self.heartbeat_interval <= 0
             or self.shutting_down
             or self.crashed
             or self.wedged
@@ -1181,7 +1161,7 @@ class NodeCore:
                 self._queue_down(link, probe)
                 self._c_heartbeats_sent.value += 1
             self._note_urgent()
-        deadline = self.heartbeat.deadline
+        deadline = self.heartbeat_interval * HB_MISS_THRESHOLD
         for link_id in list(self._hb_peers):
             last = self._last_seen.get(link_id)
             if last is None or now - last < deadline:
@@ -1200,18 +1180,18 @@ class NodeCore:
 
     def _draw_hb_interval(self) -> float:
         """Next probe interval: base interval with deterministic jitter."""
-        interval = self.heartbeat.interval
+        interval = self.heartbeat_interval
         return interval * (1.0 - HB_JITTER + 2.0 * HB_JITTER * self._hb_rng.random())
 
     def next_heartbeat_deadline(self) -> Optional[float]:
         """Earliest clock time :meth:`heartbeat_tick` has work to do
         (probe emission or a liveness deadline)."""
-        if not self.heartbeat.enabled or self.shutting_down:
+        if self.heartbeat_interval <= 0 or self.shutting_down:
             return None
         if self._last_beat is None:
             return self.clock()
         soonest = self._last_beat + self._hb_interval
-        deadline = self.heartbeat.deadline
+        deadline = self.heartbeat_interval * HB_MISS_THRESHOLD
         for link_id in self._hb_peers:
             last = self._last_seen.get(link_id)
             if last is None:

@@ -23,8 +23,9 @@ under one of three policies:
 **Heartbeats** — EOF detection only catches *closed* connections.  A
 wedged peer — alive at the TCP level but no longer processing — is
 caught by lightweight liveness probes (``TAG_HEARTBEAT``) multiplexed
-through each node's existing event loop, governed by a
-:class:`HeartbeatConfig` (probe interval + miss threshold).
+through each node's existing event loop at the network's probe
+interval; a peer silent for :data:`HB_MISS_THRESHOLD` intervals is
+declared dead.
 
 **RecoveryCoordinator** — the thread-hosted runtimes (``local`` and
 ``tcp`` transports) keep every process in one address space, so
@@ -56,7 +57,7 @@ __all__ = [
     "REPAIR",
     "POLICIES",
     "HB_JITTER",
-    "HeartbeatConfig",
+    "HB_MISS_THRESHOLD",
     "RanksChanged",
     "InstantiationError",
     "backoff_delays",
@@ -72,8 +73,15 @@ POLICIES = (FAIL_FAST, DEGRADE, REPAIR)
 #: interval uniformly from ``interval * [1 - HB_JITTER, 1 + HB_JITTER]``
 #: (deterministically, seeded by the node name) so a large tree's
 #: probes de-synchronize instead of bursting in lockstep.  Jitter never
-#: affects the *detection* deadline (:attr:`HeartbeatConfig.deadline`).
+#: affects the *detection* deadline (:data:`HB_MISS_THRESHOLD`).
 HB_JITTER = 0.2
+
+#: A peer is declared dead after this many consecutive nominal probe
+#: intervals with *no* traffic of any kind: data packets count as
+#: liveness, so probes only flow on otherwise-idle links.  With
+#: :data:`HB_JITTER` ``<= 0.5`` a live peer's probes always arrive
+#: inside the deadline.
+HB_MISS_THRESHOLD = 3
 
 
 class InstantiationError(ConnectionError):
@@ -88,35 +96,6 @@ class InstantiationError(ConnectionError):
         self.address = tuple(address)
         self.attempts = attempts
         self.last_error = last_error
-
-
-@dataclass(frozen=True)
-class HeartbeatConfig:
-    """Liveness probing knobs.
-
-    ``interval`` seconds between probes (``<= 0`` disables heartbeats
-    entirely — the default — so steady-state overhead is zero unless a
-    tool opts in).  A peer is declared dead after ``miss_threshold``
-    consecutive intervals with *no* traffic of any kind: data packets
-    count as liveness, so probes only flow on otherwise-idle links.
-    """
-
-    interval: float = 0.0
-    miss_threshold: int = 3
-
-    @property
-    def enabled(self) -> bool:
-        return self.interval > 0
-
-    @property
-    def deadline(self) -> float:
-        """Silence longer than this declares the peer dead.
-
-        Computed from the nominal interval: with :data:`HB_JITTER`
-        ``<= 0.5`` and ``miss_threshold >= 2`` a live peer's probes
-        always arrive inside the deadline.
-        """
-        return self.interval * max(self.miss_threshold, 1)
 
 
 @dataclass(frozen=True)

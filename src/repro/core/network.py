@@ -65,7 +65,6 @@ from .failure import (
     FAIL_FAST,
     POLICIES,
     REPAIR,
-    HeartbeatConfig,
     RanksChanged,
     RecoveryCoordinator,
 )
@@ -78,7 +77,6 @@ from .protocol import (
     WAVE_REDUCE,
     WAVE_REDUCE_TO_ALL,
     make_close_stream,
-    make_new_stream,
     make_new_streams,
     make_shutdown,
     make_stats_request,
@@ -288,7 +286,6 @@ class Network:
         filter_specs: Optional[List[tuple]] = None,
         policy: str = DEGRADE,
         heartbeat_interval: float = 0.0,
-        heartbeat_miss_threshold: int = 3,
         colocate: bool = False,
     ):
         """Instantiate the network.
@@ -338,9 +335,9 @@ class Network:
         internal nodes receive their ancestor addresses at spawn time
         and re-dial the nearest live one on parent death.
         ``heartbeat_interval`` > 0 enables liveness probes between
-        internal processes with the given period;
-        ``heartbeat_miss_threshold`` intervals of total silence
-        declare a peer dead.
+        internal processes with the given period; a peer silent for
+        :data:`~repro.core.failure.HB_MISS_THRESHOLD` intervals is
+        declared dead.
         """
         if transport not in TRANSPORTS:
             raise NetworkError(f"unknown transport {transport!r}")
@@ -356,9 +353,7 @@ class Network:
         self.transport = transport
         self.policy = policy
         self._startup_timeout = startup_timeout
-        self.heartbeat = HeartbeatConfig(
-            interval=heartbeat_interval, miss_threshold=heartbeat_miss_threshold
-        )
+        self.heartbeat_interval = heartbeat_interval
         self.topology = self._resolve_topology(topology)
         self._plan = plan_placement(self.topology, transport, colocate)
         self.registry = registry if registry is not None else default_registry()
@@ -512,7 +507,7 @@ class Network:
                 # lookup and edge construction happen there).
                 comm.core.configure_failure(
                     policy=self.policy,
-                    heartbeat=self.heartbeat,
+                    heartbeat_interval=self.heartbeat_interval,
                     recovery=self._recovery,
                     topo_key=child.key,
                     repair_fn=(
@@ -607,7 +602,7 @@ class Network:
 
         opts = RecursiveOpts(
             filter_specs=self.filter_specs,
-            heartbeat=self.heartbeat,
+            heartbeat_interval=self.heartbeat_interval,
             repair=self.policy == REPAIR,
         )
         direct_internal = [c for c in root.children if not c.is_leaf]
@@ -843,7 +838,7 @@ class Network:
             stream_ids = sorted(self._streams)
             for sid in stream_ids:
                 # Pre-seed the stream handles the join enters: the
-                # joiner missed the NEW_STREAM broadcast, but this
+                # joiner missed the NEW_STREAMS broadcast, but this
                 # front-end knows every open stream's parameters.
                 backend.register_stream(
                     sid, chunk_bytes=self._streams[sid].chunk_bytes or 0
@@ -1080,30 +1075,11 @@ class Network:
         or ``WAVE_REDUCE_TO_ALL`` (result also broadcast back down to
         all back-ends; see :meth:`Stream.allreduce`).
         """
-        self._check_up()
-        self._check_stream_args(
-            communicator, transform, sync, down_transform, chunk_bytes, pattern
-        )
-        stream_id = self._next_stream_id
-        self._next_stream_id += 1
-        self._core.stream_queues[stream_id] = deque()
-        packet = make_new_stream(
-            stream_id,
-            sorted(communicator.ranks),
-            sync,
-            transform,
-            sync_timeout,
-            down_transform,
-            chunk_bytes=chunk_bytes or 0,
-            wave_pattern=pattern,
-        )
-        self._core.handle_control_down(packet)
-        self._core.flush()
-        stream = Stream(
-            self, stream_id, communicator, chunk_bytes=chunk_bytes, pattern=pattern
-        )
-        self._streams[stream_id] = stream
-        return stream
+        return self.new_streams([(communicator, {
+            "transform": transform, "sync": sync, "sync_timeout": sync_timeout,
+            "down_transform": down_transform, "chunk_bytes": chunk_bytes,
+            "pattern": pattern,
+        })])[0]
 
     def new_streams(
         self,
@@ -1117,15 +1093,14 @@ class Network:
         ``down_transform``, ``chunk_bytes``, ``pattern``) — or bare
         ``communicator`` objects for all-default streams.
 
-        This is the many-stream fast path (ROADMAP item 2): instead of
-        one ``TAG_NEW_STREAM`` control packet per stream, the batch is
-        announced in a single ``TAG_NEW_STREAMS`` packet whose
-        endpoint sets are deduplicated into interned
-        :class:`~repro.core.routing.CommGroup` references.  Each comm
-        node registers lightweight stream *specs* and materializes the
-        full :class:`StreamManager` lazily on the first data packet,
-        so creating 5000 streams over one communicator costs one
-        control wave plus O(1) bookkeeping per stream per node.
+        The batch is announced in a single ``TAG_NEW_STREAMS`` packet
+        whose endpoint sets are deduplicated into interned
+        :class:`~repro.core.routing.CommGroup` references.  Each node
+        registers lightweight stream *specs* and builds the full
+        :class:`StreamManager` on the stream's first data packet or
+        the first membership change touching its ranks, so creating
+        5000 streams over one communicator costs one control wave plus
+        O(1) bookkeeping per stream per node.
         """
         pairs: List[tuple] = []
         for spec in specs:

@@ -12,19 +12,19 @@ order:
 * ``TAG_ENDPOINT_REPORT`` (upstream) — "the root of that sub-tree
   sends a report to its parent containing the end-points accessible
   via that sub-tree" (§2.5): the back-end ranks.
-* ``TAG_NEW_STREAM`` (downstream) — stream creation announcement:
-  stream id, endpoint ranks, synchronization filter id, upstream
-  transformation filter id, synchronization timeout (seconds;
-  meaningful for TimeOut sync), downstream transformation filter id,
-  chunk size in bytes (0 = chunking disabled), and wave pattern (see
-  *Chunked waves* below).
-* ``TAG_NEW_STREAMS`` (downstream) — *batched* stream creation: one
-  packet announces many streams in a single control wave.  Its one
-  string is a JSON document with ``"g"`` (deduplicated communicator
-  rank lists) and ``"s"`` (per-stream field tuples referencing a
-  group by index), so a thousand streams over one communicator ship
-  its rank list once.  Nodes register the announcements *lazily* and
-  instantiate a stream's filter state on its first data packet.
+* ``TAG_NEW_STREAMS`` (downstream) — stream creation announcement,
+  the one way a stream is opened: one packet announces one or many
+  streams in a single control wave.  Its one string is a JSON
+  document with ``"g"`` (deduplicated communicator rank lists) and
+  ``"s"`` (per-stream field tuples: stream id, index of its group in
+  ``"g"``, synchronization filter id, upstream transformation filter
+  id, synchronization timeout in seconds, downstream transformation
+  filter id, chunk size in bytes with 0 disabling chunking, and wave
+  pattern — see *Chunked waves* below), so a thousand streams over
+  one communicator ship its rank list once.  Nodes hold each
+  announcement as a *spec* and build a stream's filter state on its
+  first data packet or the first membership change touching its
+  ranks.
 * ``TAG_CLOSE_STREAM`` (downstream) — stream id.
 * ``TAG_SHUTDOWN`` (downstream) — tears the tree down.
 * ``TAG_HEARTBEAT`` (both directions) — liveness probe, consumed at
@@ -102,9 +102,9 @@ framing fields of :data:`~repro.core.chunking.CHUNK_PREFIX_FMT`::
 is ``stream_id == CONTROL_STREAM_ID``, so chunks route through the
 ordinary data plane.  See :mod:`repro.core.chunking` for the codec.
 
-``TAG_NEW_STREAM`` carries two trailing fields for this machinery:
-``chunk_bytes`` (0 disables chunking) and ``wave_pattern`` (one of
-:data:`WAVE_REDUCE`, :data:`WAVE_REDUCE_TO_ALL`).
+A stream's ``chunk_bytes`` (0 disables chunking) and ``wave_pattern``
+(one of :data:`WAVE_REDUCE`, :data:`WAVE_REDUCE_TO_ALL`) ride its
+``TAG_NEW_STREAMS`` field tuple.
 """
 
 from __future__ import annotations
@@ -118,7 +118,6 @@ __all__ = [
     "CONTROL_STREAM_ID",
     "FIRST_STREAM_ID",
     "TAG_ENDPOINT_REPORT",
-    "TAG_NEW_STREAM",
     "TAG_CLOSE_STREAM",
     "TAG_SHUTDOWN",
     "TAG_HEARTBEAT",
@@ -161,7 +160,6 @@ CONTROL_STREAM_ID = 0
 FIRST_STREAM_ID = 1
 
 TAG_ENDPOINT_REPORT = -1
-TAG_NEW_STREAM = -2
 TAG_CLOSE_STREAM = -3
 TAG_SHUTDOWN = -4
 TAG_HEARTBEAT = -5
@@ -183,7 +181,7 @@ TAG_CHUNK = -16
 
 FIRST_APP_TAG = 100
 
-#: Wave patterns (``TAG_NEW_STREAM`` trailing field).  ``WAVE_REDUCE``
+#: Wave patterns (a ``TAG_NEW_STREAMS`` stream field).  ``WAVE_REDUCE``
 #: is the classic upstream reduction; ``WAVE_REDUCE_TO_ALL`` turns the
 #: reduced result around at the root and broadcasts it back down the
 #: same stream.
@@ -196,7 +194,6 @@ WAVE_PATTERNS = (WAVE_REDUCE, WAVE_REDUCE_TO_ALL)
 #: control packets to it.
 CONTROL_FORMATS = {
     TAG_ENDPOINT_REPORT: "%aud",
-    TAG_NEW_STREAM: "%ud %aud %d %d %lf %d %d %d",
     TAG_CLOSE_STREAM: "%ud",
     TAG_SHUTDOWN: "%d",
     TAG_HEARTBEAT: "%ud",
@@ -251,21 +248,16 @@ def make_new_stream(
     chunk_bytes: int = 0,
     wave_pattern: int = WAVE_REDUCE,
 ) -> Packet:
-    """Build the downstream stream-creation announcement.
+    """Build a ``TAG_NEW_STREAMS`` announcement of one stream.
 
     ``chunk_bytes`` of 0 disables chunking for the stream;
     ``wave_pattern`` is one of :data:`WAVE_PATTERNS`.
     """
-    return _control(
-        TAG_NEW_STREAM,
-        stream_id,
-        tuple(endpoints),
-        sync_filter_id,
-        transform_filter_id,
-        float(sync_timeout),
-        down_transform_filter_id,
-        int(chunk_bytes),
-        int(wave_pattern),
+    return make_new_streams(
+        [endpoints],
+        [(stream_id, 0, sync_filter_id, transform_filter_id,
+          float(sync_timeout), down_transform_filter_id, int(chunk_bytes),
+          int(wave_pattern))],
     )
 
 
@@ -273,17 +265,15 @@ def make_new_streams(
     groups: Sequence[Sequence[int]],
     streams: Sequence[Tuple[int, int, int, int, float, int, int, int]],
 ) -> Packet:
-    """Build a *batched* downstream stream-creation announcement.
+    """Build the downstream stream-creation announcement.
 
-    One ``TAG_NEW_STREAMS`` packet announces many streams in a single
-    control wave (the many-stream fast path behind
-    ``Network.new_streams``).  *groups* is the deduplicated list of
+    One ``TAG_NEW_STREAMS`` packet announces any number of streams in
+    a single control wave.  *groups* is the deduplicated list of
     communicator endpoint sets (sorted rank sequences); each entry of
     *streams* is ``(stream_id, group_index, sync_filter_id,
     transform_filter_id, sync_timeout, down_transform_filter_id,
-    chunk_bytes, wave_pattern)`` — the ``TAG_NEW_STREAM`` fields with
-    the endpoint array replaced by an index into *groups*, so N
-    streams over one communicator ship its rank list once.
+    chunk_bytes, wave_pattern)``, so N streams over one communicator
+    ship its rank list once.
     """
     doc = {
         "g": [list(g) for g in groups],

@@ -173,8 +173,8 @@ class Stream:
         thread.  Pass ``None`` to leave a hook unchanged; use
         :meth:`clear_wave_hooks` to remove them.
         """
-        # stream_state() materializes bulk-created (lazy) streams so
-        # hooks can install before the first data packet arrives.
+        # stream_state() materializes a stream that is still a spec,
+        # so hooks can install before the first data packet arrives.
         manager = self._network._core.stream_state(self.stream_id)
         if manager is None:
             raise StreamClosed(
@@ -187,8 +187,8 @@ class Stream:
 
     def clear_wave_hooks(self) -> None:
         """Remove any stream-manager hooks installed by :meth:`set_wave_hooks`."""
-        # Lazy (not-yet-materialized) streams cannot have hooks —
-        # installing one materializes — so .get() suffices here.
+        # A stream that is still a spec cannot have hooks — installing
+        # one materializes it — so .get() suffices here.
         manager = self._network._core.streams.get(self.stream_id)
         if manager is not None:
             manager.on_wave_complete = None
@@ -198,9 +198,11 @@ class Stream:
     def membership_epoch(self) -> int:
         """The front-end's wave-membership epoch for this stream.
 
-        Starts at 0 and bumps on every membership change at the root
-        (a child link died, an orphan was adopted); lets a tool
-        correlate an aggregate with the rank set that produced it.
+        Starts at 0 and bumps on every membership change anywhere in
+        the tree: one the root makes itself (a child link died, an
+        orphan was adopted, a rank joined or left) and every
+        ``RanksChanged`` a descendant reports.  Lets a tool correlate
+        an aggregate with the rank set that produced it.
         """
         manager = self._network._core.streams.get(self.stream_id)
         return manager.membership_epoch if manager is not None else 0

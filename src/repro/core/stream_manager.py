@@ -277,7 +277,7 @@ class StreamManager:
         chunk_bytes: int = 0,
         wave_pattern: int = WAVE_REDUCE,
     ) -> "StreamManager":
-        """Instantiate filters from registry ids (the NEW_STREAM path)."""
+        """Instantiate filters from registry ids (a stream spec's fields)."""
         clock = clock or time.monotonic
         kwargs = {}
         if sync_filter_id == SFILTER_TIMEOUT:
@@ -381,7 +381,7 @@ class StreamManager:
         if ack is not None and self.ack_hook is not None:
             self.ack_hook(link_id, self.stream_id, ack)
 
-    def _bump_epoch(self) -> None:
+    def bump_epoch(self) -> None:
         """Advance the membership epoch and fire the change hook."""
         self.membership_epoch += 1
         if self.on_membership_change is not None:
@@ -397,7 +397,7 @@ class StreamManager:
         sibling's fragments for it are dropped too), so the next wave
         realigns cleanly under the bumped membership epoch.
         """
-        self._bump_epoch()
+        self.bump_epoch()
         self._in.drop(link_id)
         backlog = self.sync.remove_child(link_id)
         if link_id in self.child_links:
@@ -425,7 +425,7 @@ class StreamManager:
             return
         self.child_links.append(link_id)
         self.sync.add_child(link_id, joining=True)
-        self._bump_epoch()
+        self.bump_epoch()
 
     def retire_link(self, link_id: int) -> None:
         """Lame-duck a child link that announced a graceful leave.
@@ -438,7 +438,7 @@ class StreamManager:
         """
         if link_id not in self.child_links:
             return
-        self._bump_epoch()
+        self.bump_epoch()
         self.sync.retire_child(link_id)
 
     def add_endpoints(self, ranks: Sequence[int]) -> None:
@@ -451,14 +451,14 @@ class StreamManager:
         grown = self.endpoints | frozenset(ranks)
         if grown != self.endpoints:
             self.endpoints = grown
-            self._bump_epoch()
+            self.bump_epoch()
 
     def remove_endpoints(self, ranks: Sequence[int]) -> None:
         """Retire departed back-end ranks (TAG_LEAVE or degrade)."""
         shrunk = self.endpoints - frozenset(ranks)
         if shrunk != self.endpoints:
             self.endpoints = shrunk
-            self._bump_epoch()
+            self.bump_epoch()
 
     def flush_upstream(self) -> List[Packet]:
         """Stream teardown: push every held packet through the filter.

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .core.commnode import NodeCore
-from .core.failure import REPAIR, HeartbeatConfig
+from .core.failure import REPAIR
 from .core.protocol import make_addr_report
 from .filters.registry import default_registry
 from .transport.channel import Inbox
@@ -135,7 +135,7 @@ class RecursiveOpts:
     """Everything a subtree spawn must inherit from its parent."""
 
     filter_specs: List[Tuple[str, str, Optional[str]]] = field(default_factory=list)
-    heartbeat: Optional[HeartbeatConfig] = None
+    heartbeat_interval: float = 0.0  # liveness probe period; 0 disables
     accept_timeout: float = 60.0
     repair: bool = False  # re-dial a live ancestor when the parent dies
 
@@ -144,11 +144,8 @@ class RecursiveOpts:
         args = ["--accept-timeout", str(self.accept_timeout)]
         if self.repair:
             args += ["--repair"]
-        if self.heartbeat is not None and self.heartbeat.enabled:
-            args += [
-                "--heartbeat-interval", str(self.heartbeat.interval),
-                "--heartbeat-miss", str(self.heartbeat.miss_threshold),
-            ]
+        if self.heartbeat_interval > 0:
+            args += ["--heartbeat-interval", str(self.heartbeat_interval)]
         for spec in self.filter_specs:
             text = f"{spec[0]}:{spec[1]}"
             if len(spec) > 2 and spec[2]:
@@ -414,17 +411,14 @@ def run_commnode_recursive(
 def _recursive_core(spec, registry, parent_end, opts, repair_fn) -> NodeCore:
     core = NodeCore(spec["l"], registry, _count_leaves(spec), parent=parent_end)
     core.obs_rank = int(spec.get("r", -1))
-    kwargs = {}
-    if opts.heartbeat is not None:
-        kwargs["heartbeat"] = opts.heartbeat
+    kwargs = {"heartbeat_interval": opts.heartbeat_interval}
     if opts.repair:
         # Keyed on the network's policy, not on whether this node can
         # re-dial: the front-end's own children have no ancestor to
         # re-home onto, yet their deposits are what it seeds from.
         kwargs["policy"] = REPAIR
         kwargs["repair_fn"] = repair_fn
-    if kwargs:
-        core.configure_failure(**kwargs)
+    core.configure_failure(**kwargs)
     return core
 
 
@@ -453,10 +447,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="liveness probe period in seconds (0 disables heartbeats)",
     )
     parser.add_argument(
-        "--heartbeat-miss", type=int, default=3,
-        help="silent intervals before a peer is declared dead",
-    )
-    parser.add_argument(
         "--repair", action="store_true",
         help="repair policy: survive a dead parent by re-dialing a "
         "live ancestor, and keep accepting connections so orphaned "
@@ -470,15 +460,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         spec = json.loads(args.subtree)
     except ValueError as exc:
         parser.error(str(exc))
-    heartbeat = None
-    if args.heartbeat_interval > 0:
-        heartbeat = HeartbeatConfig(
-            interval=args.heartbeat_interval,
-            miss_threshold=args.heartbeat_miss,
-        )
     opts = RecursiveOpts(
         filter_specs=specs,
-        heartbeat=heartbeat,
+        heartbeat_interval=args.heartbeat_interval,
         accept_timeout=args.accept_timeout,
         repair=args.repair,
     )

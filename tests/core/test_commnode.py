@@ -107,7 +107,7 @@ class TestStreamLifecycle:
     def test_new_stream_creates_manager_and_forwards(self):
         core, _, child_inboxes, links = build_node(n_children=2, expected=2)
         self.setup_streams(core, links)
-        assert 5 in core.streams
+        assert core.stream_state(5).child_links == links
         core.flush()
         for ci in child_inboxes:
             pkts = drain(ci)

@@ -27,7 +27,6 @@ from repro.core.protocol import (
     TAG_ENDPOINT_REPORT,
     TAG_JOIN,
     TAG_LEAVE,
-    TAG_NEW_STREAM,
     TAG_NEW_STREAMS,
     TAG_STATS_REQUEST,
     TAG_WAVE_ACK,
@@ -48,6 +47,10 @@ from repro.filters.registry import (
     default_registry,
 )
 from repro.transport.channel import Channel, Inbox
+
+#: The tag number a retired single-stream announcement used: now an
+#: unknown control tag like any other.
+RETIRED_TAG = -2
 
 #: Ranks behind each child link of the test node.
 BEHIND = ([0, 1], [2, 3])
@@ -74,6 +77,7 @@ def build_node(core_cls=NodeCore):
     core.handle_control_down(
         make_new_stream(STREAM, [0, 1, 2, 3], SFILTER_WAITFORALL, TFILTER_SUM)
     )
+    core.stream_state(STREAM)
     core.flush()
     return core, links
 
@@ -103,9 +107,9 @@ _SHAPES = {"json": ("%s", ("not json",)), "int": ("%d", (7,)), "pair": ("%s %s",
 PROBE = [
     (TAG_ENDPOINT_REPORT, "int", "child"),
     (TAG_ENDPOINT_REPORT, "pair", "child"),
-    (TAG_NEW_STREAM, "json", "parent"),
-    (TAG_NEW_STREAM, "int", "parent"),
-    (TAG_NEW_STREAM, "pair", "parent"),
+    (RETIRED_TAG, "json", "parent"),
+    (RETIRED_TAG, "int", "parent"),
+    (RETIRED_TAG, "pair", "parent"),
     (TAG_CLOSE_STREAM, "pair", "parent"),
     (TAG_STATS_REQUEST, "json", "parent"),
     (TAG_STATS_REQUEST, "pair", "parent"),
@@ -126,6 +130,7 @@ PROBE = [
 
 
 _TAG_NAMES = {v: k for k, v in vars(protocol).items() if k.startswith("TAG_")}
+_TAG_NAMES[RETIRED_TAG] = "RETIRED_TAG"
 
 
 @pytest.mark.parametrize(
@@ -216,7 +221,7 @@ def test_corrupt_body_costs_the_first_hop_link(side, packet):
 def test_six_field_new_stream_is_rejected():
     core, _links = build_node()
     legacy = Packet(
-        CONTROL_STREAM_ID, TAG_NEW_STREAM, "%ud %aud %d %d %lf %d",
+        CONTROL_STREAM_ID, RETIRED_TAG, "%ud %aud %d %d %lf %d",
         (7, (0, 1), SFILTER_WAITFORALL, TFILTER_SUM, 0.0, 0),
     )
     core.handle_payload(core.parent_link_id, encode_batch([legacy]))
@@ -230,7 +235,7 @@ def test_unknown_filter_in_an_announcement_is_malformed():
         core.parent_link_id,
         encode_batch([make_new_stream(7, [0, 1], SFILTER_WAITFORALL, 9999)]),
     )
-    assert 7 not in core.streams
+    assert 7 not in core._stream_specs
     assert rejected(core) == 1
 
 

@@ -1,12 +1,14 @@
 """Many-stream runtime at one NodeCore: batched lazy stream specs
-(``TAG_NEW_STREAMS``), copy-on-write endpoint sharing, and the
-O(active) tick machinery that keeps thousands of idle streams free."""
+(``TAG_NEW_STREAMS``) sharing one endpoint set, materialized by data or
+by a membership change that touches them, and the O(active) tick
+machinery that keeps thousands of idle streams free."""
 
 import time
 
 from repro.core.packet import Packet
 from repro.core.protocol import (
     TAG_NEW_STREAMS,
+    TAG_RANKS_CHANGED,
     WAVE_REDUCE,
     make_close_stream,
     make_endpoint_report,
@@ -122,32 +124,68 @@ class TestSpecEndpointSharing:
         grp = core.routing.group(frozenset([0, 1, 2, 3]))
         assert sets[0] is grp.endpoints
 
-    def test_leave_rebinds_copy_on_write_preserving_sharing(self):
-        core, _, _, links = build_node(n_children=2, expected=4)
+    def test_leave_materializes_every_spec_it_touches(self):
+        """Specs over the leaver's rank become managers that report
+        the loss; a spec over other ranks stays a shared spec."""
+        core, parent_inbox, _, links = build_node(n_children=2, expected=4)
         core.dispatch(links[0], make_endpoint_report([0, 1]))
         core.dispatch(links[1], make_endpoint_report([2, 3]))
-        announce(core, 50)
-        grp = core.routing.group(frozenset([0, 1, 2, 3]))
+        touched = announce(core, 50)
+        untouched = announce(core, 10, group=(0, 1), first_sid=100)
+        drain(parent_inbox)
 
         core.dispatch(links[1], make_leave(3))
+        assert set(core.streams) == set(touched)
+        assert set(core._stream_specs) == set(untouched)
+        for sid in touched:
+            manager = core.streams[sid]
+            assert manager.endpoints == frozenset([0, 1, 2])
+            assert manager.membership_epoch == 1
+        core.flush()
+        events = [p for p in drain(parent_inbox) if p.tag == TAG_RANKS_CHANGED]
+        assert sorted(p.values[0] for p in events) == touched
+        assert all(p.values[2] == (3,) for p in events)
         sets = [spec["endpoints"] for spec in core._stream_specs.values()]
-        assert all(s == frozenset([0, 1, 2]) for s in sets)
         assert len({id(s) for s in sets}) == 1  # still ONE shared set
-        # The interned group is immutable: divergence never leaks back.
-        assert grp.endpoints == frozenset([0, 1, 2, 3])
+        assert sets[0] == frozenset([0, 1])
 
     def test_join_extends_a_pending_spec(self):
-        core, _, _, links = build_node(n_children=2, expected=4)
+        """A join naming a spec materializes it before the new link is
+        routed, so the manager splices the link in and reports it."""
+        core, parent_inbox, _, links = build_node(n_children=2, expected=4)
         core.dispatch(links[0], make_endpoint_report([0, 1]))
         core.dispatch(links[1], make_endpoint_report([2, 3]))
-        (sid,) = announce(core, 1)
+        sid, other = announce(core, 2)
+        drain(parent_inbox)
         core.dispatch(links[1], make_join(9, [sid]))
-        assert core._stream_specs[sid]["endpoints"] == frozenset(
-            [0, 1, 2, 3, 9]
-        )
-        # Materialization sees the joined membership.
-        core.dispatch(links[0], data_up(sid, 1))
+        assert sid not in core._stream_specs
         assert core.streams[sid].endpoints == frozenset([0, 1, 2, 3, 9])
+        assert core.streams[sid].membership_epoch == 1
+        core.flush()
+        (event,) = [p for p in drain(parent_inbox) if p.tag == TAG_RANKS_CHANGED]
+        assert event.values[0] == sid and event.values[3] == (9,)
+        # A stream the join does not name stays a spec.
+        assert other in core._stream_specs
+
+    def test_child_death_materializes_specs_before_rerouting(self):
+        """A spec over a dead child's ranks becomes a manager that
+        drops the link and reports the loss; one over other ranks
+        stays a spec and never hears of it."""
+        core, parent_inbox, _, links = build_node(n_children=2, expected=4)
+        core.dispatch(links[0], make_endpoint_report([0, 1]))
+        core.dispatch(links[1], make_endpoint_report([2, 3]))
+        (over_all,) = announce(core, 1)
+        (over_left,) = announce(core, 1, group=(0, 1), first_sid=2)
+        drain(parent_inbox)
+
+        core.handle_payload(links[1], None)
+        manager = core.streams[over_all]
+        assert manager.child_links == [links[0]]
+        assert manager.membership_epoch == 1
+        assert over_left in core._stream_specs
+        core.flush()
+        (event,) = [p for p in drain(parent_inbox) if p.tag == TAG_RANKS_CHANGED]
+        assert event.values[0] == over_all and event.values[2] == (2, 3)
 
 
 class TestOActiveTicks:
@@ -160,6 +198,7 @@ class TestOActiveTicks:
                 make_new_stream(sid, [0, 1, 2, 3], SFILTER_WAITFORALL,
                                 TFILTER_SUM)
             )
+            core.stream_state(sid)
         assert len(core.streams) == 100
         assert core._active_streams == {}
         assert core.next_timeout_deadline() is None
@@ -179,6 +218,7 @@ class TestOActiveTicks:
             make_new_stream(sid, [0, 1, 2, 3], SFILTER_TIMEOUT, TFILTER_SUM,
                             sync_timeout=0.02)
         )
+        core.stream_state(sid)
         assert core.has_timeout_streams
         # No wave in flight yet: nothing armed, loops may sleep forever.
         assert core.next_timeout_deadline() is None

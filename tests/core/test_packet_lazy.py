@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core.batching import PacketBuffer, decode_batch, encode_batch
 from repro.core.commnode import NodeCore
 from repro.core.packet import _NUMPY_THRESHOLD, Packet, PacketDecodeError
-from repro.core.protocol import CONTROL_STREAM_ID, TAG_NEW_STREAM, make_new_stream
+from repro.core.protocol import CONTROL_STREAM_ID, make_new_stream
 from repro.filters.registry import (
     SFILTER_DONTWAIT,
     TFILTER_NULL,

@@ -6,7 +6,6 @@ from repro.core.packet import Packet, PacketDecodeError
 from repro.core.protocol import (
     CONTROL_STREAM_ID,
     TAG_ENDPOINT_REPORT,
-    TAG_NEW_STREAM,
     check_control,
     make_close_stream,
     make_endpoint_report,
@@ -33,19 +32,17 @@ class TestControlPackets:
         p = make_new_stream(7, [0, 1, 2], 100, 3, sync_timeout=0.25,
                             down_transform_filter_id=5, chunk_bytes=4096,
                             wave_pattern=1)
-        assert p.tag == TAG_NEW_STREAM
-        sid, eps, sync, trans, timeout, down, chunk, pattern = Packet.from_bytes(
-            p.to_bytes()
-        ).unpack()
-        assert (sid, eps, sync, trans, timeout, down, chunk, pattern) == (
-            7, (0, 1, 2), 100, 3, 0.25, 5, 4096, 1,
-        )
+        assert p.tag == TAG_NEW_STREAMS
+        groups, specs = parse_new_streams(Packet.from_bytes(p.to_bytes()))
+        assert groups == [(0, 1, 2)]
+        assert specs == [(7, 0, 100, 3, 0.25, 5, 4096, 1)]
 
     def test_six_field_new_stream_rejected(self):
-        """NEW_STREAM has one format; the old six-field one is refused."""
+        """A stream is announced one way; a six-field packet under the
+        retired single-stream tag (-2) is an unknown tag, refused."""
         check_control(Packet.from_bytes(make_new_stream(7, [0, 1], 100, 3).to_bytes()))
         p = Packet(
-            CONTROL_STREAM_ID, TAG_NEW_STREAM, "%ud %aud %d %d %lf %d",
+            CONTROL_STREAM_ID, -2, "%ud %aud %d %d %lf %d",
             (7, (0, 1), 100, 3, 0.0, 0),
         )
         with pytest.raises(PacketDecodeError):

@@ -160,7 +160,6 @@ class TestInprocLinkFaults:
             colocate=True,
             policy=DEGRADE,
             heartbeat_interval=self.INTERVAL,
-            heartbeat_miss_threshold=3,
         )
         shutdown_nets.append(net)
         stream = net.new_stream(

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.core import DEGRADE, Network
-from repro.core.failure import HB_JITTER
+from repro.core.failure import HB_JITTER, HB_MISS_THRESHOLD
 from repro.faultinject import FaultInjector
 from repro.filters import TFILTER_SUM
 from repro.topology import balanced_tree
@@ -29,7 +29,6 @@ def heartbeat_net(shutdown_nets, depth=3, fanout=2, interval=INTERVAL, **kwargs)
         balanced_tree(fanout, depth),
         transport="tcp",
         heartbeat_interval=interval,
-        heartbeat_miss_threshold=3,
         **kwargs,
     )
     shutdown_nets.append(net)
@@ -98,7 +97,7 @@ class TestHeartbeatJitter:
         *detection* deadline is never jittered."""
         net = heartbeat_net(shutdown_nets, depth=3)
         assert HB_JITTER == pytest.approx(0.2)
-        assert net.heartbeat.deadline == pytest.approx(3 * INTERVAL)
+        assert HB_MISS_THRESHOLD * net.heartbeat_interval == pytest.approx(3 * INTERVAL)
 
         schedules = []
         for node in net._commnodes:
@@ -129,7 +128,7 @@ class TestNoFalsePositives:
     def test_heartbeats_disabled_by_default(self, shutdown_nets):
         net = Network(balanced_tree(2, 2), transport="tcp")
         shutdown_nets.append(net)
-        assert not net.heartbeat.enabled
+        assert net.heartbeat_interval == 0
         time.sleep(0.2)
         assert all(
             s.get("heartbeats_sent", 0) == 0

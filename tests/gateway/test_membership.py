@@ -14,8 +14,10 @@ import time
 import pytest
 
 from repro.core import Network
+from repro.faultinject import FaultInjector
 from repro.filters import TFILTER_SUM
 from repro.gateway import BackendResponder, Gateway, Query
+from repro.topology import balanced_tree
 
 from .conftest import RECV_TIMEOUT, wait_until
 
@@ -214,3 +216,28 @@ class TestEpochBookkeeping:
             assert snapshot["gateway_entries_invalidated"] >= 1
         finally:
             gw.close()
+
+
+class TestDeepDeath:
+    def test_deep_kill_drops_the_cached_entry(self):
+        """A comm node two hops below the root dies: the root's own
+        manager drops no link, yet the membership changed, so the
+        cached sum must go and the next query pays a fresh wave."""
+        net = Network(balanced_tree(2, 3), colocate=True)
+        responder = BackendResponder(net.backends)
+        gw = Gateway(net, cache_ttl=60.0)
+        try:
+            session = gw.session()
+            assert session.submit(sum_query(2)).result(timeout=RECV_TIMEOUT) == (16,)
+            before = gw.stats()["invalidated"]
+            victim = next(n for n in net._commnodes if n.core.reported_ranks == {0, 1})
+            with gw.paused():
+                FaultInjector(net).kill_commnode(victim.core.name)
+            wait_membership(gw, net, lambda ev: ev.lost == (0, 1))
+            assert gw.stats()["invalidated"] == before + 1
+            assert session.submit(sum_query(2)).result(timeout=RECV_TIMEOUT) == (12,)
+            assert gw.stats()["cache_hits"] == 0
+        finally:
+            gw.close()
+            responder.stop()
+            net.shutdown()

@@ -1,14 +1,16 @@
 """End-to-end many-stream runtime: bulk ``Network.new_streams()``
-with lazy per-node materialization, cached group routing under live
-membership churn, and ``Network.rebalance()`` re-homing back-ends off
-hot subtrees with the elastic-membership machinery."""
+with lazy per-node materialization, one lifecycle for both ways to
+open a stream, cached group routing under live membership churn, and
+``Network.rebalance()`` re-homing back-ends off hot subtrees with the
+elastic-membership machinery."""
 
 import time
 
 import pytest
 
-from repro.core import REPAIR, Network
-from repro.core.network import NetworkError
+from repro.core import DEGRADE, FAIL_FAST, REPAIR, Network
+from repro.core.network import NetworkDownError, NetworkError
+from repro.faultinject import FaultInjector
 from repro.filters import TFILTER_SUM
 from repro.topology import balanced_tree
 
@@ -138,6 +140,53 @@ class TestBulkStreams:
             net.new_streams([(comm, {"transform": 424242})])
         # A failed batch creates nothing.
         assert net.new_streams([]) == []
+
+
+RUNTIMES = {"local": {}, "colocated": {"colocate": True}, "tcp": {"transport": "tcp"}}
+
+OPENERS = {
+    "new_stream": lambda net, comm: net.new_stream(comm, transform=TFILTER_SUM),
+    "new_streams": lambda net, comm: net.new_streams(
+        [(comm, {"transform": TFILTER_SUM})]
+    )[0],
+}
+
+
+def open_then_kill_deep(policy, runtime, opener, shutdown_nets):
+    """An 8-rank depth-3 tree with one SUM stream that has carried no
+    data yet, and the depth-2 comm node above ranks 0 and 1 killed —
+    its parent has seen the death before the stream's first wave."""
+    net = Network(balanced_tree(2, 3), policy=policy, **RUNTIMES[runtime])
+    shutdown_nets.append(net)
+    stream = OPENERS[opener](net, net.get_broadcast_communicator())
+    net.flush()
+    cores = {frozenset(n.core.reported_ranks): n.core for n in net._commnodes}
+    parent = cores[frozenset({0, 1, 2, 3})]
+    FaultInjector(net).kill_commnode(cores[frozenset({0, 1})].name)
+    assert wait_until(lambda: len(parent.children) == 1, poll=False)
+    return net, stream
+
+
+@pytest.mark.parametrize("opener", sorted(OPENERS))
+@pytest.mark.parametrize("runtime", sorted(RUNTIMES))
+class TestDeathBeforeTheFirstWave:
+    """Both ways to open a stream live one lifecycle: a comm node that
+    dies before the stream's first wave is reported all the same."""
+
+    def test_degrade_reports_the_lost_ranks(self, runtime, opener, shutdown_nets):
+        net, stream = open_then_kill_deep(DEGRADE, runtime, opener, shutdown_nets)
+        assert drive_wave(net, stream, WAVE_TIMEOUT).values == (6,)
+        assert wait_until(lambda: net.recovery_events(), net=net, poll=False)
+        assert [e.lost for e in net.recovery_events()] == [(0, 1)]
+        # The death was two hops away, yet the tool sees a new epoch.
+        assert stream.membership_epoch == 1
+
+    def test_fail_fast_surfaces_within_two_waves(self, runtime, opener, shutdown_nets):
+        net, stream = open_then_kill_deep(FAIL_FAST, runtime, opener, shutdown_nets)
+        with pytest.raises(NetworkDownError):
+            for _ in range(2):
+                drive_wave(net, stream, WAVE_TIMEOUT)
+        assert [e.lost for e in net._core.recovery_events] == [(0, 1)]
 
 
 class TestCachedRoutesUnderChurn:

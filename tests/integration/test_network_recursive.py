@@ -154,7 +154,7 @@ class TestRecursiveInstantiation:
         assert list(inspect.signature(Network.__init__).parameters)[1:] == [
             "topology", "registry", "auto_backends", "startup_timeout",
             "clock", "transport", "filter_specs", "policy",
-            "heartbeat_interval", "heartbeat_miss_threshold", "colocate",
+            "heartbeat_interval", "colocate",
         ]
         topo = balanced_tree(2, 2)
         with pytest.raises(NetworkError):

@@ -139,7 +139,7 @@ class TestChunkBytesNone:
     def test_manager_runs_unchunked(self, net):
         comm = net.get_broadcast_communicator()
         st = net.new_stream(comm, transform=TFILTER_SUM)
-        manager = net._core.streams[st.stream_id]
+        manager = net._core.stream_state(st.stream_id)
         assert manager.chunk_bytes == 0
         assert not manager.incremental
         assert manager._count_chunks_in_flight() == 0

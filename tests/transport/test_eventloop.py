@@ -268,7 +268,7 @@ class TestTimeOutDeadline:
             # new_stream above; wait until the stream is registered so the
             # packet isn't relayed as unknown-stream traffic.
             reg_deadline = time.monotonic() + RECV_TIMEOUT
-            while 5 not in node.core.streams:
+            while 5 not in node.core._stream_specs:
                 assert time.monotonic() < reg_deadline, "stream never registered"
                 time.sleep(0.002)
             iters_before = node.loop.iterations
@@ -422,7 +422,7 @@ class TestMalformedBatch:
             send_frame(v_parent, [make_new_stream(5, [0, 1], SFILTER_WAITFORALL, TFILTER_SUM)])
             send_frame(by_parent, [make_new_stream(6, [2, 3], SFILTER_WAITFORALL, TFILTER_SUM)])
             deadline = time.monotonic() + RECV_TIMEOUT
-            while 5 not in victim.core.streams or 6 not in bystander.core.streams:
+            while 5 not in victim.core._stream_specs or 6 not in bystander.core._stream_specs:
                 assert time.monotonic() < deadline, "streams never registered"
                 time.sleep(0.002)
 

@@ -15,7 +15,9 @@ The invariants are the fault-tolerance layer's contract:
   exact integer sum in ``[0, n]``: a lost contribution shrinks a
   wave, but nothing is ever double-counted.
 * **fail-fast** surfaces a :class:`NetworkError` promptly after the
-  first kill instead of limping along.
+  first kill instead of limping along.  Its stream carries no data
+  until the kill has fired, so the death lands under a stream every
+  node still holds as an announced spec.
 * **degrade** keeps completing waves over the survivors and never
   errors.
 * **repair** returns to full-membership waves once the schedule has
@@ -140,6 +142,10 @@ def soak(policy_name: str, runtime: str, seed: int, duration: float):
         )
         sched.arm()
         t0 = time.monotonic()
+        if policy_name == "fail_fast":
+            while not sched.fired and time.monotonic() - t0 < duration:
+                sched.poll()
+                time.sleep(0.01)
         while time.monotonic() - t0 < duration:
             sched.poll()
             try:
