@@ -142,9 +142,9 @@ class BackEnd:
         self._cut_links: set[int] = set()
         # Fragments replayed from stream histories (repair or NACK).
         self.chunks_retransmitted = 0
-        # Down-flooded TAG_RANKS_CHANGED notifications, oldest first:
-        # elastic membership fires both directions, so surviving
-        # back-ends observe peers joining and leaving here.
+        # The front-end's stamped TAG_RANKS_CHANGED flood, oldest
+        # first: one entry per membership change of the tree, so
+        # surviving back-ends observe peers joining, leaving, dying.
         self.membership_events: list[RanksChanged] = []
 
     # -- lifecycle ------------------------------------------------------------
@@ -309,10 +309,7 @@ class BackEnd:
             if stream is not None:
                 stream._window.ack(wave_seq)
         elif packet.tag == TAG_RANKS_CHANGED:
-            stream_id, epoch, lost, gained = packet.unpack()
-            self.membership_events.append(
-                RanksChanged(stream_id, epoch, lost, gained)
-            )
+            self.membership_events.append(RanksChanged(*packet.unpack()))
         elif packet.tag == TAG_WAVE_NACK:
             # The parent is missing our output from wave_seq on:
             # replay whatever the bounded history still holds.

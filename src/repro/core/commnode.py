@@ -35,11 +35,13 @@ thread.
 Many-stream scaling: every stream is announced by a
 ``TAG_NEW_STREAMS`` packet and held as a lightweight, immutable
 *spec* until it is needed.  A spec becomes a full
-:class:`StreamManager` on the stream's first data packet, or on the
-first membership change touching its ranks (a child link's death, a
-``TAG_LEAVE``, a ``TAG_JOIN`` naming it, an endpoint report) — built
-*before* the routing table changes, so the manager's own
-drop/splice path reports the change.  The per-tick work
+:class:`StreamManager` on the stream's first data packet, built over
+the links its endpoints route through then, or on a ``TAG_JOIN``
+naming it — built *before* the joiner is routed, so the manager
+splices the new link in with joining semantics.  A death, a leave or
+an adoption leaves every spec a spec: membership is a fact about the
+tree, reported once per change (``TAG_RANKS_CHANGED``) by the node
+whose routing changed, whatever streams exist.  The per-tick work
 (:meth:`NodeCore.poll_streams` / :meth:`NodeCore.next_timeout_deadline`)
 is O(active): only streams whose TimeOut filter currently holds an
 armed deadline are tracked (an active-set plus a lazy-deletion
@@ -169,9 +171,8 @@ class NodeCore:
         self.streams: Dict[int, StreamManager] = {}
         # Announced streams not yet materialized: stream id -> spec
         # dict (endpoint frozenset + filter ids + chunk/pattern
-        # parameters).  A spec never changes — the first membership
-        # change touching its ranks materializes it — so its endpoint
-        # set is the interned CommGroup's own, and 5000 specs over one
+        # parameters).  A spec never changes, so its endpoint set is
+        # the interned CommGroup's own, and 5000 specs over one
         # communicator hold a single rank set.
         self._stream_specs: Dict[int, dict] = {}
         # O(active) tick state: only streams whose TimeOut filter holds
@@ -554,34 +555,34 @@ class NodeCore:
     def handle_control_up(self, link_id: int, packet: Packet) -> None:
         if packet.tag == TAG_ENDPOINT_REPORT:
             (ranks,) = packet.unpack()
-            self._materialize_specs(ranks)
+            # Tree repair: a report reaching a node whose census is
+            # complete is an adopted orphan announcing its subtree; the
+            # ranks it brings that no link routes here are gained.
+            gained = set(ranks) - self.routing.all_ranks() if self.ready else ()
             self.routing.add_report(link_id, ranks)
             self.reported_ranks.update(ranks)
             if self.ready and not self.sent_report and self.parent is not None:
                 self.sent_report = True
                 self._queue_up(make_endpoint_report(sorted(self.reported_ranks)))
-            # Tree repair: a report arriving on a link that existing
-            # streams don't know about is an adopted orphan announcing
-            # its subtree.  Splice the link into every stream whose
-            # endpoint set intersects the reported ranks — with
-            # *joining* wave semantics — and tell the front-end which
-            # ranks just (re)joined each stream.
+            # Splice the link into every live stream whose endpoints
+            # meet the reported ranks, with *joining* wave semantics.
             for manager in self.streams.values():
-                gained = manager.endpoints & frozenset(ranks)
-                if gained and link_id not in manager.child_links:
+                ours = manager.endpoints & frozenset(ranks)
+                if ours and link_id not in manager.child_links:
                     manager.add_link(link_id)
-                    self._seed_from_checkpoints(manager, link_id, gained)
-                    self._membership_changed(manager, gained=gained, recovery=True)
+                    self._seed_from_checkpoints(manager, link_id, ours)
+                    self._membership_changed(manager, recovery=True)
+            if gained:
+                self._report_membership(gained=gained)
         elif packet.tag == TAG_RANKS_CHANGED:
-            # Travels upstream to the front-end (which overrides
-            # _note_ranks_changed to record it for the tool).  A change
-            # anywhere below is a new membership generation for the
-            # tool, so the root's own manager takes a new epoch too.
+            # One change below, on its way to the front-end: each hop
+            # routes by it, so a later death here names only the ranks
+            # still behind the link.
+            _epoch, lost, gained = packet.unpack()
+            self.routing.remove_ranks(link_id, lost)
+            self.routing.add_report(link_id, gained)
             if self.parent is None:
-                manager = self.stream_state(packet.unpack()[0])
-                if manager is not None:
-                    manager.bump_epoch()
-                self._note_ranks_changed(packet)
+                self._note_membership(lost, gained)
             else:
                 self._queue_up(packet)
         elif packet.tag == TAG_STATS_REPLY:
@@ -631,7 +632,9 @@ class NodeCore:
         continues toward the front-end so every ancestor splices too.
         """
         rank, stream_ids = packet.unpack()
-        self._materialize_specs((), stream_ids)
+        # Build the named streams over the old routes first, so each
+        # splices the joiner's link in with joining semantics.
+        managers = [m for m in map(self.stream_state, stream_ids) if m is not None]
         self.routing.add_report(link_id, [rank])
         if rank not in self.reported_ranks:
             self.reported_ranks.add(rank)
@@ -640,17 +643,16 @@ class NodeCore:
         self._c_members_joined.value += 1
         if self.recovery is not None and self.parent is None:
             self.recovery.bump("members_joined")
-        for sid in stream_ids:
-            manager = self.streams.get(sid)
-            if manager is None:
-                continue
+        for manager in managers:
             manager.add_endpoints([rank])
             spliced = link_id not in manager.child_links
             if spliced:
                 manager.add_link(link_id)
-            self._membership_changed(manager, gained=[rank], relinked=spliced)
+            self._membership_changed(manager, relinked=spliced)
         if self.parent is not None:
             self._queue_up(packet)
+        else:
+            self._note_membership((), (rank,))
 
     def _handle_leave(self, link_id: int, packet: Packet) -> None:
         """Retire a departing back-end rank (``TAG_LEAVE``) at this hop.
@@ -672,15 +674,12 @@ class NodeCore:
         if self.recovery is not None and self.parent is None:
             self.recovery.bump("members_left")
         if self.parent is not None:
-            # Forward the announcement BEFORE the lost events it will
-            # trigger: the front-end must learn the departure is
-            # voluntary before any RANKS_CHANGED for this rank arrives,
-            # or fail_fast would poison on a clean leave.
             self._queue_up(packet)
+        else:
+            self._note_membership((rank,), (), failed=False)
         retire_link = self.routing.ranks_behind(link_id) <= {rank}
         if retire_link:
             self._announced_leaving.add(link_id)
-        self._materialize_specs((rank,))
         for manager in self.streams.values():
             if rank not in manager.endpoints:
                 continue
@@ -688,18 +687,17 @@ class NodeCore:
             retired = retire_link and link_id in manager.child_links
             if retired:
                 manager.retire_link(link_id)
-            self._membership_changed(manager, lost=[rank], relinked=retired)
+            self._membership_changed(manager, relinked=retired)
         self.routing.remove_rank(rank)
 
-    def _membership_changed(
-        self, manager, lost=(), gained=(), relinked=True, recovery=False
-    ) -> None:
+    def _membership_changed(self, manager, relinked=True, recovery=False) -> None:
         """Bookkeeping after *manager*'s membership changed.
 
         The callers decide what changed (splice, retire, drop) and
         whether it counts network-wide; they share this: count a
         reconfiguration when a link was involved, re-arm a TimeOut
-        deadline, tell the front-end which ranks came or went.
+        deadline.  The change itself is reported once per tree, not
+        per stream (:meth:`_report_membership`).
         """
         if relinked:
             self._c_waves_reconfigured.value += 1
@@ -707,13 +705,6 @@ class NodeCore:
                 self.recovery.bump("waves_reconfigured")
         if manager.sync_timed:
             self._note_stream_activity(manager)
-        if lost or gained:
-            self._emit_ranks_changed(
-                manager.stream_id,
-                manager.membership_epoch,
-                lost=sorted(lost),
-                gained=sorted(gained),
-            )
 
     def _seed_from_checkpoints(self, manager, link_id: int, ranks) -> None:
         """Apply a dead child's checkpoint to a freshly adopted link.
@@ -812,8 +803,8 @@ class NodeCore:
                 if resent:
                     self._note_urgent()
         elif packet.tag == TAG_RANKS_CHANGED:
-            # A membership change the front-end turned around: flood it
-            # so surviving back-ends observe it too.
+            # A change the front-end stamped: flood it so surviving
+            # back-ends observe it too.
             for link in list(self.children):
                 self._queue_down(link, packet)
         else:
@@ -859,30 +850,12 @@ class NodeCore:
         self._armed_deadlines.pop(stream_id, None)
         return manager
 
-    def _materialize_specs(self, ranks, stream_ids=()) -> None:
-        """Materialize every spec a membership change touches: those
-        whose endpoints meet *ranks*, and those named in *stream_ids*.
-
-        Call before the routing table changes, so each new manager
-        still holds the old membership and the manager path that
-        follows drops or splices the link and reports the change.
-        """
-        specs = self._stream_specs
-        if not specs:
-            return
-        touched = [
-            sid for sid, spec in specs.items()
-            if sid in stream_ids or not spec["endpoints"].isdisjoint(ranks)
-        ]
-        for sid in touched:
-            self._materialize_stream(sid)
-
     def stream_state(self, stream_id: int) -> Optional[StreamManager]:
         """The stream's manager, materializing a lazy announcement.
 
         Use instead of ``streams.get`` when the caller needs live
-        state for a stream that may still be a spec (wave hooks,
-        membership epochs).
+        state for a stream that may still be a spec (wave hooks, a
+        join naming it).
         """
         manager = self.streams.get(stream_id)
         if manager is None and self._stream_specs:
@@ -991,8 +964,6 @@ class NodeCore:
             # must never seed a future adoption).
             for key in [k for k in self._checkpoints if k[0] == link_id]:
                 self._checkpoints.pop(key, None)
-        lost = self.routing.ranks_behind(link_id)
-        self._materialize_specs(lost)
         self.children.pop(link_id, None)
         buf = self._child_buffers.pop(link_id, None)
         if buf is not None:
@@ -1000,13 +971,15 @@ class NodeCore:
             # backpressure) are lost; account for them the same way a
             # failed flush would.
             self._drop_buffer(link_id, buf)
-        self.routing.remove_link(link_id)
+        # A rank an adopted orphan already re-reported on another link
+        # is not lost.
+        lost = self.routing.remove_link(link_id) - self.routing.all_ranks()
         for manager in self.streams.values():
             if link_id in manager.child_links:
                 self._queue_outputs(manager, manager.drop_link(link_id))
-                self._membership_changed(
-                    manager, lost=manager.endpoints & lost, recovery=not announced
-                )
+                self._membership_changed(manager, recovery=not announced)
+        if lost and not announced:
+            self._report_membership(lost=lost)
 
     def _repair_parent(self) -> bool:
         """Replace a dead parent link via the recovery coordinator.
@@ -1099,18 +1072,18 @@ class NodeCore:
 
     # -- membership-change notification -----------------------------------
 
-    def _emit_ranks_changed(
-        self, stream_id: int, epoch: int, lost=(), gained=()
-    ) -> None:
-        packet = make_ranks_changed(stream_id, epoch, lost, gained)
+    def _report_membership(self, lost=(), gained=()) -> None:
+        """Report one change of this node's routing toward the root."""
+        lost, gained = tuple(sorted(lost)), tuple(sorted(gained))
         if self.parent is None:
-            self._note_ranks_changed(packet)
+            self._note_membership(lost, gained)
         else:
-            self._queue_up(packet)
+            self._queue_up(make_ranks_changed(0, lost, gained))
 
-    def _note_ranks_changed(self, packet: Packet) -> None:
-        """Root-level sink for membership changes; the front-end
-        overrides this to surface events to the tool."""
+    def _note_membership(self, lost, gained, failed=True) -> None:
+        """Root-level sink for membership changes (*failed*: a loss
+        was involuntary); the front-end overrides this to stamp, log
+        and flood them."""
 
     def _note_stats_reply(self, packet: Packet) -> None:
         """Root-level sink for ``TAG_STATS_REPLY`` packets; the

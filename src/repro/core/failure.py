@@ -100,9 +100,8 @@ class InstantiationError(ConnectionError):
 
 @dataclass(frozen=True)
 class RanksChanged:
-    """One wave-membership change observed by the front-end."""
+    """One membership change of the tree, stamped with the tree epoch."""
 
-    stream_id: int
     epoch: int
     lost: Tuple[int, ...]
     gained: Tuple[int, ...]

@@ -78,6 +78,7 @@ from .protocol import (
     WAVE_REDUCE_TO_ALL,
     make_close_stream,
     make_new_streams,
+    make_ranks_changed,
     make_shutdown,
     make_stats_request,
 )
@@ -122,13 +123,14 @@ class _FrontEndCore(NodeCore):
         # copy through the queue.
         self.delivery_sinks: Dict[int, Callable[[Packet], None]] = {}
         # Fault-tolerance bookkeeping surfaced through the Network API:
-        # RANKS_CHANGED notifications (see Network.recovery_events) and
-        # the first observed failure (fail_fast poisoning).
+        # the tree's membership epoch and its log, one stamped entry
+        # per change (see Network.recovery_events), the streams' hooks
+        # on it (Stream.set_wave_hooks) and the first observed failure
+        # (fail_fast poisoning).
+        self.tree_epoch = 0
         self.recovery_events: List[RanksChanged] = []
+        self.membership_hooks: Dict[int, Callable[[int, int], None]] = {}
         self.first_failure: Optional[str] = None
-        # Ranks that announced a voluntary TAG_LEAVE: their lost
-        # events are expected departures, not failures.
-        self._left_ranks: set = set()
         # In-flight STATS_SNAPSHOT gathers: request id -> {node: metrics}.
         self.stats_replies: Dict[int, Dict[str, dict]] = {}
         # Recursive instantiation: internal nodes announce their
@@ -170,35 +172,20 @@ class _FrontEndCore(NodeCore):
             packet.materialize()
         )
 
-    def _handle_leave(self, link_id: int, packet: Packet) -> None:
-        # Record the voluntary departure before any lost event for
-        # this rank (the handler's own, or a descendant's riding the
-        # same link) is processed.  A leave for a rank behind another
-        # link is no departure at all.
-        (rank,) = packet.unpack()
-        if rank in self.routing.ranks_behind(link_id):
-            self._left_ranks.add(rank)
-        super()._handle_leave(link_id, packet)
-
-    def _note_ranks_changed(self, packet: Packet) -> None:
-        stream_id, epoch, lost, gained = packet.unpack()
-        self.recovery_events.append(RanksChanged(stream_id, epoch, lost, gained))
-        # A rank that rejoins sheds its "left" marker: a later loss of
-        # the reused rank is a failure again.
-        self._left_ranks.difference_update(gained)
-        failed = [r for r in lost if r not in self._left_ranks]
-        if failed:
-            # Deep failures reach the root only as membership loss
-            # (their EOF happened hops away); under fail_fast this is
-            # the poisoning signal.  A voluntary TAG_LEAVE always
-            # precedes its own lost event, so clean departures never
-            # land here.
-            self._note_failure(f"ranks {failed} lost from stream {stream_id}")
-        # Membership changes fire both directions: besides surfacing
-        # the event to the tool, flood it back down so surviving
-        # back-ends observe joins/leaves/failures too (they record
-        # them in ``BackEnd.membership_events``).
-        self.handle_control_down(packet)
+    def _note_membership(self, lost, gained, failed=True) -> None:
+        """Stamp one membership change with the next tree epoch, log
+        it, and flood the stamped entry down once."""
+        self.tree_epoch += 1
+        epoch = self.tree_epoch
+        self.recovery_events.append(RanksChanged(epoch, lost, gained))
+        if failed and lost:
+            # Deep failures reach the root only as this report (their
+            # EOF happened hops away); under fail_fast it poisons.
+            self._note_failure(f"ranks {list(lost)} lost")
+        for stream_id, hook in list(self.membership_hooks.items()):
+            hook(stream_id, epoch)
+        # Surviving back-ends record it in ``BackEnd.membership_events``.
+        self.handle_control_down(make_ranks_changed(epoch, lost, gained))
 
     def _note_stats_reply(self, packet: Packet) -> None:
         request_id, payload = packet.unpack()
@@ -762,8 +749,8 @@ class Network:
         ``TAG_JOIN`` control packet that doubles as its §2.5 endpoint
         report — every ancestor splices the new rank into routing and
         into the currently open streams at a wave-epoch boundary, and
-        ``RanksChanged`` events fire both up (to the tool) and down
-        (to the surviving back-ends).
+        the front-end logs one ``RanksChanged`` and floods it down to
+        the surviving back-ends.
 
         Thread-safe: concurrent callers attaching *different* ranks
         proceed in parallel (each slot is claimed under a lock), which
@@ -1420,12 +1407,14 @@ class Network:
         return target
 
     def recovery_events(self) -> List[RanksChanged]:
-        """Wave-membership changes observed by the front-end so far.
+        """The tree's membership log: one entry per change, oldest first.
 
-        Each entry records one stream's epoch bump with the ranks lost
-        (a subtree died) or gained (an orphan was adopted back).  The
-        list is cumulative; pending inbound traffic is drained first so
-        the answer is current.
+        Each entry carries the tree epoch the front-end stamped on it
+        (strictly increasing) and the ranks lost (a subtree died, a
+        back-end left) or gained (an orphan was adopted back, a
+        back-end joined).  A tool wanting one stream's view filters by
+        the stream's communicator.  Pending inbound traffic is drained
+        first so the answer is current.
         """
         self.flush()
         return list(self._core.recovery_events)
@@ -1443,6 +1432,7 @@ class Network:
         self._core.reassembly.drop_stream(stream_id)
         self._core.stream_queues.pop(stream_id, None)
         self._core.delivery_sinks.pop(stream_id, None)
+        self._core.membership_hooks.pop(stream_id, None)
         self._streams.pop(stream_id, None)
         self._core.flush()
 

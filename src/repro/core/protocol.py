@@ -23,8 +23,7 @@ order:
   pattern — see *Chunked waves* below), so a thousand streams over
   one communicator ship its rank list once.  Nodes hold each
   announcement as a *spec* and build a stream's filter state on its
-  first data packet or the first membership change touching its
-  ranks.
+  first data packet (or a ``TAG_JOIN`` naming it).
 * ``TAG_CLOSE_STREAM`` (downstream) — stream id.
 * ``TAG_SHUTDOWN`` (downstream) — tears the tree down.
 * ``TAG_HEARTBEAT`` (both directions) — liveness probe, consumed at
@@ -33,11 +32,13 @@ order:
   whose loop stopped processing — which EOF detection alone can never
   see.
 * ``TAG_RANKS_CHANGED`` (upstream, then flooded back down by the
-  front-end) — a stream's wave membership changed at some node (a
-  child link died or an orphan was adopted): stream id, the emitting
-  node's membership epoch after the change, ranks lost, ranks gained.
-  The front-end surfaces these so a tool can distinguish "sum over
-  1023 ranks" from "sum over 1024".
+  front-end) — the tree's membership changed at some node (a child
+  link died or an orphan was adopted): the tree epoch, ranks lost,
+  ranks gained.  The node whose routing changed sends one, stream or
+  no stream, with epoch 0; each hop forwards it once; the front-end
+  stamps the next tree epoch on it, logs it and floods the stamped
+  copy down.  A tool can then tell "sum over 1023 ranks" from "sum
+  over 1024".
 * ``TAG_STATS_REQUEST`` (downstream) — the front-end asks every
   internal node for its metrics registry: a request id echoed in
   replies, letting the front-end discard stale replies from an
@@ -57,14 +58,14 @@ order:
   wave-epoch boundary: the joining rank and the stream ids it enters.
   Every node on the path to the root adds the rank to those streams'
   endpoint sets, splices the carrying link in with joining (grace)
-  semantics, fires ``RanksChanged`` with the rank *gained*, and relays
-  the packet upward.
+  semantics and relays the packet upward; the front-end logs the rank
+  *gained*.
 * ``TAG_LEAVE`` (upstream) — a back-end detaches voluntarily: the
   leaving rank.  Nodes retire the rank from every stream at a
   wave-epoch boundary (queued contributions still ride along — leaving
-  drains, it does not abort), fire ``RanksChanged`` with the rank
-  *lost*, and treat the subsequent link EOF as announced rather than
-  as a failure.  A peer speaks only for ranks behind its own link: a
+  drains, it does not abort) and treat the subsequent link EOF as
+  announced rather than as a failure; the front-end logs the rank
+  *lost*.  A peer speaks only for ranks behind its own link: a
   leave naming any other rank changes nothing.
 * ``TAG_WAVE_ACK`` (downstream, link-local) — crash-consistent waves:
   a parent acknowledges consumption of a child's output wave so the
@@ -197,7 +198,7 @@ CONTROL_FORMATS = {
     TAG_CLOSE_STREAM: "%ud",
     TAG_SHUTDOWN: "%d",
     TAG_HEARTBEAT: "%ud",
-    TAG_RANKS_CHANGED: "%ud %ud %aud %aud",
+    TAG_RANKS_CHANGED: "%ud %aud %aud",
     TAG_STATS_REQUEST: "%ud",
     TAG_STATS_REPLY: "%ud %s",
     TAG_ADDR_REPORT: "%s %s %ud",
@@ -325,13 +326,10 @@ def make_heartbeat(seq: int) -> Packet:
 
 
 def make_ranks_changed(
-    stream_id: int,
-    epoch: int,
-    lost: Sequence[int] = (),
-    gained: Sequence[int] = (),
+    epoch: int, lost: Sequence[int] = (), gained: Sequence[int] = ()
 ) -> Packet:
-    """Build the upstream wave-membership-change notification."""
-    return _control(TAG_RANKS_CHANGED, stream_id, epoch, tuple(lost), tuple(gained))
+    """Build a membership-change report (epoch 0 until the root stamps it)."""
+    return _control(TAG_RANKS_CHANGED, epoch, tuple(lost), tuple(gained))
 
 
 def make_stats_request(request_id: int) -> Packet:

@@ -103,6 +103,17 @@ class RoutingTable:
         if known:
             self.epoch += 1
 
+    def remove_ranks(self, link_id: int, ranks: Iterable[int]) -> None:
+        """Forget *ranks* behind *link_id* only (a loss reported up it)."""
+        reach = self._reach.get(link_id)
+        gone = reach.intersection(ranks) if reach else ()
+        for rank in gone:
+            reach.discard(rank)
+            if self._rank_link.get(rank) == link_id:
+                del self._rank_link[rank]
+        if gone:
+            self.epoch += 1
+
     # -- group interning + cached lookup -----------------------------------
 
     def group(self, endpoints: Union[FrozenSet[int], Set[int], Iterable[int]]) -> CommGroup:

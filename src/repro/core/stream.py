@@ -164,48 +164,50 @@ class Stream:
         self._network.clear_stream_sink(self.stream_id)
 
     def set_wave_hooks(self, on_wave_complete=None, on_membership_change=None):
-        """Install front-end stream-manager hooks for this stream.
+        """Install front-end hooks for this stream.
 
         ``on_wave_complete(stream_id, epoch)`` fires each time the
         root's synchronization filter releases a wave;
         ``on_membership_change(stream_id, epoch)`` fires on every
-        membership-epoch bump.  Both run synchronously on the pumping
-        thread.  Pass ``None`` to leave a hook unchanged; use
-        :meth:`clear_wave_hooks` to remove them.
+        change of the tree's membership, wherever it happened.  Both
+        pass the tree epoch (:attr:`membership_epoch`) and run
+        synchronously on the pumping thread.  Pass ``None`` to leave a
+        hook unchanged; use :meth:`clear_wave_hooks` to remove them.
         """
+        core = self._network._core
         # stream_state() materializes a stream that is still a spec,
         # so hooks can install before the first data packet arrives.
-        manager = self._network._core.stream_state(self.stream_id)
+        manager = core.stream_state(self.stream_id)
         if manager is None:
             raise StreamClosed(
                 f"stream {self.stream_id} has no front-end manager"
             )
         if on_wave_complete is not None:
-            manager.on_wave_complete = on_wave_complete
+            manager.on_wave_complete = lambda sid: on_wave_complete(sid, core.tree_epoch)
         if on_membership_change is not None:
-            manager.on_membership_change = on_membership_change
+            core.membership_hooks[self.stream_id] = on_membership_change
 
     def clear_wave_hooks(self) -> None:
-        """Remove any stream-manager hooks installed by :meth:`set_wave_hooks`."""
-        # A stream that is still a spec cannot have hooks — installing
-        # one materializes it — so .get() suffices here.
-        manager = self._network._core.streams.get(self.stream_id)
+        """Remove any hooks installed by :meth:`set_wave_hooks`."""
+        core = self._network._core
+        core.membership_hooks.pop(self.stream_id, None)
+        # A stream that is still a spec cannot have a wave hook —
+        # installing one materializes it — so .get() suffices here.
+        manager = core.streams.get(self.stream_id)
         if manager is not None:
             manager.on_wave_complete = None
-            manager.on_membership_change = None
 
     @property
     def membership_epoch(self) -> int:
-        """The front-end's wave-membership epoch for this stream.
+        """The tree's membership epoch, as the front-end stamped it.
 
-        Starts at 0 and bumps on every membership change anywhere in
-        the tree: one the root makes itself (a child link died, an
-        orphan was adopted, a rank joined or left) and every
-        ``RanksChanged`` a descendant reports.  Lets a tool correlate
-        an aggregate with the rank set that produced it.
+        Starts at 0 and moves by one on every membership change
+        anywhere in the tree — a death, an adoption, a join or a
+        leave — whether or not it touched this stream's ranks.  Lets a
+        tool correlate an aggregate with the log entry
+        (:meth:`Network.recovery_events`) that was current.
         """
-        manager = self._network._core.streams.get(self.stream_id)
-        return manager.membership_epoch if manager is not None else 0
+        return self._network._core.tree_epoch
 
     # -- lifecycle ------------------------------------------------------------
 

@@ -66,8 +66,8 @@ runs are rebuilt in place and a classic whole wave is popped.  Every
 other configuration reassembles fragments per link before they park,
 so chunked and whole-wave results are identical by construction.  A
 child that dies mid-wave poisons only the in-flight wave
-(``chunk_waves_aborted``); the next one realigns under the bumped
-membership epoch, and the output wave id bumps without emitting, so
+(``chunk_waves_aborted``); the next one realigns over the
+survivors, and the output wave id bumps without emitting, so
 gaps in wave ids are *normal* to every receiver.
 """
 
@@ -161,19 +161,15 @@ class StreamManager:
         self.down_transform = down_transform
         self.down_state = down_transform.make_state() if down_transform else None
         self.closed = False
-        # Bumped on every wave-membership change (a child link dropped
-        # or adopted); lets tools correlate aggregates with the rank
-        # set that produced them (see TAG_RANKS_CHANGED).
+        # How many times this node re-shaped the stream's wave (a link
+        # dropped, adopted or retired; endpoints spliced).  Local: the
+        # tree's membership epoch is stamped at the front-end (see
+        # TAG_RANKS_CHANGED).
         self.membership_epoch = 0
-        # Front-end hooks (both optional, invoked synchronously on the
-        # owner's pump thread): ``on_wave_complete(stream_id, epoch)``
-        # fires each time the synchronization filter releases a wave,
-        # ``on_membership_change(stream_id, epoch)`` each time the
-        # membership epoch bumps.  The serving gateway
-        # (:mod:`repro.gateway`) uses them to stamp completion epochs
-        # and eagerly invalidate coalesced results.
-        self.on_wave_complete: Optional[Callable[[int, int], None]] = None
-        self.on_membership_change: Optional[Callable[[int, int], None]] = None
+        # Front-end hook (optional, invoked synchronously on the
+        # owner's pump thread): ``on_wave_complete(stream_id)`` fires
+        # each time the synchronization filter releases a wave.
+        self.on_wave_complete: Optional[Callable[[int], None]] = None
         # Pure pass-through streams (DONTWAIT sync, null transform, no
         # downstream filter) take the §4.2.1 negligible-overhead relay
         # path: the node forwards each packet without running the wave
@@ -196,8 +192,8 @@ class StreamManager:
         )
         registry.gauge(
             "membership_epoch",
-            "Wave-membership generation for this stream (bumps on every "
-            "child link drop or adoption; see TAG_RANKS_CHANGED)",
+            "Times this node re-shaped the stream's wave (a child link "
+            "dropped, adopted or retired; endpoints spliced)",
             fn=lambda: self.membership_epoch,
             stream=stream_id,
         )
@@ -372,7 +368,7 @@ class StreamManager:
         """Count a released wave and fire the front-end completion hook."""
         self._c_waves_released.value += 1
         if self.on_wave_complete is not None:
-            self.on_wave_complete(self.stream_id, self.membership_epoch)
+            self.on_wave_complete(self.stream_id)
 
     def _note_aggregated(self, link_id: object, wave_id: int) -> None:
         """*link_id*'s wave left the aligner: watermark up, ACK on stride."""
@@ -380,12 +376,6 @@ class StreamManager:
         ack = self._in.release(link_id, wave_id)
         if ack is not None and self.ack_hook is not None:
             self.ack_hook(link_id, self.stream_id, ack)
-
-    def bump_epoch(self) -> None:
-        """Advance the membership epoch and fire the change hook."""
-        self.membership_epoch += 1
-        if self.on_membership_change is not None:
-            self.on_membership_change(self.stream_id, self.membership_epoch)
 
     def drop_link(self, link_id: int) -> List[Packet]:
         """A child link closed: discard its state, realign the rest.
@@ -395,9 +385,9 @@ class StreamManager:
         state — they are discarded, and if the child was taking part in
         the in-flight fragmented wave that wave is aborted (every
         sibling's fragments for it are dropped too), so the next wave
-        realigns cleanly under the bumped membership epoch.
+        realigns cleanly over the survivors.
         """
-        self.bump_epoch()
+        self.membership_epoch += 1
         self._in.drop(link_id)
         backlog = self.sync.remove_child(link_id)
         if link_id in self.child_links:
@@ -425,7 +415,7 @@ class StreamManager:
             return
         self.child_links.append(link_id)
         self.sync.add_child(link_id, joining=True)
-        self.bump_epoch()
+        self.membership_epoch += 1
 
     def retire_link(self, link_id: int) -> None:
         """Lame-duck a child link that announced a graceful leave.
@@ -438,27 +428,27 @@ class StreamManager:
         """
         if link_id not in self.child_links:
             return
-        self.bump_epoch()
+        self.membership_epoch += 1
         self.sync.retire_child(link_id)
 
     def add_endpoints(self, ranks: Sequence[int]) -> None:
         """Splice joining back-end ranks into the endpoint set (TAG_JOIN).
 
-        Bumps the membership epoch even when the join rides an already
-        known child link (the splice point is deeper in the tree): any
-        change to *who* a wave covers is a new membership generation.
+        Counts a re-shape even when the join rides an already known
+        child link (the splice point is deeper in the tree): any change
+        to *who* a wave covers is a new generation of the wave.
         """
         grown = self.endpoints | frozenset(ranks)
         if grown != self.endpoints:
             self.endpoints = grown
-            self.bump_epoch()
+            self.membership_epoch += 1
 
     def remove_endpoints(self, ranks: Sequence[int]) -> None:
         """Retire departed back-end ranks (TAG_LEAVE or degrade)."""
         shrunk = self.endpoints - frozenset(ranks)
         if shrunk != self.endpoints:
             self.endpoints = shrunk
-            self.bump_epoch()
+            self.membership_epoch += 1
 
     def flush_upstream(self) -> List[Packet]:
         """Stream teardown: push every held packet through the filter.
@@ -661,7 +651,6 @@ class StreamManager:
         """
         return {
             "out_wave": self._out.wave,
-            "epoch": self.membership_epoch,
             "watermarks": dict(self._in.watermarks),
         }
 

@@ -19,10 +19,10 @@ labour:
 Wave↔result matching needs no sequence numbers: under Wait-For-All
 synchronization the root releases exactly one aggregate per issued
 wave in FIFO order per stream, so a per-stream deque of in-flight
-entries pairs them up.  Stream-manager hooks
-(``on_membership_change``) stamp epoch bumps so results that straddle
-a back-end join/leave are delivered to their waiters but never cached
-(see :mod:`repro.gateway.coalesce`).
+entries pairs them up.  The stream's ``on_membership_change`` hook
+reports every tree-epoch change, so results that straddle a join,
+leave or death anywhere in the tree are delivered to their waiters
+but never cached (see :mod:`repro.gateway.coalesce`).
 """
 
 from __future__ import annotations
@@ -444,7 +444,7 @@ class Gateway:
             ticket._complete(result=values)
 
     def _on_epoch(self, stream_key: Tuple, epoch: int) -> None:
-        """Stream-manager hook: membership changed under a stream."""
+        """Stream hook: the tree's membership changed."""
         with self._lock:
             self._epochs[stream_key] = epoch
             self._grace.add(stream_key)

@@ -306,7 +306,7 @@ def test_leave_for_a_rank_behind_another_link_is_ignored(core_cls):
     if core._parent_buffer is not None:
         assert len(core._parent_buffer) == sent_up  # not relayed
     else:
-        assert not core._left_ranks
+        assert not core.recovery_events  # no departure logged
     # The rank's own link may still announce it.
     core.handle_payload(links[1], encode_batch([make_leave(3)]))
     assert core.streams[STREAM].endpoints == frozenset({0, 1, 2})

@@ -1,12 +1,15 @@
 """Many-stream runtime at one NodeCore: batched lazy stream specs
 (``TAG_NEW_STREAMS``) sharing one endpoint set, materialized by data or
-by a membership change that touches them, and the O(active) tick
-machinery that keeps thousands of idle streams free."""
+a join naming them — never by a death, a leave or an adoption, which
+the node reports once — and the O(active) tick machinery that keeps
+thousands of idle streams free."""
 
 import time
 
 from repro.core.packet import Packet
 from repro.core.protocol import (
+    TAG_JOIN,
+    TAG_LEAVE,
     TAG_NEW_STREAMS,
     TAG_RANKS_CHANGED,
     WAVE_REDUCE,
@@ -16,12 +19,14 @@ from repro.core.protocol import (
     make_leave,
     make_new_stream,
     make_new_streams,
+    make_ranks_changed,
 )
 from repro.filters.registry import (
     SFILTER_TIMEOUT,
     SFILTER_WAITFORALL,
     TFILTER_SUM,
 )
+from repro.transport.channel import Channel, Inbox
 
 from .test_commnode import build_node, drain
 
@@ -124,34 +129,28 @@ class TestSpecEndpointSharing:
         grp = core.routing.group(frozenset([0, 1, 2, 3]))
         assert sets[0] is grp.endpoints
 
-    def test_leave_materializes_every_spec_it_touches(self):
-        """Specs over the leaver's rank become managers that report
-        the loss; a spec over other ranks stays a shared spec."""
+    def test_leave_keeps_every_spec_a_spec(self):
+        """A leave re-routes the node but builds no manager; the
+        TAG_LEAVE itself goes up once and no hop adds a report."""
         core, parent_inbox, _, links = build_node(n_children=2, expected=4)
         core.dispatch(links[0], make_endpoint_report([0, 1]))
         core.dispatch(links[1], make_endpoint_report([2, 3]))
-        touched = announce(core, 50)
-        untouched = announce(core, 10, group=(0, 1), first_sid=100)
+        sids = announce(core, 50) + announce(core, 10, group=(0, 1), first_sid=100)
         drain(parent_inbox)
 
         core.dispatch(links[1], make_leave(3))
-        assert set(core.streams) == set(touched)
-        assert set(core._stream_specs) == set(untouched)
-        for sid in touched:
-            manager = core.streams[sid]
-            assert manager.endpoints == frozenset([0, 1, 2])
-            assert manager.membership_epoch == 1
+        assert core.streams == {}
+        assert set(core._stream_specs) == set(sids)
+        assert core.routing.ranks_behind(links[1]) == {2}
         core.flush()
-        events = [p for p in drain(parent_inbox) if p.tag == TAG_RANKS_CHANGED]
-        assert sorted(p.values[0] for p in events) == touched
-        assert all(p.values[2] == (3,) for p in events)
+        assert [p.tag for p in drain(parent_inbox)] == [TAG_LEAVE]
         sets = [spec["endpoints"] for spec in core._stream_specs.values()]
-        assert len({id(s) for s in sets}) == 1  # still ONE shared set
-        assert sets[0] == frozenset([0, 1])
+        assert len({id(s) for s in sets}) == 2  # one shared set per group
 
     def test_join_extends_a_pending_spec(self):
         """A join naming a spec materializes it before the new link is
-        routed, so the manager splices the link in and reports it."""
+        routed, so the manager splices the link in; the TAG_JOIN goes
+        up once and no hop adds a report."""
         core, parent_inbox, _, links = build_node(n_children=2, expected=4)
         core.dispatch(links[0], make_endpoint_report([0, 1]))
         core.dispatch(links[1], make_endpoint_report([2, 3]))
@@ -162,30 +161,66 @@ class TestSpecEndpointSharing:
         assert core.streams[sid].endpoints == frozenset([0, 1, 2, 3, 9])
         assert core.streams[sid].membership_epoch == 1
         core.flush()
-        (event,) = [p for p in drain(parent_inbox) if p.tag == TAG_RANKS_CHANGED]
-        assert event.values[0] == sid and event.values[3] == (9,)
+        assert [p.tag for p in drain(parent_inbox)] == [TAG_JOIN]
         # A stream the join does not name stays a spec.
         assert other in core._stream_specs
 
-    def test_child_death_materializes_specs_before_rerouting(self):
-        """A spec over a dead child's ranks becomes a manager that
-        drops the link and reports the loss; one over other ranks
-        stays a spec and never hears of it."""
+    def test_child_death_keeps_specs_and_reports_once(self):
+        """A dead child's ranks leave the routes, every spec stays a
+        spec, and exactly one TAG_RANKS_CHANGED (epoch 0, the lost
+        ranks) leaves the node, however many streams cover them."""
         core, parent_inbox, _, links = build_node(n_children=2, expected=4)
         core.dispatch(links[0], make_endpoint_report([0, 1]))
         core.dispatch(links[1], make_endpoint_report([2, 3]))
-        (over_all,) = announce(core, 1)
-        (over_left,) = announce(core, 1, group=(0, 1), first_sid=2)
+        over_all = announce(core, 20)
+        (over_left,) = announce(core, 1, group=(0, 1), first_sid=100)
         drain(parent_inbox)
 
         core.handle_payload(links[1], None)
-        manager = core.streams[over_all]
-        assert manager.child_links == [links[0]]
-        assert manager.membership_epoch == 1
-        assert over_left in core._stream_specs
+        assert core.streams == {}
+        assert set(core._stream_specs) == {*over_all, over_left}
+        assert core.routing.links_for(frozenset([0, 1, 2, 3])) == [links[0]]
         core.flush()
-        (event,) = [p for p in drain(parent_inbox) if p.tag == TAG_RANKS_CHANGED]
-        assert event.values[0] == over_all and event.values[2] == (2, 3)
+        (event,) = drain(parent_inbox)
+        assert event.tag == TAG_RANKS_CHANGED
+        assert event.values == (0, (2, 3), ())
+        # The first data packet builds the manager over the survivors.
+        core.dispatch(links[0], data_up(over_all[0], 5))
+        core.flush()
+        (wave,) = drain(parent_inbox)
+        assert wave.values == (5,)
+
+    def test_a_rank_is_reported_lost_once(self):
+        """A loss reported up a link leaves that link's routes, so the
+        link's own death later names only the ranks still behind it."""
+        core, parent_inbox, _, links = build_node(n_children=2, expected=4)
+        core.dispatch(links[0], make_endpoint_report([0, 1]))
+        core.dispatch(links[1], make_endpoint_report([2, 3]))
+        core.dispatch(links[1], make_ranks_changed(0, [2]))
+        core.handle_payload(links[1], None)
+        core.flush()
+        reports = [p for p in drain(parent_inbox) if p.tag == TAG_RANKS_CHANGED]
+        assert [p.values for p in reports] == [(0, (2,), ()), (0, (3,), ())]
+
+    def test_adopted_orphan_is_reported_gained_once(self):
+        """An endpoint report on a new link after the census is
+        complete is an adoption: one report names the ranks gained."""
+        core, parent_inbox, _, links = build_node(n_children=2, expected=4)
+        core.dispatch(links[0], make_endpoint_report([0, 1]))
+        core.dispatch(links[1], make_endpoint_report([2, 3]))
+        announce(core, 20)
+        core.handle_payload(links[1], None)
+        core.flush()
+        drain(parent_inbox)
+
+        ch = Channel(core.inbox, Inbox())
+        core.add_child(ch.end_a)
+        core.dispatch(ch.link_id, make_endpoint_report([2, 3]))
+        core.flush()
+        (event,) = drain(parent_inbox)
+        assert event.tag == TAG_RANKS_CHANGED
+        assert event.values == (0, (), (2, 3))
+        assert core.streams == {}
 
 
 class TestOActiveTicks:

@@ -66,7 +66,6 @@ class TestWatermarks:
         doc = mgr.checkpoint_state()
         assert doc["watermarks"] == {10: 2}
         assert doc["out_wave"] == 0
-        assert doc["epoch"] == mgr.membership_epoch
 
 
 class TestWatermarkedMeansAggregated:

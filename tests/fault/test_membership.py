@@ -49,6 +49,23 @@ def waves_until_sum(net, stream, want, allowed, timeout=WAVE_TIMEOUT):
     raise AssertionError(f"waves never reached sum {want}; saw {seen}")
 
 
+def assert_heard_once(net, stream, changes, exclude):
+    """Every back-end but *exclude* logged exactly *changes* (as
+    ``(lost, gained)`` pairs), one entry per change, with the tree
+    epochs the front-end stamped on them."""
+    survivors = [be for rank, be in net.backends.items() if rank != exclude]
+    assert wait_until(
+        lambda: all(len(be.membership_events) >= len(changes) for be in survivors),
+        net=net,
+        timeout=5.0,
+    ), "a surviving back-end never heard the change"
+    drive_wave(net, stream, WAVE_TIMEOUT)  # anything trailing has landed
+    stamped = [e.epoch for e in net.recovery_events()]
+    for be in survivors:
+        assert [(e.lost, e.gained) for e in be.membership_events] == changes
+        assert [e.epoch for e in be.membership_events] == stamped
+
+
 class TestJoin:
     @pytest.mark.parametrize("mode", ["tcp", "colocated", "process"])
     def test_new_rank_joins_running_network(self, shutdown_nets, mode):
@@ -75,6 +92,8 @@ class TestJoin:
             gained.update(event.gained)
         assert 4 in gained
         assert net.stats()["recovery"]["members_joined"] >= 1
+        # One join is one change: each survivor hears it exactly once.
+        assert_heard_once(net, stream, [((), (4,))], exclude=4)
 
     def test_explicit_unreserved_rank_and_duplicate_rejected(
         self, shutdown_nets
@@ -150,6 +169,8 @@ class TestLeave:
             net=net,
             timeout=5.0,
         ), "no surviving back-end ever heard the leave"
+        # One leave is one change: each survivor hears it exactly once.
+        assert_heard_once(net, stream, [((0,), ())], exclude=0)
 
 
 class TestChurn:

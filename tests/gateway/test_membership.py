@@ -3,8 +3,9 @@
 The satellite bar from ISSUE 9: cached and in-flight coalesced
 results must stay correct when a back-end joins or leaves mid-wave.
 The mechanism under test: the stream's membership epoch is part of
-every cache key, the root stream-manager's ``on_membership_change``
-hook updates the gateway's epoch view, and a wave that completes
+every cache key, the stream's ``on_membership_change`` hook (fired
+by the front-end on every tree-epoch change) updates the gateway's
+epoch view, and a wave that completes
 under a different epoch than it was issued under is delivered to its
 waiters but never cached.
 """
@@ -76,9 +77,7 @@ class TestJoinRekeysCache:
         gw = Gateway(net, cache_ttl=60.0)
         try:
             session = gw.session()
-            # Warm-up wave first: RanksChanged fires per OPEN stream,
-            # so the stream must exist before the join for the root to
-            # report it.
+            # Warm-up wave first, so the stream exists before the join.
             r0 = session.submit(sum_query(3)).result(timeout=RECV_TIMEOUT)
             assert r0 == (3 * n,)
             with gw.paused():

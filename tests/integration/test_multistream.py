@@ -4,6 +4,8 @@ open a stream, cached group routing under live membership churn, and
 ``Network.rebalance()`` re-homing back-ends off hot subtrees with the
 elastic-membership machinery."""
 
+import os
+import signal
 import time
 
 import pytest
@@ -187,6 +189,108 @@ class TestDeathBeforeTheFirstWave:
             for _ in range(2):
                 drive_wave(net, stream, WAVE_TIMEOUT)
         assert [e.lost for e in net._core.recovery_events] == [(0, 1)]
+
+
+def forked_pid(net, label):
+    """The pid of the process hosting comm node *label* on a process
+    tree whose own launcher forked it: a child of one of the
+    front-end's processes, found by the listener port it announced."""
+    port = net._core.addr_reports[label][1]
+    with open("/proc/net/tcp") as table:
+        rows = [line.split() for line in list(table)[1:]]
+    sockets = {
+        f"socket:[{row[9]}]"
+        for row in rows
+        if row[3] == "0A" and int(row[1].rsplit(":", 1)[1], 16) == port
+    }
+    for proc in net._procs:
+        with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as kids:
+            for pid in kids.read().split():
+                fds = f"/proc/{pid}/fd"
+                if any(os.readlink(f"{fds}/{fd}") in sockets for fd in os.listdir(fds)):
+                    return int(pid)
+    raise LookupError(f"no process listens for {label}")
+
+
+def kill_deep_then_open(policy, runtime, shutdown_nets):
+    """An 8-rank depth-3 tree with no stream open; the depth-2 comm
+    node above ranks 0 and 1 is killed, and one SUM stream opens only
+    once that node's parent has seen the death (the front-end has not
+    been pumped since)."""
+    kwargs = {"transport": "process"} if runtime == "process" else RUNTIMES[runtime]
+    net = Network(balanced_tree(2, 3), policy=policy, **kwargs)
+    shutdown_nets.append(net)
+    topo = net.topology
+    leaf = next(n for n in topo.leaves() if n.label == net._slots[0].label)
+    victim = topo.parent_of(leaf)
+    if runtime == "process":
+        pid = forked_pid(net, victim.label)
+        os.kill(pid, signal.SIGKILL)
+        # The kernel closes the victim's sockets as it dies; its
+        # parent's loop reads the EOF at once.
+        assert wait_until(lambda: not os.path.exists(f"/proc/{pid}/fd/0"), poll=False)
+        time.sleep(0.5)
+    else:
+        parent = topo.parent_of(victim)
+        cores = {n.core.name: n.core for n in net._commnodes}
+        FaultInjector(net).kill_commnode(victim.label)
+        assert wait_until(lambda: len(cores[parent.label].children) == 1, poll=False)
+    return net, net.new_stream(net.get_broadcast_communicator(), transform=TFILTER_SUM)
+
+
+@pytest.mark.parametrize("runtime", [*sorted(RUNTIMES), "process"])
+class TestDeathWithNoStreamOpen:
+    """Membership is a fact about the tree: a death is reported by the
+    node that saw it whether or not any stream exists."""
+
+    def test_degrade_logs_the_loss_once(self, runtime, shutdown_nets):
+        net, stream = kill_deep_then_open(DEGRADE, runtime, shutdown_nets)
+        assert drive_wave(net, stream, WAVE_TIMEOUT).values == (6,)
+        assert wait_until(lambda: net.recovery_events(), net=net, poll=False)
+        assert [(e.lost, e.gained) for e in net.recovery_events()] == [((0, 1), ())]
+        assert stream.membership_epoch == 1
+
+    def test_fail_fast_surfaces_within_two_waves(self, runtime, shutdown_nets):
+        net, stream = kill_deep_then_open(FAIL_FAST, runtime, shutdown_nets)
+        with pytest.raises(NetworkDownError):
+            for _ in range(2):
+                drive_wave(net, stream, WAVE_TIMEOUT)
+        assert [e.lost for e in net._core.recovery_events] == [(0, 1)]
+
+
+class TestOneEntryPerChange:
+    def test_join_leave_and_death_are_one_entry_each(self, shutdown_nets):
+        """Three open streams, yet each change is one log entry, each
+        stream's epoch moves by one per change, and the epochs the
+        front-end stamps strictly increase."""
+        net = Network(balanced_tree(2, 3), colocate=True)
+        shutdown_nets.append(net)
+        comm = net.get_broadcast_communicator()
+        streams = [net.new_stream(comm, transform=TFILTER_SUM) for _ in range(3)]
+        for stream in streams:
+            assert drive_wave(net, stream, WAVE_TIMEOUT).values == (8,)
+
+        joiner = net.attach_backend()
+        waves_until_sum(net, streams[0], 9, allowed={8, 9})
+        assert len(net.recovery_events()) == 1
+        assert [s.membership_epoch for s in streams] == [1, 1, 1]
+
+        joiner.leave()
+        waves_until_sum(net, streams[0], 8, allowed={8, 9})
+        assert len(net.recovery_events()) == 2
+        assert [s.membership_epoch for s in streams] == [2, 2, 2]
+
+        victim = next(n for n in net._commnodes if n.core.reported_ranks == {6, 7})
+        FaultInjector(net).kill_commnode(victim.core.name)
+        assert wait_until(lambda: len(net.recovery_events()) == 3, net=net)
+        events = net.recovery_events()
+        assert [(e.lost, e.gained) for e in events] == [
+            ((), (joiner.rank,)),
+            ((joiner.rank,), ()),
+            ((6, 7), ()),
+        ]
+        assert [e.epoch for e in events] == [1, 2, 3]
+        assert [s.membership_epoch for s in streams] == [3, 3, 3]
 
 
 class TestCachedRoutesUnderChurn:

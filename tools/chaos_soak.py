@@ -19,7 +19,11 @@ The invariants are the fault-tolerance layer's contract:
   until the kill has fired, so the death lands under a stream every
   node still holds as an announced spec.
 * **degrade** keeps completing waves over the survivors and never
-  errors.
+  errors, and once the schedule has drained the next wave sums to
+  ``n`` minus every rank the membership log names lost, plus every
+  rank it names gained: a loss the log never names fails the soak.
+* **One log** — in every soak the epochs of ``net.recovery_events()``
+  strictly increase: the front-end stamps one tree epoch per change.
 * **repair** returns to full-membership waves once the schedule has
   drained — orphans re-homed, routing and stream membership rebuilt.
 
@@ -122,6 +126,23 @@ def _schedule(net, inj, policy_name, runtime, seed, horizon):
     )
 
 
+def _log_accounts_for_the_next_wave(net, stream, n):
+    """Failures unless the next completed wave sums to what the
+    membership log says is left of the *n* ranks."""
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        try:
+            total = _drive_wave(net, stream)
+        except TimeoutError:
+            continue
+        log = net.recovery_events()
+        want = n - sum(len(e.lost) for e in log) + sum(len(e.gained) for e in log)
+        if total != want:
+            return [f"wave sums to {total}; the membership log accounts for {want}"]
+        return []
+    return ["no wave completed after the schedule drained"]
+
+
 def soak(policy_name: str, runtime: str, seed: int, duration: float):
     """One soak; returns (waves_completed, fired_events, failures)."""
     kwargs = {"colocate": True} if runtime == "colocated" else {"transport": runtime}
@@ -178,6 +199,11 @@ def soak(policy_name: str, runtime: str, seed: int, duration: float):
             failures.append(
                 f"{policy_name} surfaced a NetworkError during the soak"
             )
+        elif policy_name == "degrade" and not failures:
+            while not sched.done:
+                sched.poll()
+                time.sleep(0.01)
+            failures += _log_accounts_for_the_next_wave(net, stream, n)
         elif policy_name == "repair" and not failures:
             grace = time.monotonic() + 30.0
             full = False
@@ -195,6 +221,9 @@ def soak(policy_name: str, runtime: str, seed: int, duration: float):
                 failures.append(f"repair never returned to full {n}-rank waves")
         if waves == 0 and not down:
             failures.append("no wave ever completed")
+        epochs = [e.epoch for e in net.recovery_events()]
+        if any(a >= b for a, b in zip(epochs, epochs[1:])):
+            failures.append(f"membership epochs not strictly increasing: {epochs}")
     finally:
         net.shutdown()
     return waves, sched.fired, failures
