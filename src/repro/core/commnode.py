@@ -854,8 +854,8 @@ class NodeCore:
         """The stream's manager, materializing a lazy announcement.
 
         Use instead of ``streams.get`` when the caller needs live
-        state for a stream that may still be a spec (wave hooks, a
-        join naming it).
+        state for a stream that may still be a spec (a join naming
+        it).
         """
         manager = self.streams.get(stream_id)
         if manager is None and self._stream_specs:

@@ -15,7 +15,9 @@ Instantiation builds the whole process tree from the topology: one
 edge the link kind :func:`repro.topology.plan_placement` chose for it.
 That plan — node → host group, edge → link kind — is computed once
 per network and walked by both builders.  Back-end ranks are the
-leaves' left-to-right positions.
+leaves' left-to-right positions.  Under ``transport="process"`` every
+internal node runs in an OS process forked from this one or from its
+own parent (:func:`repro.mrnet_commnode.fork_subtree`, paper §2.5).
 
 Two instantiation modes (paper §2.5):
 
@@ -344,20 +346,19 @@ class Network:
         self.topology = self._resolve_topology(topology)
         self._plan = plan_placement(self.topology, transport, colocate)
         self.registry = registry if registry is not None else default_registry()
-        self.filter_specs = [tuple(s) for s in (filter_specs or [])]
-        self.filter_ids: List[int] = []
-        for spec in self.filter_specs:
-            path, func = spec[0], spec[1]
-            fmt = spec[2] if len(spec) > 2 else None
-            self.filter_ids.append(
-                self.registry.load_filter_func(path, func, fmt)
-            )
+        # (path, func, fmt) triples: what every comm-node process loads.
+        self.filter_specs = [
+            (s[0], s[1], s[2] if len(s) > 2 else None) for s in filter_specs or []
+        ]
+        self.filter_ids = [
+            self.registry.load_filter_func(*spec) for spec in self.filter_specs
+        ]
         self._clock = clock
         leaves = self.topology.leaves()
         self._core = _FrontEndCore(self.registry, len(leaves), clock)
         self._commnodes: List[CommNode] = []
         self._hosts: List[NodeHost] = []  # loop threads, one per host group
-        self._procs: List = []  # subprocess.Popen, process transport only
+        self._procs: List = []  # fork_subtree handles, process transport only
         self._listener = None
         self._slots: Dict[int, _LeafSlot] = {}
         self._next_stream_id = FIRST_STREAM_ID
@@ -551,12 +552,14 @@ class Network:
     def _build_tree_recursive(self, leaves: List[TopologyNode]) -> None:
         """Parallel recursive instantiation (paper §2.5, Figure 5).
 
-        The front-end launches only the root's direct internal
-        children, handing each its *entire subtree* — placement plan
-        included — as a JSON spec on the command line; every internal
-        process then creates its own children concurrently
-        (``mrnet_commnode --subtree``), so the tree builds in O(depth)
-        sequential spawn rounds, not O(internal nodes).
+        The front-end forks only the root's direct internal children
+        (:func:`~repro.mrnet_commnode.fork_subtree`), handing each its
+        *entire subtree* — placement plan included; every internal
+        process then forks its own children concurrently, so the tree
+        builds in O(depth) sequential fork rounds, not O(internal
+        nodes), and no round starts an interpreter.  The forks happen
+        after the listener opens and before this network starts any
+        thread of its own.
 
         Grandchildren are other processes' children, so every internal
         node announces ``label host port`` up the data plane via
@@ -564,10 +567,7 @@ class Network:
         announcements arrived, and back-end slots aim at their
         parent's announced address.
         """
-        import subprocess
-        import sys
-
-        from ..mrnet_commnode import RecursiveOpts, subtree_spec
+        from ..mrnet_commnode import RecursiveOpts, fork_subtree, subtree_spec
         from ..transport.tcp import TcpListener
 
         rank_of = {leaf.key: i for i, leaf in enumerate(leaves)}
@@ -594,28 +594,19 @@ class Network:
         )
         direct_internal = [c for c in root.children if not c.is_leaf]
         for child in direct_internal:
-            cmd = [
-                sys.executable,
-                "-m",
-                "repro.mrnet_commnode",
-                "--parent",
-                f"127.0.0.1:{self._listener.address[1]}",
-                "--subtree",
-                json.dumps(
-                    subtree_spec(child, obs_rank, plan), separators=(",", ":")
-                ),
-            ] + opts.command_line()
             # stderr goes to a file, shared with every process this one
             # forks: a file never fills up and blocks a chatty child the
             # way an undrained pipe would, and it keeps the last words
             # _proc_diagnostics quotes.
             log = tempfile.TemporaryFile()
             try:
-                proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=log)
+                proc = fork_subtree(
+                    subtree_spec(child, obs_rank, plan),
+                    self._listener.address, opts, (), log.fileno(),
+                )
             except BaseException:
                 log.close()
                 raise
-            proc.label = child.label
             proc.stderr_log = log
             self._procs.append(proc)
 
@@ -652,7 +643,7 @@ class Network:
         # Every internal node joins the coordinator's member registry
         # by its announced address, so orphaned back-ends can walk to
         # a live ancestor and elastic joins can pick an out-of-process
-        # parent.  A Popen handle exists only for the front-end's own
+        # parent.  A process handle exists only for the front-end's own
         # children (deeper processes are theirs); the nodes a direct
         # child hosts in its group share its handle.
         proc_of_group = {

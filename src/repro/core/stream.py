@@ -163,39 +163,26 @@ class Stream:
         """Remove the delivery sink; results queue for ``recv`` again."""
         self._network.clear_stream_sink(self.stream_id)
 
-    def set_wave_hooks(self, on_wave_complete=None, on_membership_change=None):
+    def set_wave_hooks(self, on_membership_change=None):
         """Install front-end hooks for this stream.
 
-        ``on_wave_complete(stream_id, epoch)`` fires each time the
-        root's synchronization filter releases a wave;
         ``on_membership_change(stream_id, epoch)`` fires on every
-        change of the tree's membership, wherever it happened.  Both
-        pass the tree epoch (:attr:`membership_epoch`) and run
-        synchronously on the pumping thread.  Pass ``None`` to leave a
-        hook unchanged; use :meth:`clear_wave_hooks` to remove them.
+        change of the tree's membership, wherever it happened, with the
+        new tree epoch (:attr:`membership_epoch`), synchronously on the
+        pumping thread.  Pass ``None`` to leave the hook unchanged; use
+        :meth:`clear_wave_hooks` to remove it.
         """
         core = self._network._core
-        # stream_state() materializes a stream that is still a spec,
-        # so hooks can install before the first data packet arrives.
-        manager = core.stream_state(self.stream_id)
-        if manager is None:
+        if self.stream_id not in core.streams and self.stream_id not in core._stream_specs:
             raise StreamClosed(
                 f"stream {self.stream_id} has no front-end manager"
             )
-        if on_wave_complete is not None:
-            manager.on_wave_complete = lambda sid: on_wave_complete(sid, core.tree_epoch)
         if on_membership_change is not None:
             core.membership_hooks[self.stream_id] = on_membership_change
 
     def clear_wave_hooks(self) -> None:
         """Remove any hooks installed by :meth:`set_wave_hooks`."""
-        core = self._network._core
-        core.membership_hooks.pop(self.stream_id, None)
-        # A stream that is still a spec cannot have a wave hook —
-        # installing one materializes it — so .get() suffices here.
-        manager = core.streams.get(self.stream_id)
-        if manager is not None:
-            manager.on_wave_complete = None
+        self._network._core.membership_hooks.pop(self.stream_id, None)
 
     @property
     def membership_epoch(self) -> int:

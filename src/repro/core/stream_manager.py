@@ -166,10 +166,6 @@ class StreamManager:
         # tree's membership epoch is stamped at the front-end (see
         # TAG_RANKS_CHANGED).
         self.membership_epoch = 0
-        # Front-end hook (optional, invoked synchronously on the
-        # owner's pump thread): ``on_wave_complete(stream_id)`` fires
-        # each time the synchronization filter releases a wave.
-        self.on_wave_complete: Optional[Callable[[int], None]] = None
         # Pure pass-through streams (DONTWAIT sync, null transform, no
         # downstream filter) take the §4.2.1 negligible-overhead relay
         # path: the node forwards each packet without running the wave
@@ -364,12 +360,6 @@ class StreamManager:
             return self._release_aligned()
         return self._emit_up(self._run_waves(self.sync.poll()))
 
-    def _note_wave_released(self) -> None:
-        """Count a released wave and fire the front-end completion hook."""
-        self._c_waves_released.value += 1
-        if self.on_wave_complete is not None:
-            self.on_wave_complete(self.stream_id)
-
     def _note_aggregated(self, link_id: object, wave_id: int) -> None:
         """*link_id*'s wave left the aligner: watermark up, ACK on stride."""
         self.deposit_due = True
@@ -535,7 +525,7 @@ class StreamManager:
             if self._wave_t0 is not None:
                 self._h_wave_latency.observe(self._clock() - self._wave_t0)
                 self._wave_t0 = None
-            self._note_wave_released()
+            self._c_waves_released.value += 1
             for lid, head in zip(self._wave_links, heads):
                 self._note_aggregated(lid, chunk_meta(head)[0])
             self._out.wave += 1
@@ -682,7 +672,7 @@ class StreamManager:
                     )
                 self._wave_t0 = None
             out.extend(self._filter(wave, tracer))
-            self._note_wave_released()
+            self._c_waves_released.value += 1
         return out
 
     def _filter(self, wave, tracer, part: str = ""):

@@ -22,7 +22,7 @@ from typing import Callable, Dict
 
 from .base import FilterError
 
-__all__ = ["load_module", "load_function"]
+__all__ = ["forget_modules", "load_module", "load_function"]
 
 _module_cache: Dict[str, ModuleType] = {}
 
@@ -78,6 +78,14 @@ def load_module(module_path: str | Path) -> ModuleType:
         raise FilterError(f"error executing filter module {path}: {exc}") from exc
     _module_cache[key] = module
     return module
+
+
+def forget_modules() -> None:
+    """Drop every module loaded so far, so the next load executes it
+    again — in a forked process, as in one started from scratch."""
+    for module in _module_cache.values():
+        sys.modules.pop(module.__name__, None)
+    _module_cache.clear()
 
 
 def load_function(module_path: str | Path, func_name: str) -> Callable:

@@ -11,26 +11,28 @@ convenient but GIL-bound.  This module is the faithful alternative:
 each internal process is a separate Python process connected to its
 parent and children over TCP, exactly like the original program — the
 codec, batching, synchronization and filter work all run outside the
-front-end's interpreter.  ``Network(transport="process")`` launches
-these automatically; the program can also be started by hand::
+front-end's interpreter.
+
+**Recursive instantiation** (paper §2.5 / Figure 5): every comm-node
+process is an ``os.fork()`` of an interpreter that already imported
+this package (:func:`fork_subtree`) — the front-end forks its direct
+internal children, each of those its own.  A process receives its
+whole *subtree* specification — which carries the placement plan
+(:func:`repro.topology.plan_placement`): every node's host group and
+the link kind of its uplink — and forks its off-group internal
+children first, so the tree builds itself in O(depth) fork rounds, none
+of which starts an interpreter.  Internal children in the *same* group
+are hosted on this process's event loop behind in-process links
+(``Network(colocate=True)``; without it every group has one member).
+Every hosted node announces its listener address to the front-end with
+a ``TAG_ADDR_REPORT`` control packet relayed up the data plane, so
+back-end leaf slots learn where to attach, and leaf-child connections
+are accepted *lazily* by the event loop while the rest of the tree is
+still booting.  The program can also be started by hand, under a
+front-end that is already listening::
 
    python -m repro.mrnet_commnode --parent HOST:PORT --subtree JSON \
           [--filter /path/to/module.py:func_name] ...
-
-**Recursive instantiation** (``--subtree``, paper §2.5 / Figure 5):
-the front-end starts only its direct internal children; each process
-receives its whole *subtree* specification — which carries the
-placement plan (:func:`repro.topology.plan_placement`): every node's
-host group and the link kind of its uplink — and creates its own
-off-group internal children by ``fork()``, so the tree builds itself
-in O(depth) spawn rounds instead of O(nodes).  Internal children in
-the *same* group are hosted on this process's event loop behind
-in-process links instead of being spawned (``Network(colocate=True)``;
-without it every group has one member).  Every hosted node announces
-its listener address to the front-end with a ``TAG_ADDR_REPORT``
-control packet relayed up the data plane, so back-end leaf slots learn
-where to attach, and leaf-child connections are accepted *lazily* by
-the event loop while the rest of the tree is still booting.
 
 An uplink the plan marks ``"shm"`` (both endpoints share a topology
 host) offers the shared-memory ring transport
@@ -43,15 +45,18 @@ vectored writes, and timer deadlines instead of polling.
 
 Custom filters cross the process boundary the same way real MRNet
 ships shared objects: as a file path + function name, loaded on every
-process in the same order so registry ids agree network-wide.
+process in the same order so registry ids agree network-wide (a
+forked process executes each module again, as a fresh one would).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import signal
+import stat
 import sys
 import time
 import traceback
@@ -61,11 +66,13 @@ from typing import List, Optional, Tuple
 from .core.commnode import NodeCore
 from .core.failure import REPAIR
 from .core.protocol import make_addr_report
+from .filters.loader import forget_modules
 from .filters.registry import default_registry
 from .transport.channel import Inbox
 from .transport.tcp import TcpListener
 
 __all__ = [
+    "fork_subtree",
     "main",
     "parse_filter_spec",
     "run_commnode_recursive",
@@ -134,24 +141,11 @@ def _count_leaves(spec: dict) -> int:
 class RecursiveOpts:
     """Everything a subtree spawn must inherit from its parent."""
 
+    # (path, func, fmt) triples, fmt None when the filter names none.
     filter_specs: List[Tuple[str, str, Optional[str]]] = field(default_factory=list)
     heartbeat_interval: float = 0.0  # liveness probe period; 0 disables
     accept_timeout: float = 60.0
     repair: bool = False  # re-dial a live ancestor when the parent dies
-
-    def command_line(self) -> List[str]:
-        """The inheritable flags, as ``mrnet_commnode`` arguments."""
-        args = ["--accept-timeout", str(self.accept_timeout)]
-        if self.repair:
-            args += ["--repair"]
-        if self.heartbeat_interval > 0:
-            args += ["--heartbeat-interval", str(self.heartbeat_interval)]
-        for spec in self.filter_specs:
-            text = f"{spec[0]}:{spec[1]}"
-            if len(spec) > 2 and spec[2]:
-                text += f":{spec[2]}"
-            args += ["--filter", text]
-        return args
 
 
 def _repair_fn_eventloop(loop, ancestors, accept_timeout: float):
@@ -184,6 +178,7 @@ class _ForkChild:
     def __init__(self, pid: int, label: str):
         self.pid = pid
         self.label = label
+        self.stderr_log = None  # the file its stderr goes to, if the caller keeps it
         self._status: Optional[int] = None
 
     def poll(self) -> Optional[int]:
@@ -214,44 +209,62 @@ class _ForkChild:
             pass
 
 
-def _spawn_internal_children(
-    children: list,
-    listener: TcpListener,
+def fork_subtree(
+    spec: dict,
+    parent_addr: Tuple[str, int],
     opts: RecursiveOpts,
-    close_in_child: tuple,
-    child_ancestors: tuple,
-) -> list:
-    """Fork one process per subtree spec in *children*, all at once.
+    ancestors: tuple,
+    log_fd: int,
+) -> _ForkChild:
+    """Fork a process that runs :func:`run_commnode_recursive` on *spec*.
 
-    Each child is an ``os.fork()`` of this already-initialized
-    interpreter — the subtree spec travels as a plain argument, and
-    the fork costs milliseconds where a fresh interpreter costs
-    hundreds.  Must run while this process is single-threaded: before
-    any event loop or reader thread exists.
+    The child is a copy of this already-initialized interpreter, so it
+    starts in milliseconds where a fresh one would spend hundreds
+    importing.  The caller may have threads of its own: the child
+    touches only the arguments and the objects it creates, and the
+    process-wide state it shares with the caller (link ids, the shm
+    segment census, the filter loader's cache) is fork-safe or reset
+    for it.  Its stderr is *log_fd*, its stdout ``/dev/null``.
     """
-    handles = []
-    for child in children:
-        pid = os.fork()
-        if pid == 0:
-            code = 1
+    pid = os.fork()
+    if pid:
+        return _ForkChild(pid, spec["l"])
+    code = 1
+    try:
+        # Nothing from before the fork may be finalized here: a socket
+        # object collected in this copy would close an fd number this
+        # process has reused by then.
+        gc.freeze()
+        os.dup2(log_fd, 2)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        # New objects: an inherited one may hold a lock that another
+        # thread of the parent held at the fork.
+        sys.stdout = open(1, "w", closefd=False)
+        sys.stderr = open(2, "w", buffering=1, closefd=False)
+        # Inherited sockets are the caller's links and listeners (of
+        # any network it runs): holding them would keep its peers from
+        # ever seeing EOF.  Pipes and files stay — the shared-memory
+        # resource tracker's pipe is one of them.
+        for name in os.listdir("/dev/fd"):
             try:
-                # The parent's listener fds are not ours to hold:
-                # keeping them open would hold their ports half-alive
-                # after the parent exits.
-                for other in close_in_child:
-                    try:
-                        other.close()
-                    except Exception:
-                        pass
-                code = run_commnode_recursive(
-                    child, listener.address, opts, child_ancestors
-                )
-            except BaseException:
-                traceback.print_exc()
-            finally:
-                os._exit(code)
-        handles.append(_ForkChild(pid, child["l"]))
-    return handles
+                if stat.S_ISSOCK(os.fstat(int(name)).st_mode):
+                    os.close(int(name))
+            except OSError:
+                pass  # the directory's own fd, gone once listed
+        # An asyncio loop of the caller's may have aimed signal wake-ups
+        # at one of those sockets; its fd number is about to be reused.
+        signal.set_wakeup_fd(-1)
+        forget_modules()
+        code = run_commnode_recursive(spec, parent_addr, opts, ancestors)
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
 
 
 def _reap(handles, timeout: float = 5.0) -> None:
@@ -339,12 +352,14 @@ def run_commnode_recursive(
     handles: list = []
     try:
         _enlist(spec, None, ancestors + (parent_addr,), group)
-        listeners = tuple(m.listener for m in group)
         for member in group:
-            handles += _spawn_internal_children(
-                member.remote, member.listener, opts,
-                close_in_child=listeners, child_ancestors=member.ancestors,
-            )
+            handles += [
+                fork_subtree(
+                    child, member.listener.address, opts, member.ancestors,
+                    log_fd=2,
+                )
+                for child in member.remote
+            ]
 
         sock, pair = tcp_dial(
             parent_addr, attempts=6, timeout=opts.accept_timeout,

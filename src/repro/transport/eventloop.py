@@ -100,15 +100,9 @@ _SENDMSG_MAX_BUFFERS = 128
 
 SEND_QUEUE_MAX_BYTES = 4 << 20
 
-_link_lock = threading.Lock()
-_next_link_id = 1_000_000  # distinct range from in-memory channels
-
-
-def _alloc_link_id() -> int:
-    global _next_link_id
-    with _link_lock:
-        _next_link_id += 1
-        return _next_link_id
+# Process-wide link ids, a range distinct from in-memory channels.  No
+# lock: a fork while another thread held one would leave it held.
+_alloc_link_id = itertools.count(1_000_001).__next__
 
 
 class SendQueueFull(RuntimeError):

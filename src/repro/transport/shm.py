@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import collections
 import json
+import os
 import select
 import selectors
 import socket
@@ -98,6 +99,17 @@ _live_segments: set = set()
 # unregister from the resource tracker (the creator's unlink() will,
 # and a double-unregister makes the tracker daemon print a KeyError).
 _created_names: set = set()
+
+
+def _forget_segments() -> None:
+    """A forked child's census: empty, under a lock no thread holds."""
+    global _live_lock
+    _live_lock = threading.Lock()
+    _live_segments.clear()
+    _created_names.clear()
+
+
+os.register_at_fork(after_in_child=_forget_segments)
 
 
 def live_segments() -> List[str]:

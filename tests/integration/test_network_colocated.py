@@ -205,24 +205,20 @@ class TestProcessColocation:
         self, tmp_path, monkeypatch
     ):
         """``os.fork()`` in a process with live threads copies locks
-        nobody will release; a group that hosts nodes AND forks
-        off-host children must fork first, while it is single-threaded
-        — the event loop's thread starts afterwards."""
+        nobody will release.  The front-end forks before this network
+        starts any thread, and a group that hosts nodes AND forks
+        off-host children forks first, while it is single-threaded —
+        the event loop's thread starts afterwards."""
         census = tmp_path / "fork_census"
-        (tmp_path / "sitecustomize.py").write_text(
-            "import os, threading\n"
-            "_fork = os.fork\n"
-            "def fork():\n"
-            "    with open(os.environ['FORK_CENSUS'], 'a') as f:\n"
-            "        f.write(f'{threading.active_count()}\\n')\n"
-            "    return _fork()\n"
-            "os.fork = fork\n"
-        )
-        monkeypatch.setenv("FORK_CENSUS", str(census))
-        monkeypatch.setenv(
-            "PYTHONPATH",
-            os.pathsep.join([str(tmp_path), os.environ.get("PYTHONPATH", "")]),
-        )
+        fork = os.fork
+
+        def counting_fork():
+            # Forked children inherit the patch: every process appends.
+            with open(census, "a") as f:
+                f.write(f"{threading.active_count()}\n")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
         with Network(
             balanced_tree(2, 3, hosts=TWO_HOSTS),
             transport="process",
@@ -233,7 +229,7 @@ class TestProcessColocation:
                 net.get_broadcast_communicator(), transform=TFILTER_SUM
             )
             assert run_wave(net, stream).values == (2 * len(net.backends),)
-        # Each root child hosts its same-host internal child and forks
-        # the other one.
-        assert census.read_text().split() == ["1", "1"]
+        # The front-end forks its two root children; each of them hosts
+        # its same-host internal child and forks the other one.
+        assert census.read_text().split() == ["1"] * 4
 

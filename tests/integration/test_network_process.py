@@ -1,9 +1,9 @@
 """Integration tests: internal processes as real OS processes.
 
-``transport="process"`` launches one ``mrnet_commnode`` program per
-internal tree node (the paper's actual architecture) and connects
-everything over TCP.  These tests are the slowest in the suite (each
-spawns Python interpreters), so trees are kept small.
+``transport="process"`` runs one ``mrnet_commnode`` OS process per
+internal tree node (the paper's actual architecture), each a fork of
+the front-end or of its own parent, and connects everything over TCP.
+Trees are kept small.
 """
 
 import textwrap

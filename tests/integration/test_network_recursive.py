@@ -43,8 +43,8 @@ def run_reduction(net, expected_sum):
 
 class TestRecursiveInstantiation:
     def test_depth_three_tree_forks_grandchildren(self):
-        # 2-ary depth-3: 6 internal nodes but only 2 direct Popen
-        # children — the other 4 are forked by the subtree owners.
+        # 2-ary depth-3: 6 internal nodes but only 2 children forked
+        # by the front-end — the other 4 are forked by the subtree owners.
         net = Network(balanced_tree(2, 3), transport="process")
         try:
             assert len(net._procs) == 2
