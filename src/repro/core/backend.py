@@ -63,8 +63,8 @@ class BackEndStream:
         self.chunk_bytes = chunk_bytes
         self.closed = False
         # Send half of the link protocol (crash consistency): fragment
-        # wave ids plus the bounded replay history, pruned by TAG_WAVE_ACK
-        # and replayed after a parent repair or on TAG_WAVE_NACK.
+        # wave ids plus the bounded replay history (repair only), pruned
+        # by TAG_WAVE_ACK and replayed after a repair or on TAG_WAVE_NACK.
         self._window = SendWindow()
 
     def send(
@@ -101,12 +101,13 @@ class BackEndStream:
             return
         for chunk in chunks:
             # One frame per fragment: the parent starts on fragment 0
-            # while we are still encoding the rest.  A fragment is
-            # recorded only *after* its send succeeded, so a repair that
-            # fires mid-wave replays exactly the sent prefix and the
-            # retry of the failing fragment continues the sequence.
+            # while we are still encoding the rest.  Under repair a
+            # fragment is recorded only *after* its send succeeded, so a
+            # repair that fires mid-wave replays exactly the sent prefix
+            # and the retry of the failing fragment continues the sequence.
             send(chunk)
-            self._window.record(chunk)
+            if self._backend.repair_fn is not None:
+                self._window.record(chunk)
 
     def __repr__(self) -> str:
         return f"BackEndStream(id={self.stream_id}, rank={self._backend.rank})"

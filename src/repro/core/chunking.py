@@ -22,12 +22,13 @@ exactly.
 
 The wave ids also make every link a selective-repeat channel, whose
 two halves are written once, here: :class:`SendWindow` (used by
-``Stream`` — without history, front-end fragments are not replayed —
-``BackEndStream`` and ``StreamManager``) and :class:`ReceiveWindow`
-(``StreamManager`` keys it by child link and runs the window;
-``BackEnd`` and the front-end key it by ``(stream, origin)`` and only
-reassemble).  Policy — when to split, when to filter per fragment, when
-a wave counts as aggregated — stays in those callers.
+``Stream``, ``BackEndStream`` and ``StreamManager``) and
+:class:`ReceiveWindow` (``StreamManager`` keys it by child link and
+runs the window; ``BackEnd`` and the front-end key it by ``(stream,
+origin)`` and only reassemble).  Only a repair replays, so history,
+ACK and NACK exist under ``policy="repair"`` alone.  Policy — when to
+split, when to record, when to filter per fragment, when a wave counts
+as aggregated — stays in those callers.
 """
 
 from __future__ import annotations
@@ -314,8 +315,10 @@ class SendWindow:
         return chunks
 
     def record(self, chunk: Packet) -> None:
-        """Park one sent fragment (the caller made it own its bytes)."""
+        """Park a fragment this sender built as its frame alone: a replay
+        sends the same bytes, and the bytes counted are the bytes held."""
         wave_id = chunk_meta(chunk)[0]
+        chunk = Packet.lazy_from_wire(chunk.encoded_view())
         history = self._history
         if history and history[-1][0] == wave_id:
             history[-1][1].append(chunk)

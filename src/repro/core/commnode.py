@@ -835,8 +835,12 @@ class NodeCore:
             wave_pattern=wave_pattern,
         )
         self.streams[stream_id] = manager
-        manager.ack_hook = self._send_wave_ack
-        manager.nack_hook = self._send_wave_nack
+        # Only repair re-homes a link, so only repair replays: outside
+        # it no fragment is kept, ACKed or NACKed.
+        manager.keep_history = self._deposits
+        if self.policy == REPAIR:
+            manager.ack_hook = self._send_wave_ack
+            manager.nack_hook = self._send_wave_nack
         if manager.sync_timed:
             self._timed_stream_count += 1
         return manager

@@ -35,7 +35,8 @@ Wave state has three owners
   units and the joining/leaving sets.  Whole packets and pipeline
   fragments park in the same queues; every wave leaves via ``pop_wave``.
 * The **send half** (:class:`~repro.core.chunking.SendWindow`) holds
-  this node's output wave counter and bounded retransmit history.
+  this node's output wave counter and, under repair
+  (``keep_history``), its bounded retransmit history.
 * The **receive half** (:class:`~repro.core.chunking.ReceiveWindow`,
   keyed by child link) holds fragment reassembly and the link
   protocol's window: duplicate drop, one ``TAG_WAVE_NACK`` per gap, and
@@ -202,6 +203,8 @@ class StreamManager:
         # streams whose own chunk_bytes is 0, e.g. from a newer peer).
         self._out = SendWindow()
         self._in = ReceiveWindow()
+        # Record sent fragments for replay; the owner clears it off repair.
+        self.keep_history = True
         # Cursor of the in-flight aligned fragmented wave.
         self._wave_links: List[object] = []  # fixed participant set mid-wave
         self._wave_pos = 0  # next expected chunk index (0 = at a boundary)
@@ -217,6 +220,10 @@ class StreamManager:
                 "(aligned-release queues plus per-link reassembly)",
                 fn=self._count_chunks_in_flight,
                 stream=stream_id,
+            )
+            registry.gauge(
+                "history_bytes", "Fragment bytes held for replay (repair only)",
+                fn=lambda: self._out._bytes, stream=stream_id,
             )
             self._h_chunk_bytes = registry.histogram(
                 "chunk_bytes",
@@ -519,8 +526,9 @@ class StreamManager:
                 detail=f"n={n}",
             )
         out = [wrap_chunk(p, self._out.wave, index, n) for p in outputs]
-        for p in out:
-            self._out.record(p.materialize())
+        if self.keep_history:
+            for p in out:
+                self._out.record(p)
         if last:
             if self._wave_t0 is not None:
                 self._h_wave_latency.observe(self._clock() - self._wave_t0)
@@ -594,8 +602,8 @@ class StreamManager:
 
     def _emit_up(self, packets: List[Packet]) -> List[Packet]:
         """Split oversized whole outputs so upstream hops stay pipelined,
-        parking the fragments in the send window (whole packets carry no
-        wire sequence number and are not replayable)."""
+        recording the fragments in the send window (whole packets carry
+        no wire sequence number and are not replayable)."""
         if not self.chunk_bytes:
             return packets
         out: List[Packet] = []
@@ -604,10 +612,9 @@ class StreamManager:
             if chunks is None:
                 out.append(p)
                 continue
-            for chunk in chunks:
-                # Own the bytes before parking — a zero-copy shm frame
-                # aliases ring memory the transport recycles after send.
-                self._out.record(chunk.materialize())
+            if self.keep_history:
+                for chunk in chunks:
+                    self._out.record(chunk)
             out.extend(chunks)
         return out
 

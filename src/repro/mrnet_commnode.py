@@ -52,11 +52,11 @@ forked process executes each module again, as a fresh one would).
 from __future__ import annotations
 
 import argparse
+import faulthandler
 import gc
 import json
 import os
 import signal
-import stat
 import sys
 import time
 import traceback
@@ -243,16 +243,24 @@ def fork_subtree(
         # thread of the parent held at the fork.
         sys.stdout = open(1, "w", closefd=False)
         sys.stderr = open(2, "w", buffering=1, closefd=False)
-        # Inherited sockets are the caller's links and listeners (of
-        # any network it runs): holding them would keep its peers from
-        # ever seeing EOF.  Pipes and files stay — the shared-memory
-        # resource tracker's pipe is one of them.
+        # Every other inherited fd is the caller's: its links and
+        # listeners, a test runner's saved stdout pipe, other children's
+        # logs, the shm resource tracker's pipe.  Holding one keeps its
+        # peer or reader from ever seeing EOF.
         for name in os.listdir("/dev/fd"):
-            try:
-                if stat.S_ISSOCK(os.fstat(int(name)).st_mode):
+            if int(name) not in (0, 1, 2, log_fd):
+                try:
                     os.close(int(name))
-            except OSError:
-                pass  # the directory's own fd, gone once listed
+                except OSError:
+                    pass  # the directory's own fd, gone once listed
+        if faulthandler.is_enabled():  # its file was one of them
+            faulthandler.enable(sys.stderr)
+        tracker = sys.modules.get("multiprocessing.resource_tracker")
+        if tracker is not None:
+            # A tracker of its own, started on first use: the caller's
+            # lock may be held by a thread that did not fork, and an shm
+            # attach unregisters from its own process's tracker.
+            tracker._resource_tracker.__init__()
         # An asyncio loop of the caller's may have aimed signal wake-ups
         # at one of those sockets; its fd number is about to be reused.
         signal.set_wakeup_fd(-1)

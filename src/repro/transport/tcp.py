@@ -246,9 +246,13 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 
 def _dial_once(address, timeout, shm: bool, capacity: Optional[int]):
-    sock = socket.create_connection(address, timeout=timeout)
+    # Listeners bind IPv4 literals: connect without create_connection's
+    # getaddrinfo, which imports the idna codec in every forked child.
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     pair = None
     try:
+        sock.settimeout(timeout)
+        sock.connect(address)
         _nodelay(sock)
         if shm:
             from .shm import DEFAULT_CAPACITY, offer_shm

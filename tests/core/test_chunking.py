@@ -1,5 +1,8 @@
 """Unit tests for the chunked-wave framing codec (repro.core.chunking)."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -225,6 +228,37 @@ class TestSendWindow:
         assert len(w.resend_since(n - 2)) == 4  # just the newest wave
         assert w.resend_since(n) == []
         assert w.waves_replayed == HISTORY_MAX_WAVES + 1
+
+    @pytest.mark.parametrize("sender", ["node output", "back-end split"])
+    def test_history_pins_only_the_bytes_it_counts(self, sender):
+        """A recorded fragment keeps its frame and nothing else: not the
+        reduced array behind a node's output, nor the caller's array a
+        back-end's fragments slice.  Both senders drop those once sent."""
+        w = SendWindow()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            data = np.arange(1 << 17, dtype=np.float64)  # 1 MiB
+            if sender == "node output":  # a filter's result, re-framed
+                whole = Packet.trusted(9, 105, "%alf", (data,), 3)
+                chunks = [wrap_chunk(whole, w.wave, 0, 1)]
+            else:  # BackEndStream.send: the caller's array by reference
+                whole = Packet(9, 105, "%alf", (data,), 3, copy=False)
+                chunks = w.split(whole, 1 << 18)
+            for chunk in chunks:
+                chunk.encoded_view()  # the send encodes it
+                w.record(chunk)
+            del data, whole, chunks, chunk
+            gc.collect()
+            pinned = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert w._bytes > 1 << 20
+        assert abs(pinned - w._bytes) < 64 << 10, (pinned, w._bytes)
+        replay = w.resend_since(-1)
+        assert np.array_equal(
+            reassemble(replay).raw_values[0], np.arange(1 << 17, dtype=np.float64)
+        )
 
     def test_aborted_wave_leaves_a_gap_not_an_entry(self):
         w = SendWindow()

@@ -6,6 +6,7 @@ the front-end or of its own parent, and connects everything over TCP.
 Trees are kept small.
 """
 
+import os
 import textwrap
 
 import pytest
@@ -34,6 +35,38 @@ class TestProcessTransport:
             net.shutdown()
         # Shutdown cascaded: every commnode process exited.
         assert all(p.poll() is not None for p in net._procs)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_forked_comm_node_keeps_no_inherited_pipe(self):
+        """A pipe the front-end holds open (a test runner's saved stdout)
+        is not held by any comm node, so its reader sees EOF once the
+        front-end's process closes it, whatever the tree is doing.  The
+        front-end's shm resource tracker is not shared either: a node
+        whose links are shm starts its own."""
+        from multiprocessing import resource_tracker
+
+        resource_tracker.ensure_running()
+        read_fd, write_fd = os.pipe()
+        pipes = {
+            os.readlink(f"/proc/self/fd/{fd}")
+            for fd in (read_fd, resource_tracker.getfd())
+        }
+        net = Network(balanced_tree(2, 2, hosts=["h0"]), transport="process")
+        try:
+            for proc in net._procs:
+                fds = f"/proc/{proc.pid}/fd"
+                held = {os.readlink(f"{fds}/{fd}") for fd in os.listdir(fds)}
+                assert not pipes & held, held
+            stream = net.new_stream(net.get_broadcast_communicator(), transform=TFILTER_SUM)
+            stream.send("%d", 0)
+            for rank in sorted(net.backends):
+                _, bstream = net.backends[rank].recv(timeout=RECV_TIMEOUT)
+                bstream.send("%d", rank + 1)
+            assert stream.recv_values(timeout=RECV_TIMEOUT) == (10,)
+        finally:
+            net.shutdown()
+            os.close(read_fd)
+            os.close(write_fd)
 
     def test_flat_topology_spawns_no_processes(self):
         net = Network(flat_topology(3), transport="process")

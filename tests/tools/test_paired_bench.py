@@ -2,6 +2,9 @@
 speeds are reported and left out; the rest are summarised per metric;
 runs the benchmark flagged are marked and counted per side."""
 
+import pathlib
+import shutil
+import subprocess
 import sys
 
 import pytest
@@ -108,3 +111,27 @@ def test_run_once_keeps_the_flagged_lines(tmp_path):
     got = paired_bench.run_once(tmp_path, [sys.executable, str(script)], "w", 1, 0.1)
     assert got["flagged"] == [GENERATOR_BOUND]
     assert got["attempted"] == 3 and got["loop_ms"] > 0
+
+
+def in_git_checkout() -> bool:
+    if shutil.which("git") is None:
+        return False
+    probe = subprocess.run(
+        ["git", "-C", str(paired_bench.REPO_ROOT), "rev-parse", "--is-inside-work-tree"],
+        capture_output=True, text=True,
+    )
+    return probe.returncode == 0 and probe.stdout.strip() == "true"
+
+
+@pytest.mark.skipif(not in_git_checkout(), reason="needs a git checkout")
+def test_change_side_is_the_tracked_files_byte_compiled(tmp_path):
+    """The change side is an extraction too: tracked files as they are
+    on disk, none of the working tree's caches, bytecode written before
+    any run."""
+    root = tmp_path / "change"
+    paired_bench.extract_worktree(root)
+    module = pathlib.Path("tools", "paired_bench.py")
+    assert (root / module).read_bytes() == (paired_bench.REPO_ROOT / module).read_bytes()
+    assert not list(root.rglob("__pycache__"))
+    paired_bench.byte_compile([sys.executable], root / "tools")
+    assert list((root / "tools" / "__pycache__").glob("paired_bench.*.pyc"))

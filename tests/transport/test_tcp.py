@@ -1,13 +1,18 @@
 """Tests for the TCP transport (loopback sockets)."""
 
+import os
+import pathlib
 import socket
 import statistics
 import struct
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.core.batching import decode_batch, encode_batch
 from repro.core.commnode import NodeCore
 from repro.core.packet import Packet
@@ -137,6 +142,28 @@ class TestListener:
                 e.close()
         finally:
             listener.close()
+
+    def test_dial_looks_up_no_name(self):
+        """Listeners bind IPv4 literals, so a dial connects without a
+        name lookup: a fresh interpreter (like a freshly forked comm
+        node) loads no IDNA codec for it."""
+        script = (
+            "import sys\n"
+            "from repro.transport.channel import Inbox\n"
+            "from repro.transport.tcp import TcpListener, tcp_dial\n"
+            "listener = TcpListener(Inbox())\n"
+            "sock, _rings = tcp_dial(listener.address, attempts=1, timeout=2)\n"
+            "sock.close()\n"
+            "print(sorted({'encodings.idna', 'stringprep', 'unicodedata'}"
+            " & set(sys.modules)))\n"
+        )
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=60, check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 def nodelay(sock):

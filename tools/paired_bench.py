@@ -5,14 +5,22 @@ The rule of the ``choosing-metrics`` guide, section 8, as a command::
 
     python tools/paired_bench.py --workload bulk_tcp --parent HEAD~1 --pairs 10
 
-extracts ``--parent`` (``git archive``) into a temporary directory and
-runs ``benchmarks/suite/run.py --workload W --seed k --seconds S
---trace 0`` alternately there and in the working tree — order swapped
-every pair, a fresh seed per pair — then prints, per end-to-end metric,
-both medians, both quartile distances, pairs won/lost/tied, and
-failed/attempted operations per side.  A gain may be claimed when the
-change wins at least nine tenths of the pairs and the medians differ by
-more than the parent's quartile distance.
+extracts ``--parent`` (``git archive``) and the change (the working
+tree's tracked and staged files, as they are on disk) into two sibling
+temporary directories whose paths are equally long, byte-compiles both,
+and runs ``benchmarks/suite/run.py --workload W --seed k --seconds S
+--trace 0`` alternately in each — order swapped every pair, a fresh
+seed per pair — then prints, per end-to-end metric, both medians, both
+quartile distances, pairs won/lost/tied, and failed/attempted
+operations per side.  Neither side runs from the working tree, so
+neither carries its caches or stray files.
+
+``--aa REF`` runs one ref against itself the same way (side A in the
+``parent`` slot, side B in the ``change`` slot) and prints the lean per
+metric: the won/lost split and median delta that position alone
+produces.  A gain may be claimed when the change wins at least nine
+tenths of the pairs, the medians differ by more than the parent's
+quartile distance, and the delta is larger than that metric's A/A lean.
 
 This VM's CPU runs at two speeds about 25 % apart and flips between
 them every few seconds, and every CPU-bound workload follows it.  So a
@@ -39,6 +47,7 @@ import argparse
 import json
 import os
 import pathlib
+import shutil
 import statistics
 import subprocess
 import sys
@@ -76,13 +85,35 @@ def loop_ms() -> float:
 
 def extract(ref: str, into: pathlib.Path) -> None:
     """Unpack commit *ref* of this repository under *into*."""
-    archive = into / "parent.tar"
+    into.mkdir()
+    archive = into / "ref.tar"
     subprocess.run(
         ["git", "-C", str(REPO_ROOT), "archive", "-o", str(archive), ref], check=True
     )
     with tarfile.open(archive) as tar:
         tar.extractall(into)
     archive.unlink()
+
+
+def extract_worktree(into: pathlib.Path) -> None:
+    """Copy the working tree's tracked and staged files under *into*."""
+    into.mkdir()
+    listed = subprocess.run(
+        ["git", "-C", str(REPO_ROOT), "ls-files", "-z"],
+        check=True, capture_output=True,
+    ).stdout.decode().split("\0")
+    for name in filter(None, listed):
+        src = REPO_ROOT / name
+        if src.is_file():  # a tracked file deleted on disk stays deleted
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, into / name)
+
+
+def byte_compile(command, root: pathlib.Path) -> None:
+    """Write every module's bytecode under *root* with the benchmark's
+    interpreter, so no run pays (or races) the first compile."""
+    subprocess.run([command[0], "-m", "compileall", "-q", str(root)],
+                   check=True, stdout=subprocess.DEVNULL)
 
 
 def run_once(root: pathlib.Path, command, workload, seed, seconds) -> dict:
@@ -183,7 +214,9 @@ def summarise(spec: dict, parent_runs, change_runs) -> list:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--parent", required=True, help="git ref to compare against")
+    which = ap.add_mutually_exclusive_group(required=True)
+    which.add_argument("--parent", help="git ref to compare the working tree against")
+    which.add_argument("--aa", metavar="REF", help="run git ref REF against itself")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=None,
                     help="run length (default: BENCHMARK.json run_seconds)")
@@ -199,10 +232,18 @@ def main(argv=None) -> int:
 
     parent_runs, change_runs = [], []
     with tempfile.TemporaryDirectory(prefix="paired-bench-") as tmp:
-        parent_root = pathlib.Path(tmp)
-        extract(args.parent, parent_root)
+        # Siblings with names of one length: the two sides' paths differ
+        # in one word, not in length or depth.
+        parent_root, change_root = pathlib.Path(tmp, "parent"), pathlib.Path(tmp, "change")
+        extract(args.aa or args.parent, parent_root)
+        if args.aa:
+            extract(args.aa, change_root)
+        else:
+            extract_worktree(change_root)
+        for root in (parent_root, change_root):
+            byte_compile(spec["command"], root)
         for k in range(args.pairs):
-            sides = [(parent_root, parent_runs), (REPO_ROOT, change_runs)]
+            sides = [(parent_root, parent_runs), (change_root, change_runs)]
             if k % 2:
                 sides.reverse()
             for root, runs in sides:
@@ -217,7 +258,11 @@ def main(argv=None) -> int:
               + pair_marks(p, c), flush=True)
 
     rows = summarise(spec, parent_runs, change_runs)
-    print(f"\n{args.workload}: {args.pairs} pairs of {seconds:g} s, parent {args.parent}")
+    if args.aa:
+        print(f"\n{args.workload}: A/A of {args.aa}, {args.pairs} pairs of {seconds:g} s;"
+              " 'parent' is side A, 'change' side B: delta and won/lost/tied are the lean")
+    else:
+        print(f"\n{args.workload}: {args.pairs} pairs of {seconds:g} s, parent {args.parent}")
     split = sum(mode_split(p, c) for p, c in zip(parent_runs, change_runs))
     print(f"{split} of {args.pairs} pairs mode-split (loop times over "
           f"{MODE_SPLIT:.0%} apart): left out of every row below")
