@@ -32,8 +32,6 @@ from .protocol import (
     TAG_NEW_STREAMS,
     TAG_RANKS_CHANGED,
     TAG_SHUTDOWN,
-    TAG_WAVE_ACK,
-    TAG_WAVE_NACK,
     check_control,
     make_endpoint_report,
     make_join,
@@ -63,8 +61,8 @@ class BackEndStream:
         self.chunk_bytes = chunk_bytes
         self.closed = False
         # Send half of the link protocol (crash consistency): fragment
-        # wave ids plus the bounded replay history (repair only), pruned
-        # by TAG_WAVE_ACK and replayed after a repair or on TAG_WAVE_NACK.
+        # wave ids plus the bounded replay history (repair only),
+        # replayed onto the new parent link after a repair.
         self._window = SendWindow()
 
     def send(
@@ -141,7 +139,7 @@ class BackEnd:
         self.left = False
         # Parent links this back-end closed for a malformed frame.
         self._cut_links: set[int] = set()
-        # Fragments replayed from stream histories (repair or NACK).
+        # Fragments replayed from stream histories after a repair.
         self.chunks_retransmitted = 0
         # The front-end's stamped TAG_RANKS_CHANGED flood, oldest
         # first: one entry per membership change of the tree, so
@@ -304,20 +302,8 @@ class BackEnd:
             self._down.drop_stream(stream_id)
         elif packet.tag == TAG_SHUTDOWN:
             self._mark_shutdown()
-        elif packet.tag == TAG_WAVE_ACK:
-            stream_id, wave_seq = packet.unpack()
-            stream = self._streams.get(stream_id)
-            if stream is not None:
-                stream._window.ack(wave_seq)
         elif packet.tag == TAG_RANKS_CHANGED:
             self.membership_events.append(RanksChanged(*packet.unpack()))
-        elif packet.tag == TAG_WAVE_NACK:
-            # The parent is missing our output from wave_seq on:
-            # replay whatever the bounded history still holds.
-            stream_id, wave_seq = packet.unpack()
-            stream = self._streams.get(stream_id)
-            if stream is not None:
-                self._replay([stream], since=wave_seq - 1)
         # Other control traffic (e.g. TAG_HEARTBEAT probes from a
         # liveness-enabled parent) is consumed silently: back-ends are
         # passive and answer liveness with their data traffic.
@@ -343,20 +329,20 @@ class BackEnd:
                 self._send_raw(make_endpoint_report([self.rank]))
             except NetworkShutdown:
                 return False
-            # Crash-consistent waves: replay every un-ACKed fragment
-            # wave after the report (report-before-data invariant).
-            # The new parent's dedup watermark — seeded from our dead
-            # parent's checkpoint when one exists — drops whatever the
-            # old parent already forwarded upstream.
-            self._replay(self._streams.values())
+            # Crash-consistent waves: replay every fragment wave
+            # history holds, after the report (report-before-data
+            # invariant).  The new parent's dedup watermark — seeded
+            # from our dead parent's checkpoint when one exists — drops
+            # whatever the old parent already forwarded upstream.
+            self._replay()
             return True
         finally:
             self._repairing = False
 
-    def _replay(self, streams, since: int = -1) -> None:
-        """Best-effort re-send of buffered fragment waves."""
-        for stream in streams:
-            for chunk in stream._window.resend_since(since):
+    def _replay(self) -> None:
+        """Best-effort re-send of every stream's buffered fragment waves."""
+        for stream in self._streams.values():
+            for chunk in stream._window.resend_since():
                 try:
                     self._send_raw(chunk)
                 except (NetworkShutdown, ConnectionError):

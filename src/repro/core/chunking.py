@@ -20,15 +20,17 @@ reduces chunk *i* while hop *k−1* is still reducing chunk *i+1*
 splitting then reassembling reproduces the original packet's values
 exactly.
 
-The wave ids also make every link a selective-repeat channel, whose
-two halves are written once, here: :class:`SendWindow` (used by
-``Stream``, ``BackEndStream`` and ``StreamManager``) and
+The wave ids also number every link's fragments, and the two halves
+of that link protocol are written once, here: :class:`SendWindow`
+(used by ``Stream``, ``BackEndStream`` and ``StreamManager``) and
 :class:`ReceiveWindow` (``StreamManager`` keys it by child link and
-runs the window; ``BackEnd`` and the front-end key it by ``(stream,
-origin)`` and only reassemble).  Only a repair replays, so history,
-ACK and NACK exist under ``policy="repair"`` alone.  Policy — when to
-split, when to record, when to filter per fragment, when a wave counts
-as aggregated — stays in those callers.
+drops duplicates; ``BackEnd`` and the front-end key it by ``(stream,
+origin)`` and only reassemble).  A live link neither loses nor
+reorders a frame, so nothing is acknowledged or re-requested: only a
+repair replays, onto a new link, and history exists under
+``policy="repair"`` alone.  Policy — when to split, when to record,
+when to filter per fragment, when a wave counts as aggregated — stays
+in those callers.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ __all__ = [
     "ReceiveWindow",
     "HISTORY_MAX_WAVES",
     "HISTORY_MAX_BYTES",
-    "ACK_STRIDE",
 ]
 
 #: Framing fields prepended to every chunk's value tuple:
@@ -77,12 +78,9 @@ HISTORY_MAX_WAVES = 8
 #: transport's per-link send-queue ceiling
 #: (:data:`repro.transport.eventloop.SEND_QUEUE_MAX_BYTES`) so a
 #: stream can never pin more memory in history than one link may
-#: queue under backpressure.
+#: queue under backpressure.  The wave being recorded is never
+#: evicted, so one wave larger than this is still held whole.
 HISTORY_MAX_BYTES = 4 << 20
-
-#: Aggregated input waves between ``TAG_WAVE_ACK`` emissions toward a
-#: child — the child prunes its history up to the ACKed seq.
-ACK_STRIDE = 4
 
 
 def _sliceable(spec) -> bool:
@@ -290,11 +288,11 @@ class SendWindow:
 
     One per sending stream handle.  :meth:`split` stamps the next wave
     id on a packet's fragments; :meth:`record` parks a sent fragment in
-    the history (oldest wave evicted first once either bound is hit);
-    :meth:`ack` is the cumulative ``TAG_WAVE_ACK``; :meth:`resend_since`
-    is the replay after a repair or ``TAG_WAVE_NACK``.  Wave ids also
-    advance without a send (:attr:`wave` is bumped on an aborted wave),
-    so gaps are normal and a resender silently skips what has aged out.
+    the history (the newest waves within both bounds, never fewer than
+    the wave being recorded); :meth:`resend_since` is the replay onto
+    a repaired link.  Wave ids also advance without a send
+    (:attr:`wave` is bumped on an aborted wave), so gaps are normal and
+    a resender silently skips what has aged out.
     """
 
     __slots__ = ("wave", "_history", "_bytes", "waves_replayed", "chunks_replayed")
@@ -316,7 +314,8 @@ class SendWindow:
 
     def record(self, chunk: Packet) -> None:
         """Park a fragment this sender built as its frame alone: a replay
-        sends the same bytes, and the bytes counted are the bytes held."""
+        sends the same bytes, and the bytes counted are the bytes held.
+        Older waves are evicted past either bound, never this one."""
         wave_id = chunk_meta(chunk)[0]
         chunk = Packet.lazy_from_wire(chunk.encoded_view())
         history = self._history
@@ -325,19 +324,11 @@ class SendWindow:
         else:
             history.append((wave_id, [chunk]))
         self._bytes += chunk.nbytes
-        while history and (
+        while len(history) > 1 and (
             len(history) > HISTORY_MAX_WAVES or self._bytes > HISTORY_MAX_BYTES
         ):
-            self._evict()
-
-    def _evict(self) -> None:
-        _seq, chunks = self._history.popleft()
-        self._bytes -= sum(c.nbytes for c in chunks)
-
-    def ack(self, wave_seq: int) -> None:
-        """The receiver aggregated through *wave_seq*: prune up to it."""
-        while self._history and self._history[0][0] <= wave_seq:
-            self._evict()
+            _seq, chunks = history.popleft()
+            self._bytes -= sum(c.nbytes for c in chunks)
 
     def resend_since(self, wave_seq: int = -1) -> List[Packet]:
         """Fragments of every buffered wave newer than *wave_seq*, in
@@ -355,65 +346,50 @@ class ReceiveWindow:
     """Receive half of the link protocol, keyed by sender.
 
     :meth:`add` is reassembly alone (one :class:`ChunkReassembler` per
-    key, made on first use).  Callers that also run the window pass
+    key, made on first use).  Callers that also drop duplicates pass
     every fragment through :meth:`admit` first and report each wave the
-    aligner released with :meth:`release`: the *watermark* — what
-    checkpoints ship and ACKs confirm — is the highest wave
-    **aggregated** per key, while gap and duplicate detection run on
-    the highest wave that fully **arrived**, so a wave parked waiting
-    for its siblings is neither ACKed nor NACKed nor taken twice.
+    aligner released with :meth:`release`.  Two marks per key:
+
+    * the last ``(wave, index)`` admitted — a link delivers a sender's
+      fragments in order, so anything at or below it is a duplicate (a
+      repaired sender's replay overlapping what the link already
+      carried) and is refused;
+    * the *watermark* — what deposits ship — the highest wave
+      **aggregated**, so a wave parked waiting for its siblings is
+      below no watermark and its sender still replays it.
     """
 
     def __init__(self):
         self._reassemblers: Dict[object, ChunkReassembler] = {}
-        self._arrived: Dict[object, int] = {}
+        self._admitted: Dict[object, Tuple[int, float]] = {}
         #: Highest wave id aggregated per key (absent: none yet).
         self.watermarks: Dict[object, int] = {}
-        self._acked: Dict[object, int] = {}
-        self._nacked: Dict[object, int] = {}
         self.duplicates_dropped = 0
         self.discarded_waves = 0
 
-    def admit(self, key: object, packet: Packet) -> Tuple[bool, Optional[int]]:
-        """Sequence gate for one arriving fragment: ``(accept, nack)``.
-
-        Refuses a fragment of a wave that already arrived whole (a
-        retransmission overlap).  ``nack`` is the first missing wave id
-        when the fragment opens a wave beyond the expected one; aborted
-        waves consume ids silently, so it is reported once per
-        ``(key, expected)`` and recovery degrades to realignment when
-        the sender's history has aged out.
-        """
-        wave_id, index, n, _tag = chunk_meta(packet)
-        high = self._arrived.get(key, -1)
-        if wave_id <= high:
+    def admit(self, key: object, packet: Packet) -> bool:
+        """Sequence gate for one arriving fragment: ``False`` for a
+        duplicate, a fragment at or below the last one admitted."""
+        mark = chunk_meta(packet)[:2]
+        if mark <= self._admitted.get(key, (-1, 0)):
             self.duplicates_dropped += 1
-            return False, None
-        nack = None
-        if index == 0 and wave_id > high + 1 > self._nacked.get(key, -1):
-            nack = self._nacked[key] = high + 1
-        if index + 1 == n:
-            self._arrived[key] = wave_id
-        return True, nack
+            return False
+        self._admitted[key] = mark
+        return True
 
-    def release(self, key: object, wave_id: int) -> Optional[int]:
-        """The aligner released *key*'s wave *wave_id* into a filter.
-
-        Advances the watermark; returns the wave id to ACK once
-        :data:`ACK_STRIDE` waves were aggregated since the last ACK.
-        """
+    def release(self, key: object, wave_id: int) -> None:
+        """The aligner released *key*'s wave *wave_id* into a filter."""
         if wave_id > self.watermarks.get(key, -1):
             self.watermarks[key] = wave_id
-        if wave_id - self._acked.get(key, -1) >= ACK_STRIDE:
-            self._acked[key] = wave_id
-            return wave_id
-        return None
 
     def seed_watermark(self, key: object, wave_id: int) -> None:
-        """Start *key* past waves a previous receiver already aggregated."""
-        for marks in (self._arrived, self.watermarks):
-            if wave_id > marks.get(key, -1):
-                marks[key] = wave_id
+        """Start *key* past waves a previous receiver already aggregated:
+        every fragment of them is a duplicate here."""
+        if wave_id > self.watermarks.get(key, -1):
+            self.watermarks[key] = wave_id
+        whole = (wave_id, float("inf"))
+        if whole > self._admitted.get(key, (-1, 0)):
+            self._admitted[key] = whole
 
     def add(self, key: object, packet: Packet) -> Optional[Packet]:
         """Feed one fragment to *key*'s reassembler; whole packet or ``None``."""
@@ -435,10 +411,7 @@ class ReceiveWindow:
 
     def drop(self, key: object) -> None:
         """Forget a sender (its link died or was handed over)."""
-        for table in (
-            self._reassemblers, self._arrived, self.watermarks,
-            self._acked, self._nacked,
-        ):
+        for table in (self._reassemblers, self._admitted, self.watermarks):
             table.pop(key, None)
 
     def drop_stream(self, stream_id: int) -> None:

@@ -102,8 +102,6 @@ from .protocol import (
     TAG_SHUTDOWN,
     TAG_STATS_REPLY,
     TAG_STATS_REQUEST,
-    TAG_WAVE_ACK,
-    TAG_WAVE_NACK,
     check_control,
     make_checkpoint,
     make_endpoint_report,
@@ -111,8 +109,6 @@ from .protocol import (
     make_ranks_changed,
     make_shutdown,
     make_stats_reply,
-    make_wave_ack,
-    make_wave_nack,
     parse_new_streams,
 )
 from .routing import RoutingTable
@@ -709,7 +705,7 @@ class NodeCore:
     def _seed_from_checkpoints(self, manager, link_id: int, ranks) -> None:
         """Apply a dead child's checkpoint to a freshly adopted link.
 
-        Orphans replay their un-ACKed output history after repair;
+        Orphans replay their output history after repair;
         the dedup watermark their dead parent had reached — deposited
         here via ``TAG_CHECKPOINT`` and keyed by rank set — makes that
         replay duplicate-free for waves the dead node had already
@@ -784,24 +780,6 @@ class NodeCore:
                 self._queue_up(make_stats_reply(request_id, payload))
             for link in list(self.children):
                 self._queue_down(link, packet)
-        elif packet.tag == TAG_WAVE_ACK:
-            # Link-local (one hop): the parent delivered our output
-            # through wave_seq — prune the retransmit history.
-            stream_id, wave_seq = packet.unpack()
-            manager = self.streams.get(stream_id)
-            if manager is not None:
-                manager.ack_output(wave_seq)
-        elif packet.tag == TAG_WAVE_NACK:
-            # Link-local (one hop): the parent is missing our output
-            # from wave_seq onward — replay what history still holds.
-            stream_id, wave_seq = packet.unpack()
-            manager = self.streams.get(stream_id)
-            if manager is not None:
-                resent = manager.resend_since(wave_seq - 1)
-                for out in resent:
-                    self._queue_up(out)
-                if resent:
-                    self._note_urgent()
         elif packet.tag == TAG_RANKS_CHANGED:
             # A change the front-end stamped: flood it so surviving
             # back-ends observe it too.
@@ -836,11 +814,8 @@ class NodeCore:
         )
         self.streams[stream_id] = manager
         # Only repair re-homes a link, so only repair replays: outside
-        # it no fragment is kept, ACKed or NACKed.
+        # it no fragment is kept.
         manager.keep_history = self._deposits
-        if self.policy == REPAIR:
-            manager.ack_hook = self._send_wave_ack
-            manager.nack_hook = self._send_wave_nack
         if manager.sync_timed:
             self._timed_stream_count += 1
         return manager
@@ -1011,11 +986,12 @@ class NodeCore:
         # managers — data arriving first would hit an unknown child.
         ranks = self.routing.all_ranks() or self.reported_ranks
         self._queue_up(make_endpoint_report(sorted(ranks)))
-        # Crash-consistent waves: replay the un-ACKed output history
-        # before the carried-over (never-sent) packets — the adopter's
-        # per-link dedup watermark (seeded from our dead parent's
-        # checkpoint) drops whatever it already saw, and any overlap
-        # between history and the old buffer dedups the same way.
+        # Crash-consistent waves: replay the output history before the
+        # carried-over (never-sent) packets.  The adopter's mark on the
+        # new link (seeded from our dead parent's deposit) drops what
+        # the dead parent had aggregated, and admits each fragment
+        # once: a history fragment also in the old buffer comes again
+        # below the last one admitted and is dropped.
         for manager in self.streams.values():
             for pkt in manager.resend_since():
                 self._queue_up(pkt)
@@ -1027,17 +1003,6 @@ class NodeCore:
             "%s: parent link repaired -> link %d", self.name, new_parent.link_id
         )
         return True
-
-    # -- crash-consistency control emitters --------------------------------
-
-    def _send_wave_ack(self, link_id, stream_id: int, wave_seq: int) -> None:
-        """Stream-manager hook: confirm delivery through *wave_seq*."""
-        self._queue_down(link_id, make_wave_ack(stream_id, wave_seq))
-
-    def _send_wave_nack(self, link_id, stream_id: int, wave_seq: int) -> None:
-        """Stream-manager hook: request replay from *wave_seq* onward."""
-        self._queue_down(link_id, make_wave_nack(stream_id, wave_seq))
-        self._note_urgent()
 
     def _queue_outputs(self, manager: StreamManager, outputs) -> None:
         """Queue *manager*'s upstream outputs, then their deposit.

@@ -67,16 +67,6 @@ order:
   announced rather than as a failure; the front-end logs the rank
   *lost*.  A peer speaks only for ranks behind its own link: a
   leave naming any other rank changes nothing.
-* ``TAG_WAVE_ACK`` (downstream, link-local) — crash-consistent waves:
-  a parent acknowledges consumption of a child's output wave so the
-  child can prune its bounded retransmit history: stream id, highest
-  consumed wave sequence.
-* ``TAG_WAVE_NACK`` (downstream, link-local) — a parent observed a gap
-  in a child's wave sequence and asks for retransmission: stream id,
-  first missing wave sequence.  The child re-sends whatever its
-  bounded history still holds from that sequence on; sequences aged
-  out of the history are simply skipped (the parent's reassembler
-  realigns on the next complete wave).
 * ``TAG_CHECKPOINT`` (upstream, one hop) — watermark deposit, sent
   under repair right behind the outputs of every released wave that
   moved a watermark: stream id, the sender's output-wave sequence at
@@ -84,6 +74,12 @@ order:
   wave watermarks.  The parent *stores* the deposit (it does not relay
   it); if the sender later dies and its orphans re-home here, the
   stored watermarks seed duplicate suppression.
+
+No tag acknowledges or re-requests a wave: a live link neither loses
+nor reorders a frame, so a repair's replay onto the new link, the
+deposit and duplicate drop are the whole link protocol (see
+:mod:`repro.core.chunking`).  Retired tag numbers (-2, -12, -13) are
+refused like any unknown control tag.
 
 Application packets use non-negative tags; tags below
 ``FIRST_APP_TAG`` are reserved for the protocol.
@@ -128,8 +124,6 @@ __all__ = [
     "TAG_ADDR_REPORT",
     "TAG_JOIN",
     "TAG_LEAVE",
-    "TAG_WAVE_ACK",
-    "TAG_WAVE_NACK",
     "TAG_CHECKPOINT",
     "TAG_NEW_STREAMS",
     "TAG_CHUNK",
@@ -150,8 +144,6 @@ __all__ = [
     "make_addr_report",
     "make_join",
     "make_leave",
-    "make_wave_ack",
-    "make_wave_nack",
     "make_checkpoint",
     "make_new_streams",
     "parse_new_streams",
@@ -170,8 +162,6 @@ TAG_STATS_REPLY = -8
 TAG_ADDR_REPORT = -9
 TAG_JOIN = -10
 TAG_LEAVE = -11
-TAG_WAVE_ACK = -12
-TAG_WAVE_NACK = -13
 TAG_CHECKPOINT = -14
 TAG_NEW_STREAMS = -15
 
@@ -204,8 +194,6 @@ CONTROL_FORMATS = {
     TAG_ADDR_REPORT: "%s %s %ud",
     TAG_JOIN: "%ud %aud",
     TAG_LEAVE: "%ud",
-    TAG_WAVE_ACK: "%ud %ud",
-    TAG_WAVE_NACK: "%ud %ud",
     TAG_CHECKPOINT: "%ud %ud %s",
     TAG_NEW_STREAMS: "%s",
 }
@@ -359,16 +347,6 @@ def make_join(rank: int, stream_ids: Sequence[int]) -> Packet:
 def make_leave(rank: int) -> Packet:
     """Build a leaving back-end's upstream detach announcement."""
     return _control(TAG_LEAVE, rank)
-
-
-def make_wave_ack(stream_id: int, wave_seq: int) -> Packet:
-    """Build a parent's downstream wave-consumption acknowledgement."""
-    return _control(TAG_WAVE_ACK, stream_id, wave_seq)
-
-
-def make_wave_nack(stream_id: int, wave_seq: int) -> Packet:
-    """Build a parent's downstream retransmission request."""
-    return _control(TAG_WAVE_NACK, stream_id, wave_seq)
 
 
 def make_checkpoint(stream_id: int, wave_seq: int, state_json: str) -> Packet:

@@ -38,16 +38,15 @@ Wave state has three owners
   this node's output wave counter and, under repair
   (``keep_history``), its bounded retransmit history.
 * The **receive half** (:class:`~repro.core.chunking.ReceiveWindow`,
-  keyed by child link) holds fragment reassembly and the link
-  protocol's window: duplicate drop, one ``TAG_WAVE_NACK`` per gap, and
-  the watermark of *aggregated* waves that ``TAG_WAVE_ACK`` confirms
-  and ``checkpoint_state`` ships.  A link's watermark advances when
-  the aligner *releases* its wave into the filter, not when the last
-  fragment arrives, so a wave parked behind a slow sibling when this
-  node dies is still in its sender's history and below no watermark an
-  adopter could seed.  A release that moved a watermark sets
-  ``deposit_due``; under repair the owner ships the deposit right
-  behind that release's outputs.
+  keyed by child link) holds fragment reassembly, duplicate drop (a
+  fragment at or below the last one admitted on its link), and the
+  watermark of *aggregated* waves that ``checkpoint_state`` ships.  A
+  link's watermark advances when the aligner *releases* its wave into
+  the filter, not when the last fragment arrives, so a wave parked
+  behind a slow sibling when this node dies is still in its sender's
+  history and below no watermark an adopter could seed.  A release
+  that moved a watermark sets ``deposit_due``; under repair the owner
+  ships the deposit right behind that release's outputs.
 
 Chunked waves (pipelined collectives)
 -------------------------------------
@@ -211,7 +210,7 @@ class StreamManager:
         self._wave_n = 0  # fragment count of the in-flight aligned wave
         # Sequenced whole units parked in the aligner, ``id(unit) ->
         # (link, wave id)``: a reassembled wave counts as aggregated —
-        # watermark, ACK — when the aligner releases it, not before.
+        # its watermark moves — when the aligner releases it, not before.
         self._sequenced: Dict[int, Tuple[object, int]] = {}
         if self.chunk_bytes > 0:
             registry.gauge(
@@ -240,23 +239,19 @@ class StreamManager:
         else:
             self._h_chunk_bytes = None
             self._c_chunk_aborts = None
-        # Owner-installed control emitters, ``fn(link_id, stream_id,
-        # wave_seq)``; ``None`` (back-end-less unit tests, front-end)
-        # disables ACK/NACK emission without disabling the watermarks.
-        self.ack_hook: Optional[Callable[[object, int, int], None]] = None
-        self.nack_hook: Optional[Callable[[object, int, int], None]] = None
         # Set when a released wave moved a watermark; the owner clears
         # it when it queues the deposit behind that wave's outputs.
         self.deposit_due = False
         self._c_waves_recovered = registry.counter(
             "waves_recovered",
-            "Output waves replayed from the retransmit history after a "
-            "parent repair or TAG_WAVE_NACK",
+            "Output waves replayed from the retransmit history onto a "
+            "repaired parent link",
             stream=stream_id,
         )
         self._c_chunks_retx = registry.counter(
             "chunks_retransmitted",
-            "Pipeline fragments replayed from the retransmit history",
+            "Pipeline fragments replayed from the retransmit history "
+            "onto a repaired parent link",
             stream=stream_id,
         )
 
@@ -307,12 +302,9 @@ class StreamManager:
         if self.closed:
             return []
         if is_chunk(packet):
-            # Sequence gate: a retransmission overlap is dropped, a
-            # fresh gap NACKed once (see ReceiveWindow.admit).
-            accept, nack = self._in.admit(link_id, packet)
-            if nack is not None and self.nack_hook is not None:
-                self.nack_hook(link_id, self.stream_id, nack)
-            if not accept:
+            # Sequence gate: a replay overlapping what the link already
+            # carried is dropped (see ReceiveWindow.admit).
+            if not self._in.admit(link_id, packet):
                 return []
             if self._h_chunk_bytes is not None:
                 self._h_chunk_bytes.observe(packet.nbytes)
@@ -368,11 +360,9 @@ class StreamManager:
         return self._emit_up(self._run_waves(self.sync.poll()))
 
     def _note_aggregated(self, link_id: object, wave_id: int) -> None:
-        """*link_id*'s wave left the aligner: watermark up, ACK on stride."""
+        """*link_id*'s wave left the aligner: its watermark moves up."""
         self.deposit_due = True
-        ack = self._in.release(link_id, wave_id)
-        if ack is not None and self.ack_hook is not None:
-            self.ack_hook(link_id, self.stream_id, ack)
+        self._in.release(link_id, wave_id)
 
     def drop_link(self, link_id: int) -> List[Packet]:
         """A child link closed: discard its state, realign the rest.
@@ -618,19 +608,15 @@ class StreamManager:
             out.extend(chunks)
         return out
 
-    def ack_output(self, wave_seq: int) -> None:
-        """``TAG_WAVE_ACK``: the parent aggregated through *wave_seq*."""
-        self._out.ack(wave_seq)
-
     def resend_since(self, wave_seq: int = -1) -> List[Packet]:
         """Replay every buffered output wave newer than *wave_seq*.
 
-        The post-repair resend path (and the ``TAG_WAVE_NACK``
-        handler): returns the fragments in original emission order for
-        the owner to queue upstream.  Waves the bounded history has
-        already aged out are silently skipped — the parent's
-        reassembler realigns on the next boundary and the loss shows
-        up in ``chunk_waves_aborted`` there instead.
+        The post-repair resend path: returns the fragments in original
+        emission order for the owner to queue onto the new parent link.
+        Waves the bounded history has already aged out are silently
+        skipped — the parent's reassembler realigns on the next
+        boundary and the loss shows up in ``chunk_waves_aborted`` there
+        instead.
         """
         out = self._out.resend_since(wave_seq)
         self._c_waves_recovered.value = self._out.waves_replayed

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.core.chunking import (
-    ACK_STRIDE,
     CHUNK_PREFIX_FMT,
     HISTORY_MAX_BYTES,
     HISTORY_MAX_WAVES,
@@ -201,18 +200,19 @@ class TestSendWindow:
         assert history_of(w) == list(range(n_waves - kept, n_waves))
         assert w._bytes == sum(c.nbytes for _s, cs in w._history for c in cs)
 
-    def test_ack_is_cumulative_and_a_stale_ack_is_a_noop(self):
+    def test_history_keeps_the_wave_it_is_recording(self):
+        """A wave over the byte bound (4 MiB in 1 MiB fragments, plus
+        headers) is held whole until a newer wave evicts it."""
         w = SendWindow()
-        for _ in range(5):
-            for chunk in w.split(make_packet(1000), 2048):
-                w.record(chunk)
-        w.ack(2)
-        assert history_of(w) == [3, 4]
-        w.ack(0)  # reordered / duplicate ACK for an older wave
-        w.ack(2)
-        assert history_of(w) == [3, 4]
-        w.ack(99)
-        assert history_of(w) == [] and w._bytes == 0
+        big = Packet(9, 105, "%alf", (np.arange(1 << 19, dtype=np.float64),), 3)
+        for chunk in w.split(big, 1 << 20):
+            w.record(chunk)
+        assert w._bytes > HISTORY_MAX_BYTES
+        assert [chunk_meta(c)[:2] for c in w.resend_since(-1)] == [
+            (0, i) for i in range(4)
+        ]
+        w.record(w.split(make_packet(1000), 2048)[0])
+        assert history_of(w) == [1] and w._bytes <= HISTORY_MAX_BYTES
 
     def test_resend_skips_aged_out_waves_and_counts_replays(self):
         w = SendWindow()
@@ -270,26 +270,22 @@ class TestSendWindow:
 
 class TestReceiveWindow:
     def feed(self, window, key, chunks):
-        """Admit then reassemble; returns (wholes, nacks)."""
-        wholes, nacks = [], []
+        """Admit then reassemble; returns the whole packets."""
+        wholes = []
         for chunk in chunks:
-            accept, nack = window.admit(key, chunk)
-            if nack is not None:
-                nacks.append(nack)
-            if accept:
+            if window.admit(key, chunk):
                 whole = window.add(key, chunk)
                 if whole is not None:
                     wholes.append(whole)
-        return wholes, nacks
+        return wholes
 
     def test_in_order_waves_pass_and_watermark_follows_release(self):
         w = ReceiveWindow()
-        wholes, nacks = self.feed(w, "a", wave_of(0) + wave_of(1))
-        assert len(wholes) == 2 and nacks == []
-        # Arrived is not aggregated: nothing is watermarked (or ACKed)
-        # until the aligner reports the release.
+        assert len(self.feed(w, "a", wave_of(0) + wave_of(1))) == 2
+        # Arrived is not aggregated: nothing is watermarked until the
+        # aligner reports the release.
         assert w.watermarks == {}
-        assert w.release("a", 0) is None
+        w.release("a", 0)
         assert w.watermarks == {"a": 0}
 
     @pytest.mark.parametrize("replayed", [0, 1], ids=["aggregated", "parked"])
@@ -297,51 +293,43 @@ class TestReceiveWindow:
         w = ReceiveWindow()
         self.feed(w, "a", wave_of(0) + wave_of(1))
         w.release("a", 0)  # wave 1 still parked in the aligner
-        wholes, nacks = self.feed(w, "a", wave_of(replayed))
-        assert wholes == [] and nacks == []
+        assert self.feed(w, "a", wave_of(replayed)) == []
         assert w.duplicates_dropped == 4
         assert w.pending == 0
 
-    def test_gap_yields_one_nack_however_many_fragments_follow(self):
+    def test_gap_is_normal_and_later_waves_pass(self):
+        """Aborted waves consume ids: a gap asks for nothing."""
         w = ReceiveWindow()
         self.feed(w, "a", wave_of(0))
-        wholes, nacks = self.feed(w, "a", wave_of(3) + wave_of(4))
-        assert nacks == [1]  # once per (key, expected)
-        assert len(wholes) == 2  # gaps are normal: later waves still pass
-        # A second gap further on is a new (key, expected) pair.
-        assert self.feed(w, "a", wave_of(7))[1] == [5]
+        assert len(self.feed(w, "a", wave_of(3) + wave_of(4))) == 2
         # Another sender has its own sequence space.
-        assert self.feed(w, "b", wave_of(2))[1] == [0]
+        assert len(self.feed(w, "b", wave_of(2))) == 1
+        assert w.duplicates_dropped == 0
 
-    def test_replay_after_nack_is_deduplicated_per_wave(self):
+    def test_replay_is_deduplicated_per_fragment(self):
+        """A repaired sender replays a wave whose prefix the link already
+        carried: the prefix is dropped, the wave completes once."""
         w = ReceiveWindow()
         self.feed(w, "a", wave_of(0))
-        self.feed(w, "a", wave_of(3))  # NACK(1) went out
-        wholes, nacks = self.feed(w, "a", wave_of(3) + wave_of(4))
-        assert len(wholes) == 1 and nacks == []  # 3 again: dropped; 4: new
-        assert w.duplicates_dropped == 4
+        assert self.feed(w, "a", wave_of(1)[:2]) == []
+        wholes = self.feed(w, "a", wave_of(1) + wave_of(2))
+        assert [p.values for p in wholes] == [make_packet().values] * 2
+        assert w.duplicates_dropped == 2 and w.discarded_waves == 0
 
     def test_mid_sequence_restart_discards_the_partial_wave_once(self):
         w = ReceiveWindow()
-        wholes, _ = self.feed(w, "a", wave_of(0)[:2] + wave_of(1))
+        wholes = self.feed(w, "a", wave_of(0)[:2] + wave_of(1))
         assert len(wholes) == 1 and w.discarded_waves == 1
-        wholes, _ = self.feed(w, "a", wave_of(2))
+        wholes = self.feed(w, "a", wave_of(2))
         assert len(wholes) == 1 and w.discarded_waves == 1
-
-    def test_ack_every_stride_of_aggregated_waves(self):
-        w = ReceiveWindow()
-        acks = [w.release("a", seq) for seq in range(2 * ACK_STRIDE)]
-        assert [a for a in acks if a is not None] == [
-            ACK_STRIDE - 1, 2 * ACK_STRIDE - 1
-        ]
 
     def test_seeded_watermark_is_monotonic_and_drops_the_prefix(self):
         w = ReceiveWindow()
         w.seed_watermark("a", 5)
         w.seed_watermark("a", 3)  # a stale seed never moves it back
         assert w.watermarks == {"a": 5}
-        wholes, nacks = self.feed(w, "a", wave_of(5) + wave_of(6))
-        assert len(wholes) == 1 and nacks == []
+        assert len(self.feed(w, "a", wave_of(5) + wave_of(6))) == 1
+        assert w.duplicates_dropped == 4
 
     def test_drop_and_drop_stream_prune_every_table(self):
         w = ReceiveWindow()
@@ -355,4 +343,4 @@ class TestReceiveWindow:
         w.drop((8, 0))
         assert len(w) == 0 and w.watermarks == {}
         # A dropped key starts from scratch: wave 0 is new again.
-        assert w.admit((8, 0), wave_of(0)[0]) == (True, None)
+        assert w.admit((8, 0), wave_of(0)[0])

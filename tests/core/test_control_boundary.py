@@ -29,17 +29,14 @@ from repro.core.protocol import (
     TAG_LEAVE,
     TAG_NEW_STREAMS,
     TAG_STATS_REQUEST,
-    TAG_WAVE_ACK,
-    TAG_WAVE_NACK,
     make_checkpoint,
     make_close_stream,
     make_endpoint_report,
     make_leave,
     make_new_stream,
     make_new_streams,
+    make_ranks_changed,
     make_stats_reply,
-    make_wave_ack,
-    make_wave_nack,
 )
 from repro.filters.registry import (
     SFILTER_WAITFORALL,
@@ -51,6 +48,10 @@ from repro.transport.channel import Channel, Inbox
 #: The tag number a retired single-stream announcement used: now an
 #: unknown control tag like any other.
 RETIRED_TAG = -2
+
+#: The numbers the retired wave ACK and NACK used, by their old names:
+#: unknown control tags too.
+RETIRED = {RETIRED_TAG: "RETIRED_TAG", -12: "TAG_WAVE_ACK", -13: "TAG_WAVE_NACK"}
 
 #: Ranks behind each child link of the test node.
 BEHIND = ([0, 1], [2, 3])
@@ -100,7 +101,7 @@ def side_link(core, links, side):
     return core.parent_link_id if side == "parent" else links[0]
 
 
-# -- the probe: 21 wrong-shape control packets that used to escape --------
+# -- the probe: wrong-shape control packets, 21 of which used to escape ---
 
 _SHAPES = {"json": ("%s", ("not json",)), "int": ("%d", (7,)), "pair": ("%s %s", ("a", "b"))}
 
@@ -116,10 +117,12 @@ PROBE = [
     (TAG_JOIN, "json", "child"),
     (TAG_JOIN, "int", "child"),
     (TAG_LEAVE, "pair", "child"),
-    (TAG_WAVE_ACK, "json", "parent"),
-    (TAG_WAVE_ACK, "int", "parent"),
-    (TAG_WAVE_NACK, "json", "parent"),
-    (TAG_WAVE_NACK, "int", "parent"),
+    (-12, "json", "parent"),
+    (-12, "int", "parent"),
+    (-12, "pair", "parent"),
+    (-13, "json", "parent"),
+    (-13, "int", "parent"),
+    (-13, "pair", "parent"),
     (TAG_CHECKPOINT, "json", "child"),
     (TAG_CHECKPOINT, "int", "child"),
     (TAG_CHECKPOINT, "pair", "child"),
@@ -130,7 +133,7 @@ PROBE = [
 
 
 _TAG_NAMES = {v: k for k, v in vars(protocol).items() if k.startswith("TAG_")}
-_TAG_NAMES[RETIRED_TAG] = "RETIRED_TAG"
+_TAG_NAMES.update(RETIRED)
 
 
 @pytest.mark.parametrize(
@@ -176,7 +179,7 @@ def test_bad_frame_from_the_parent_shuts_an_unrepaired_node_down():
     core, _links = build_node()
     core.handle_payload(
         core.parent_link_id,
-        encode_batch([Packet(CONTROL_STREAM_ID, TAG_WAVE_ACK, "%d", (1,))]),
+        encode_batch([Packet(CONTROL_STREAM_ID, TAG_CLOSE_STREAM, "%d", (1,))]),
     )
     assert core.shutting_down
     assert rejected(core) == 1
@@ -191,7 +194,7 @@ def test_packets_before_the_bad_one_are_dispatched():
     assert core.metrics.counters()["packets_up"].value == 1
 
 
-@pytest.mark.parametrize("tag", [-99, -16, 3])
+@pytest.mark.parametrize("tag", [-99, -16, -13, -12, 3])
 def test_unknown_control_tag_is_malformed(tag):
     core, links = build_node()
     core.handle_payload(links[1], encode_batch([Packet(CONTROL_STREAM_ID, tag, "%d", (0,))]))
@@ -263,8 +266,8 @@ def test_new_streams_document_shape_is_checked(doc):
 @pytest.mark.parametrize(
     "side,packet",
     [
-        ("parent", make_wave_ack(77, 3)),
-        ("parent", make_wave_nack(77, 3)),
+        ("parent", make_new_streams([], [])),
+        ("parent", make_ranks_changed(1, lost=[77])),
         ("parent", make_close_stream(77)),
         ("child", make_leave(42)),
         ("child", make_checkpoint(77, 1, "{}")),

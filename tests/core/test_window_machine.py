@@ -2,7 +2,8 @@
 
 One ``SendWindow`` feeds one ``ReceiveWindow`` through a channel that,
 until the machine's ``stop_faults`` rule fires, may drop, duplicate and
-reorder data frames and drop or reorder the ACKs and NACKs flowing back.
+reorder data frames.  Nothing flows back: the link protocol has no ACK
+and no NACK.
 The receiver's aligner is a FIFO of arrived waves that ``release`` empties
 at its own pace, so a wave can sit arrived-but-not-aggregated for many
 steps — the state a watermark that advanced on arrival mishandled (a
@@ -18,17 +19,17 @@ Invariants, after every step:
   mixed with another wave's);
 * the watermark never decreases, and it advances on release, not on
   arrival: it always equals the highest wave released (or seeded) at
-  the current receiver;
-* an ACK only ever confirms a released wave.
+  the current receiver.
 
 When the run ends the faults stop, the machine repairs once and lets
 the channel drain in order.  Then every wave still in the sender's
 history that the dead receiver had not aggregated — above its
 watermark, or arrived but still parked — has been released exactly
 once.  The rest of the history is waves it aggregated, or waves given
-up for good during the faults: ``ReceiveWindow.admit`` refuses any wave
-at or below the highest one that fully arrived, so a wave overtaken by
-a later one is aborted, never replayed.
+up for good during the faults: ``ReceiveWindow.admit`` refuses any
+fragment at or below the last one it admitted, so a wave overtaken by
+a later one is aborted, never replayed.  A real link never loses or
+reorders a frame; only these injected faults overtake a wave.
 
 No sleeps and no threads.  A failing run prints its steps and a
 ``@reproduce_failure`` blob that replays it.
@@ -61,7 +62,6 @@ class WindowPair(RuleBasedStateMachine):
         self.tx = SendWindow()
         self.rx = ReceiveWindow()
         self.wire = []  # data frames, sender -> receiver
-        self.back = []  # ("ack" | "nack", wave id), receiver -> sender
         self.parked = []  # (wave id, whole packet) arrived, not yet released
         self.released = set()  # wave ids released, at every receiver
         self.released_here = []  # released at the current receiver
@@ -101,10 +101,7 @@ class WindowPair(RuleBasedStateMachine):
     @rule(data=st.data())
     def deliver(self, data):
         frag = self.wire.pop(self._pick(data, self.wire, "deliver"))
-        accept, nack = self.rx.admit(KEY, frag)
-        if nack is not None:
-            self.back.append(("nack", nack))
-        if accept:
+        if self.rx.admit(KEY, frag):
             whole = self.rx.add(KEY, frag)
             if whole is not None:
                 self.parked.append((chunk_meta(frag)[0], whole))
@@ -120,21 +117,6 @@ class WindowPair(RuleBasedStateMachine):
     def drop(self, data):
         del self.wire[self._pick(data, self.wire, "drop")]
 
-    @precondition(lambda self: self.back)
-    @rule(data=st.data())
-    def control(self, data):
-        kind, seq = self.back.pop(self._pick(data, self.back, "control"))
-        if kind == "ack":
-            assert seq in self.released, f"ACK {seq} confirms an unreleased wave"
-            self.tx.ack(seq)
-        else:
-            self.wire.extend(self.tx.resend_since(seq - 1))
-
-    @precondition(lambda self: self.faults and self.back)
-    @rule(data=st.data())
-    def drop_control(self, data):
-        del self.back[self._pick(data, self.back, "drop_control")]
-
     # -- receiver ------------------------------------------------------------
 
     @precondition(lambda self: self.parked)
@@ -146,9 +128,7 @@ class WindowPair(RuleBasedStateMachine):
         assert set(whole.values[0]) == {float(wave)}, f"wave {wave} mixed fragments"
         self.released.add(wave)
         self.released_here.append(wave)
-        ack = self.rx.release(KEY, wave)
-        if ack is not None:
-            self.back.append(("ack", ack))
+        self.rx.release(KEY, wave)
 
     @rule()
     def adopt(self):
@@ -156,7 +136,6 @@ class WindowPair(RuleBasedStateMachine):
         with its watermark takes the link; the sender replays history."""
         mark = self.rx.watermarks.get(KEY, -1)
         self.wire.clear()
-        self.back.clear()
         self.parked.clear()
         self.rx = ReceiveWindow()
         if mark >= 0:
@@ -189,11 +168,9 @@ class WindowPair(RuleBasedStateMachine):
             seq for seq, _frags in self.tx._history
             if seq > self.seeded or seq in parked
         }
-        while self.wire or self.back or self.parked:
+        while self.wire or self.parked:
             if self.parked:
                 self.release()
-            elif self.back:
-                self.control(None)
             else:
                 self.deliver(None)
             self.watermark_is_the_highest_release()

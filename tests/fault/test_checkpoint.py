@@ -181,6 +181,90 @@ class TestDepositOrder:
         assert deposits == [{"0": 0, "1": 0}, {"0": 1, "1": 1}]
 
 
+class _FullEnd:
+    """A parent end whose send queue never has room: every flush toward
+    it is deferred, so released fragments stay in the parent buffer."""
+
+    send_backlog = 1
+    closed = False
+
+    def __init__(self, link_id):
+        self.link_id = link_id
+
+    def send_capacity(self):
+        return 0
+
+    def close(self):
+        pass
+
+
+class TestEachFragmentAdmittedOnce:
+    """A repaired node replays its history and then carries over its old
+    parent buffer, so a fragment released but not yet flushed reaches
+    the adopter twice.  The adopter admits each fragment once."""
+
+    N_ELEMS = 1024
+    CHUNK = 2048  # 4 fragments per contribution
+
+    def fragments(self, value, origin):
+        whole = apkt(np.full(self.N_ELEMS, value), origin=origin)
+        return split_packet(whole, self.CHUNK, 0)
+
+    def orphan_output(self):
+        """Fragments a backpressured node sends its adopter when its
+        parent dies after it released 2 of 4 fragments per child."""
+        node_inbox, adopter_inbox = Inbox(), Inbox()
+        full = _FullEnd(Channel(Inbox(), node_inbox).link_id)
+        core = NodeCore("orphan", default_registry(), 2, parent=full, inbox=node_inbox)
+        links = []
+        for _ in range(2):
+            ch = Channel(node_inbox, Inbox())
+            core.add_child(ch.end_a)
+            links.append(ch.link_id)
+        adopter = Channel(adopter_inbox, node_inbox)
+        core.configure_failure(policy=REPAIR, repair_fn=lambda: adopter.end_b)
+        for rank, link in enumerate(links):
+            core.dispatch(link, make_endpoint_report([rank]))
+        core.handle_control_down(make_new_stream(
+            5, [0, 1], SFILTER_WAITFORALL, TFILTER_SUM, chunk_bytes=self.CHUNK,
+        ))
+        frags = [self.fragments(1.0 + rank, rank) for rank in range(2)]
+
+        def deliver(indices):
+            for index in indices:
+                for rank, link in enumerate(links):
+                    core.handle_payload(link, encode_batch([frags[rank][index]]))
+            core.flush()
+
+        deliver(range(2))
+        core.handle_payload(full.link_id, None)  # the parent's EOF
+        deliver(range(2, 4))
+        sent = []
+        while not adopter_inbox.empty():
+            sent += decode_batch(adopter_inbox.get_nowait()[1])
+        return [p for p in sent if p.stream_id == 5]
+
+    def test_adopter_drops_the_carried_over_duplicates(self, registry):
+        sent = self.orphan_output()
+        assert [chunk_meta(p)[:2] for p in sent] == [
+            (0, 0), (0, 1), (0, 0), (0, 1), (0, 2), (0, 3)
+        ]
+        adopter = StreamManager.create(
+            5, [0, 1, 2], [7, 8], registry, SFILTER_WAITFORALL, TFILTER_SUM,
+            chunk_bytes=self.CHUNK,
+        )
+        out = []
+        for frag in self.fragments(5.0, 2):  # a sibling's whole wave
+            out += adopter.push_upstream(8, frag)
+        for frag in sent:
+            out += adopter.push_upstream(7, frag)
+        assert adopter._c_chunk_aborts.value == 0
+        assert adopter._in.duplicates_dropped == 2
+        assert [chunk_meta(p)[:2] for p in out] == [(0, i) for i in range(4)]
+        (result,) = reassemble(out).raw_values
+        assert np.array_equal(result, np.full(self.N_ELEMS, 8.0))
+
+
 def array_wave(net, st):
     """One SUM wave of all-ones arrays; returns its element 0."""
     st.send("%d", 0)

@@ -1,15 +1,16 @@
 """Replay history lives only where a repair can replay it.
 
 Outside ``policy="repair"`` no link is ever re-homed, so a sender keeps
-none of the fragments it sent and a receiver neither ACKs nor NACKs
-them.  The waves here, 16 KiB arrays in 4 KiB fragments, fit under
-both history bounds, so any history a sender kept would still be
-there when the run ends.  Every holder is read: each comm node's
-``history_bytes{stream}`` gauge (gathered over the wire, so forked
-process nodes count too), the front-end's manager and every
-back-end's stream.  Every ``TAG_WAVE_ACK``/``TAG_WAVE_NACK`` a node
-queues toward a child or a back-end takes in is seen.  The ``repair``
-runs are the control: the same reads find history and ACKs there.
+none of the fragments it sent.  Under no policy does a receiver send a
+window-control packet back: the retired wave ACK and NACK tags (-12,
+-13) never appear.  The waves here, 16 KiB arrays in 4 KiB fragments,
+fit under both history bounds, so any history a sender kept would
+still be there when the run ends.  Every holder is read: each comm
+node's ``history_bytes{stream}`` gauge (gathered over the wire, so
+forked process nodes count too), the front-end's manager and every
+back-end's stream.  Every packet with a retired tag that a node queues
+toward a child or a back-end takes in is seen.  The ``repair`` runs
+are the control: the same reads find history there.
 """
 
 import numpy as np
@@ -18,21 +19,21 @@ import pytest
 from repro.core import DEGRADE, FAIL_FAST, REPAIR, Network
 from repro.core.backend import BackEnd
 from repro.core.commnode import NodeCore
-from repro.core.protocol import TAG_WAVE_ACK, TAG_WAVE_NACK
 from repro.filters import TFILTER_SUM
 from repro.topology import balanced_tree
 
 WAVE_TIMEOUT = 10.0
 N_ELEMS = 2048  # 16 KiB of float64
 CHUNK_BYTES = 4096  # four fragments per contribution
-WAVES = 6  # past one ACK stride, so repair's history is pruned once
-WINDOW_TAGS = (TAG_WAVE_ACK, TAG_WAVE_NACK)
+WAVES = 6  # all six stay in history under repair
+WINDOW_TAGS = (-12, -13)  # the retired wave ACK and NACK
 
 
 @pytest.fixture
 def window_control(monkeypatch):
-    """Tags of every ACK/NACK queued down by a node of this process or
-    taken in by a back-end (all back-ends live in this process)."""
+    """Tags of every retired ACK/NACK queued down by a node of this
+    process or taken in by a back-end (all back-ends live in this
+    process)."""
     seen = []
     queue_down = NodeCore._queue_down
     handle_control = BackEnd._handle_control
@@ -99,7 +100,10 @@ def test_history_and_window_control_only_under_repair(
         # Every sender with a parent keeps history; the front-end has none.
         assert held.pop("front-end") == 0
         assert all(held.values()), held
-        assert TAG_WAVE_ACK in window_control
+        # Nothing prunes history inside its bounds: every wave is held.
+        for be in net.backends.values():
+            assert len(be.get_stream(st.stream_id)._window._history) == WAVES
+        assert window_control == []
     else:
         # Both halves in one assert, so a failure shows both.
         assert (held, window_control) == (dict.fromkeys(held, 0), [])

@@ -113,6 +113,36 @@ def test_run_once_keeps_the_flagged_lines(tmp_path):
     assert got["attempted"] == 3 and got["loop_ms"] > 0
 
 
+def test_each_run_counts_the_cpu_seconds_of_its_processes(tmp_path):
+    """A run's ``cpu_s`` is the CPU time of the benchmark process and of
+    every process it reaped, and it is summarised like a metric."""
+    script = tmp_path / "fake_run.py"
+    script.write_text(
+        "import os, time\n"
+        "def burn(s):\n"
+        "    end = time.process_time() + s\n"
+        "    while time.process_time() < end:\n"
+        "        pass\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    burn(0.3)\n"
+        "    os._exit(0)\n"
+        "burn(0.2)\n"
+        "os.waitpid(pid, 0)\n"
+        "print('{\"attempted\": 1, \"failed\": 0, \"metrics\": {}}')\n"
+    )
+    runs = [
+        paired_bench.run_once(tmp_path, [sys.executable, str(script)], "w", 1, 0.1)
+        for _ in range(2)
+    ]
+    for got in runs:
+        assert 0.5 <= paired_bench.value(got, "cpu_s") < 2.0
+        got["loop_ms"] = 20.0  # one CPU speed: the pair is summarised
+    (cpu,) = paired_bench.summarise({"end_to_end": []}, runs[:1], runs[1:])
+    assert (cpu["metric"], cpu["unit"], cpu["better"]) == ("cpu_s", "s", "lower")
+    assert cpu["parent_median"] == paired_bench.value(runs[0], "cpu_s")
+
+
 def in_git_checkout() -> bool:
     if shutil.which("git") is None:
         return False

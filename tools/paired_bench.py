@@ -36,6 +36,12 @@ are kept, the pair line names the flagged side, and the summary and the
 ``--json`` rows count flagged runs per side, so a claim resting on
 flagged runs is visible as such.
 
+Each run's CPU time (user plus system seconds of ``run.py`` and every
+process it reaped, forked comm nodes included) is read from
+``RUSAGE_CHILDREN`` and summarised as one more row, ``cpu_s``, beside
+the end-to-end metrics: CPU time moves less with the VM's speed than
+wall-clock numbers do.
+
 Reads only ``BENCHMARK.json`` and, of ``run.py``'s stdout, the
 ``# FLAGGED:`` lines and the last line; never two runs at once (the
 benchmark pins itself to one CPU).
@@ -47,6 +53,7 @@ import argparse
 import json
 import os
 import pathlib
+import resource
 import shutil
 import statistics
 import subprocess
@@ -116,25 +123,40 @@ def byte_compile(command, root: pathlib.Path) -> None:
                    check=True, stdout=subprocess.DEVNULL)
 
 
+def children_cpu_s() -> float:
+    """User plus system CPU seconds of every child this process reaped."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_once(root: pathlib.Path, command, workload, seed, seconds) -> dict:
     """One driver-form run under *root*: the parsed last stdout line,
     plus ``loop_ms``, the mean of the calibration loop before and after,
-    and ``flagged``, the run's ``# FLAGGED:`` lines."""
+    ``flagged``, the run's ``# FLAGGED:`` lines, and the run's CPU
+    seconds as the metric ``cpu_s``."""
     before = loop_ms()
+    cpu0 = children_cpu_s()
     proc = subprocess.run(
         [*command, "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True,
     )
+    cpu_s = children_cpu_s() - cpu0
     lines = proc.stdout.strip().splitlines()
     try:
         run = json.loads(lines[-1])
     except (IndexError, ValueError):
         sys.stderr.write(proc.stderr[-2000:])
         run = {"attempted": 1, "failed": 1, "metrics": {}}
+    run.setdefault("metrics", {})["cpu_s"] = {"value": cpu_s}
     run["loop_ms"] = (before + loop_ms()) / 2
     run["flagged"] = [line for line in lines if line.startswith("# FLAGGED:")]
     return run
+
+
+def metrics(spec: dict) -> list:
+    """The end-to-end metrics of *spec*, then the run's CPU time."""
+    return [*spec["end_to_end"], {"name": "cpu_s", "unit": "s", "better": "lower"}]
 
 
 def value(run: dict, name: str) -> float:
@@ -178,12 +200,13 @@ def pair_marks(parent_run: dict, change_run: dict) -> str:
 
 
 def summarise(spec: dict, parent_runs, change_runs) -> list:
-    """One row per end-to-end metric over the pairs that ran at one speed."""
+    """One row per end-to-end metric, and one for CPU time, over the
+    pairs that ran at one speed."""
     same_mode = [
         (p, c) for p, c in zip(parent_runs, change_runs) if not mode_split(p, c)
     ]
     rows = []
-    for metric in spec["end_to_end"]:
+    for metric in metrics(spec):
         name, lower = metric["name"], metric["better"] == "lower"
         pairs = [
             (value(p, name), value(c, name))
@@ -253,7 +276,7 @@ def main(argv=None) -> int:
             p, c = parent_runs[-1], change_runs[-1]
             print(f"pair {k} seed {args.seed + k}: " + "  ".join(
                 f"{m['name']} {shown(p, m)} -> {shown(c, m)}"
-                for m in spec["end_to_end"]
+                for m in metrics(spec)
             ) + f"  loop {p['loop_ms']:.1f} -> {c['loop_ms']:.1f} ms"
               + pair_marks(p, c), flush=True)
 
